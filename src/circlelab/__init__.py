@@ -28,9 +28,7 @@ from .diffusion import (
     em_step,
     run_exit_trials,
     simulate_diffusion,
-    simulate_diffusion_driven,
     simulate_diffusion_ensemble,
-    simulate_driven_ensemble,
     simulate_terminal_u_coupled,
 )
 from .errors import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
@@ -95,6 +96,12 @@ class ScenarioConfig:
                 f"{PROCESS_KINDS}")
         if self.replicas < 1:
             raise ConfigError("field 'replicas': must be >= 1")
+        for name, value in (("lambda", self.lam), ("dt", self.dt),
+                            ("horizon", self.horizon), ("x0", self.x0),
+                            ("u0", self.u0)):
+            if not math.isfinite(value):
+                raise ConfigError(f"field {name!r}: must be finite, "
+                                  f"got {value!r}")
         if self.horizon <= 0.0:
             raise ConfigError("field 'horizon': must be > 0")
         if self.process in ("diffusion", "both") and self.dt <= 0.0:

@@ -7,9 +7,10 @@ The Markov pair (X, U) follows
 for a trigonometric potential F.  U is the running integral of F along the
 path; the drift -U F' pushes X toward minima of F while U > 0 and toward
 maxima while U < 0.  The frozen-drive variant replaces U_t by a
-deterministic drive g(t), making X alone a time-inhomogeneous diffusion;
-it powers the escape-probability experiments whose analytic counterpart
-is the scale-function oracle `analytic_escape_probability`.
+constant level M, making X alone a time-homogeneous diffusion,
+dX = dB - M F'(X) dt; `run_exit_trials` simulates it between two
+absorbing points for the escape-probability experiments, whose analytic
+counterpart is the scale-function oracle `analytic_escape_probability`.
 
 Conventions shared by every simulator in this module:
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -46,8 +47,6 @@ __all__ = [
     "em_step",
     "simulate_diffusion",
     "simulate_diffusion_ensemble",
-    "simulate_diffusion_driven",
-    "simulate_driven_ensemble",
     "simulate_terminal_u_coupled",
     "run_exit_trials",
     "analytic_escape_probability",
@@ -58,8 +57,6 @@ __all__ = [
 # identical either way; only last-bit trig rounding may differ.
 _SCALAR_PATH_MAX = 4
 _MONOTONE_GRID = 512
-
-Drive = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -74,11 +71,10 @@ class DiffusionState:
 class Trajectory:
     """Samples of one path at a uniform stride of ``record_every`` steps.
 
-    For kind "self" the u column is the simulated interaction variable; for
-    kind "driven" it echoes the frozen drive g evaluated at the sample
-    times.  The x column lies in [0, 2*pi) except that the right endpoint
-    can appear as a one-ulp rounding artifact of the modulo; consumers
-    that bin angles clip for that case.
+    The u column is the simulated interaction variable.  The x column lies
+    in [0, 2*pi) except that the right endpoint can appear as a one-ulp
+    rounding artifact of the modulo; consumers that bin angles clip for
+    that case.
     """
 
     times: np.ndarray
@@ -88,7 +84,6 @@ class Trajectory:
     record_every: int
     seed: int
     potential_id: str
-    kind: str = "self"
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -117,7 +112,6 @@ class EnsembleTrajectories:
     record_every: int
     seeds: tuple
     potential_id: str
-    kind: str = "self"
 
     @property
     def n_replicas(self) -> int:
@@ -132,7 +126,6 @@ class EnsembleTrajectories:
             record_every=self.record_every,
             seed=self.seeds[i],
             potential_id=self.potential_id,
-            kind=self.kind,
         )
 
     def index_of_time(self, t: float) -> int:
@@ -206,7 +199,8 @@ def em_step(potential: PeriodicPotential, state: DiffusionState, dt: float,
 
 
 class _HarmonicWorkspace:
-    """Preallocated buffers for batched evaluation of F and F'."""
+    """Preallocated buffers for batched evaluation of F and F' and for the
+    vector Euler-Maruyama step."""
 
     def __init__(self, potential: PeriodicPotential, n: int):
         self.a0 = float(potential.a0)
@@ -215,6 +209,24 @@ class _HarmonicWorkspace:
         self.c = np.empty(n)
         self.s = np.empty(n)
         self.t = np.empty(n)
+        self.fv = np.empty(n)
+        self.fp = np.empty(n)
+        self.dx = np.empty(n)
+
+    def em_step(self, x: np.ndarray, u: np.ndarray, noise: np.ndarray,
+                dt: float, sqrt_dt: float) -> None:
+        """Advance every replica's (x, u) in place by one step of size dt,
+        with noise holding one standard normal draw per replica."""
+        fv, fp, dx = self.fv, self.fp, self.dx
+        self.eval(x, fv, fp)
+        fp *= u
+        fp *= dt
+        np.multiply(noise, sqrt_dt, out=dx)
+        dx -= fp
+        x += dx
+        np.remainder(x, TWO_PI, out=x)
+        fv *= dt
+        u += fv
 
     def eval(self, x: np.ndarray, fv: np.ndarray, fp: np.ndarray) -> None:
         """Fill fv with F(x) and fp with F'(x)."""
@@ -291,24 +303,6 @@ def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
     return n_steps
 
 
-def _drive_at(g: Drive, times: np.ndarray) -> np.ndarray:
-    """Drive values at the given times; g may be vectorized or scalar-only."""
-    if callable(g):
-        try:
-            vals = np.asarray(g(times), dtype=float)
-            if vals.shape != times.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(g(t)) for t in times])
-        return vals
-    return np.full(times.size, float(g))
-
-
-def _drive_values(g: Drive, step0: int, m: int, dt: float) -> np.ndarray:
-    """Drive values at the left endpoints of steps step0..step0+m-1."""
-    return _drive_at(g, np.arange(step0, step0 + m, dtype=float) * dt)
-
-
 def _scalar_self(potential, x0, u0, n_steps, dt, gen, record_every, out_x, out_u):
     a0, terms = _scalar_terms(potential)
     sqrt_dt = math.sqrt(dt)
@@ -343,33 +337,6 @@ def _scalar_self(potential, x0, u0, n_steps, dt, gen, record_every, out_x, out_u
                 rec += 1
 
 
-def _scalar_driven(potential, g, x0, n_steps, dt, gen, record_every, out_x):
-    a0, terms = _scalar_terms(potential)
-    sqrt_dt = math.sqrt(dt)
-    cos = math.cos
-    sin = math.sin
-    x = float(x0) % TWO_PI
-    if x == TWO_PI:
-        x = 0.0
-    out_x[0] = x
-    rec = 1
-    step = 0
-    while step < n_steps:
-        m = min(4096, n_steps - step)
-        noise = gen.standard_normal(m).tolist()
-        drive = _drive_values(g, step, m, dt).tolist()
-        for w, gv in zip(noise, drive):
-            fp = 0.0
-            for k, a, b in terms:
-                ph = k * x
-                fp += k * (b * cos(ph) - a * sin(ph))
-            x = (x + (sqrt_dt * w - (gv * fp) * dt)) % TWO_PI
-            step += 1
-            if step % record_every == 0 or step == n_steps:
-                out_x[rec] = x
-                rec += 1
-
-
 def _fill_noise(block: np.ndarray, gens, m: int) -> None:
     if m == block.shape[1]:
         for j, gen in enumerate(gens):
@@ -382,9 +349,6 @@ def _fill_noise(block: np.ndarray, gens, m: int) -> None:
 def _vector_self(potential, x, u, n_steps, dt, gens, record_every, out_x, out_u):
     n = x.size
     ws = _HarmonicWorkspace(potential, n)
-    fv = np.empty(n)
-    fp = np.empty(n)
-    tmp = np.empty(n)
     sqrt_dt = math.sqrt(dt)
     blen = _noise_block_len(n)
     block = np.empty((n, blen))
@@ -396,48 +360,11 @@ def _vector_self(potential, x, u, n_steps, dt, gens, record_every, out_x, out_u)
         m = min(blen, n_steps - step)
         _fill_noise(block, gens, m)
         for i in range(m):
-            ws.eval(x, fv, fp)
-            fp *= u
-            fp *= dt
-            np.multiply(block[:, i], sqrt_dt, out=tmp)
-            tmp -= fp
-            x += tmp
-            np.remainder(x, TWO_PI, out=x)
-            fv *= dt
-            u += fv
+            ws.em_step(x, u, block[:, i], dt, sqrt_dt)
             step += 1
             if step % record_every == 0 or step == n_steps:
                 out_x[:, rec] = x
                 out_u[:, rec] = u
-                rec += 1
-
-
-def _vector_driven(potential, g, x, n_steps, dt, gens, record_every, out_x):
-    n = x.size
-    ws = _HarmonicWorkspace(potential, n)
-    fp = np.empty(n)
-    tmp = np.empty(n)
-    sqrt_dt = math.sqrt(dt)
-    blen = _noise_block_len(n)
-    block = np.empty((n, blen))
-    out_x[:, 0] = x
-    rec = 1
-    step = 0
-    while step < n_steps:
-        m = min(blen, n_steps - step)
-        _fill_noise(block, gens, m)
-        drive = _drive_values(g, step, m, dt)
-        for i in range(m):
-            ws.eval_derivative(x, fp)
-            fp *= drive[i]
-            fp *= dt
-            np.multiply(block[:, i], sqrt_dt, out=tmp)
-            tmp -= fp
-            x += tmp
-            np.remainder(x, TWO_PI, out=x)
-            step += 1
-            if step % record_every == 0 or step == n_steps:
-                out_x[:, rec] = x
                 rec += 1
 
 
@@ -453,18 +380,15 @@ def _freeze(*arrays):
 def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
                                 horizon: float, *, dt: float = 1e-3,
                                 seeds: Sequence[int] = (0,),
-                                record_every: int = 100,
-                                engine: str = "auto") -> EnsembleTrajectories:
+                                record_every: int = 100) -> EnsembleTrajectories:
     """Simulate independent replicas of the self-interacting pair (X, U).
 
-    x0 and u0 broadcast over replicas (scalar or length-len(seeds)).
-    engine="auto" runs a per-replica scalar loop for up to 4 replicas and
-    a replica-vectorized loop otherwise; both consume identical noise
-    streams and agree up to last-bit trig rounding.  A given call is
-    bit-reproducible for fixed (seeds, parameters, engine).
+    x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
+    to 4 replicas run a per-replica scalar loop and larger ensembles a
+    replica-vectorized loop; both consume identical noise streams and
+    agree up to last-bit trig rounding.  A given call is bit-reproducible
+    for fixed (seeds, parameters).
     """
-    if engine not in ("auto", "scalar", "vector"):
-        raise ValueError("engine must be 'auto', 'scalar', or 'vector'")
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -478,8 +402,7 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     out_x = np.empty((n, rec_steps.size))
     out_u = np.empty((n, rec_steps.size))
     gens = generators_from_seeds(seeds)
-    scalar = engine == "scalar" or (engine == "auto" and n <= _SCALAR_PATH_MAX)
-    if scalar:
+    if n <= _SCALAR_PATH_MAX:
         for j in range(n):
             _scalar_self(potential, x[j], u[j], n_steps, dt, gens[j],
                          record_every, out_x[j], out_u[j])
@@ -489,8 +412,7 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     _freeze(times, out_x, out_u)
     return EnsembleTrajectories(times=times, x=out_x, u=out_u, dt=dt,
                                 record_every=record_every, seeds=seeds,
-                                potential_id=potential.potential_id,
-                                kind="self")
+                                potential_id=potential.potential_id)
 
 
 def simulate_diffusion(potential: PeriodicPotential, z0: DiffusionState,
@@ -499,55 +421,6 @@ def simulate_diffusion(potential: PeriodicPotential, z0: DiffusionState,
     """Simulate one replica; equivalent to a one-seed ensemble."""
     ens = simulate_diffusion_ensemble(potential, z0.x, z0.u, horizon, dt=dt,
                                       seeds=(seed,), record_every=record_every)
-    return ens.replica(0)
-
-
-def simulate_driven_ensemble(potential: PeriodicPotential, g: Drive, x0,
-                             horizon: float, *, dt: float = 1e-3,
-                             seeds: Sequence[int] = (0,),
-                             record_every: int = 100,
-                             engine: str = "auto") -> EnsembleTrajectories:
-    """Simulate replicas of the frozen-drive diffusion dX = dB - g(t) F'(X) dt.
-
-    g is a constant or a deterministic function of time (vectorized over a
-    numpy array of times, or scalar-callable).  The recorded u column
-    echoes g at the sample times, identically across replicas.
-    """
-    if engine not in ("auto", "scalar", "vector"):
-        raise ValueError("engine must be 'auto', 'scalar', or 'vector'")
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    n = len(seeds)
-    n_steps = _validate_grid(horizon, dt, record_every)
-    rec_steps = _record_steps(n_steps, record_every)
-    times = rec_steps.astype(float) * dt
-    x = _as_replica_array(x0, n, "x0")
-    np.remainder(x, TWO_PI, out=x)
-    out_x = np.empty((n, rec_steps.size))
-    gens = generators_from_seeds(seeds)
-    scalar = engine == "scalar" or (engine == "auto" and n <= _SCALAR_PATH_MAX)
-    if scalar:
-        for j in range(n):
-            _scalar_driven(potential, g, x[j], n_steps, dt, gens[j],
-                           record_every, out_x[j])
-    else:
-        _vector_driven(potential, g, x, n_steps, dt, gens, record_every, out_x)
-    out_u = np.tile(_drive_at(g, times), (n, 1))
-    _freeze(times, out_x, out_u)
-    return EnsembleTrajectories(times=times, x=out_x, u=out_u, dt=dt,
-                                record_every=record_every, seeds=seeds,
-                                potential_id=potential.potential_id,
-                                kind="driven")
-
-
-def simulate_diffusion_driven(potential: PeriodicPotential, g: Drive,
-                              x0: float, horizon: float, *, dt: float = 1e-3,
-                              seed: int = 0,
-                              record_every: int = 100) -> Trajectory:
-    """One frozen-drive replica; the u column echoes the drive."""
-    ens = simulate_driven_ensemble(potential, g, x0, horizon, dt=dt,
-                                   seeds=(seed,), record_every=record_every)
     return ens.replica(0)
 
 
@@ -585,9 +458,6 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     us = [_as_replica_array(u0, n, "u0") for _ in dt_levels]
     gens = generators_from_seeds(seeds)
     ws = _HarmonicWorkspace(potential, n)
-    fv = np.empty(n)
-    fp = np.empty(n)
-    tmp = np.empty(n)
     blen = _noise_block_len(n, multiple_of=lcm)
     block = np.empty((n, blen))
     step = 0
@@ -605,15 +475,7 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
             x = xs[lvl]
             u = us[lvl]
             for i in range(m // f):
-                ws.eval(x, fv, fp)
-                fp *= u
-                fp *= dt
-                np.multiply(coarse[:, i], sqrt_dt, out=tmp)
-                tmp -= fp
-                x += tmp
-                np.remainder(x, TWO_PI, out=x)
-                fv *= dt
-                u += fv
+                ws.em_step(x, u, coarse[:, i], dt, sqrt_dt)
         step += m
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
 

@@ -5,7 +5,8 @@ dU = F(X) dt, and Y flips sign at rate lambda + (Y * U * F'(X))_+.
 Between jumps the flow is deterministic, so paths are represented exactly
 by their event skeleton: X advances at unit speed and U follows the
 closed-form segment integral of F.  No time discretization appears
-anywhere in this module.
+anywhere in this module.  The frozen-drive variant (`simulate_pdmp_driven`)
+replaces U in the rate by a constant level M, as in the escape bounds.
 
 Jumps are sampled from two independent clocks, and the cause of each jump
 is recorded:
@@ -14,7 +15,7 @@ is recorded:
 - a landscape clock for the inhomogeneous rate r(s) = (Y u(s) F'(X+Ys))_+,
   sampled by windowed thinning.  Over each lookahead window of width h the
   factor Y*u lies in [Y*u0 - h*L_u, Y*u0 + h*L_u] (L_u bounds the growth
-  rate of the interaction: max|F|, or the drive's Lipschitz constant) and
+  rate of the interaction: max|F|, or zero for a constant drive) and
   F' lies in a grid-plus-Lipschitz-slack interval over the swept arc; the
   corner maximum of their product is a certified rate bound r_bar.
   Windows where r_bar = 0 are skipped outright, and windows shrink so
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,8 +67,6 @@ CAUSE_HIT = "hit-target"
 # Expected thinning proposals per lookahead window stay near this cap.
 _WINDOW_PROPOSAL_CAP = 8.0
 
-DriveFn = Union[float, Callable[[float], float]]
-
 
 @dataclass(frozen=True)
 class PdmpState:
@@ -93,7 +92,7 @@ class EventLog:
     (cause "hit-target", with hit_time/hit_target filled).  States
     between rows follow the deterministic flow exactly: x at unit speed
     and u via `segment_u`.  For kind "driven" the u column echoes the
-    frozen drive at the row times and `u_at` is unavailable.
+    constant frozen drive and `u_at` is unavailable.
     """
 
     times: np.ndarray
@@ -187,7 +186,7 @@ def _sample_landscape_time(potential, x0, y, gen, cutoff, value_at, lipschitz_u)
     """First arrival of the thinned landscape clock, or None past cutoff.
 
     value_at(s) is the interaction value after flow time s (closed-form u
-    for the homogeneous process, the drive for the frozen variant);
+    for the homogeneous process, the constant for the frozen variant);
     lipschitz_u bounds |d value_at / ds|.  The window bound is the corner
     maximum of (y * u) * F' over the certified product of intervals, so
     stretches where the rate is provably zero are skipped without any
@@ -239,13 +238,11 @@ def _homogeneous_value_at(potential, x0, y, u0):
 def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
                           gen: np.random.Generator, cutoff: float, *,
                           u0: Optional[float] = None,
-                          g: Optional[DriveFn] = None,
-                          g_lipschitz: float = 0.0):
+                          g: Optional[float] = None):
     """Sample the landscape clock alone; returns a time < cutoff or None.
 
     Exactly one of u0 (homogeneous interaction, evolving by the flow) or
-    g (frozen drive: constant, or callable of flow time with Lipschitz
-    constant g_lipschitz) must be given.
+    g (frozen constant drive) must be given.
     """
     if (u0 is None) == (g is None):
         raise ValueError("provide exactly one of u0 or g")
@@ -254,9 +251,6 @@ def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
     if u0 is not None:
         value_at = _homogeneous_value_at(potential, x0, y, u0)
         lip = abs(potential.a0) + potential.coefficient_bound_derivative(0)
-    elif callable(g):
-        value_at = g
-        lip = float(g_lipschitz)
     else:
         gv = float(g)
         value_at = lambda s: gv
@@ -303,9 +297,10 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
                    value_for_segment, lipschitz_u, u_row_at, seed, kind):
     """Shared event loop; parameterized over the interaction source.
 
-    value_for_segment(t_seg, x, y, u) -> value_at(s) for the segment that
-    starts at absolute time t_seg; u_row_at(t, x, y, u_prev, s) -> the u
-    column entry for a row at absolute time t after flow time s.
+    value_for_segment(x, y, u) -> value_at(s) for the segment that starts
+    at (x, y, u); u_row_at(x, y, u_prev, s) -> the u column entry for a
+    row reached after flow time s from (x, y, u_prev), with u_prev None
+    for the initial row.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -315,7 +310,7 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
     y = int(y0)
     if y not in (-1, 1):
         raise ValueError("velocity y must be -1 or +1")
-    u = u_row_at(0.0, x, y, None, 0.0)
+    u = u_row_at(x, y, None, 0.0)
     times = [0.0]
     xs = [x]
     us = [u]
@@ -327,7 +322,7 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
     n_events = 0
     while True:
         s_rem = horizon - t
-        value_at = value_for_segment(t, x, y, us[-1])
+        value_at = value_for_segment(x, y, us[-1])
         theta2 = gen.standard_exponential() / lam
         cutoff = min(theta2, s_rem)
         theta1 = _sample_landscape_time(potential, x, y, gen, cutoff,
@@ -346,21 +341,21 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
                 hit_time = t + s_hit
                 times.append(hit_time)
                 xs.append(float(wrap(x + y * s_hit)))
-                us.append(u_row_at(hit_time, x, y, us[-1], s_hit))
+                us.append(u_row_at(x, y, us[-1], s_hit))
                 ys.append(y)
                 causes.append(CAUSE_HIT)
                 break
         if evt is None:
             times.append(horizon)
             xs.append(float(wrap(x + y * s_rem)))
-            us.append(u_row_at(horizon, x, y, us[-1], s_rem))
+            us.append(u_row_at(x, y, us[-1], s_rem))
             ys.append(y)
             causes.append(CAUSE_END)
             break
         theta, cause = evt
         t += theta
         x_new = float(wrap(x + y * theta))
-        u_new = u_row_at(t, x, y, us[-1], theta)
+        u_new = u_row_at(x, y, us[-1], theta)
         y = -y
         x = x_new
         times.append(t)
@@ -399,10 +394,10 @@ def simulate_pdmp(potential: PeriodicPotential, lam: float, z0: PdmpState,
     gen = generator_from_seed(seed)
     lip = abs(potential.a0) + potential.coefficient_bound_derivative(0)
 
-    def value_for_segment(t_seg, x, y, u):
+    def value_for_segment(x, y, u):
         return _homogeneous_value_at(potential, x, y, u)
 
-    def u_row_at(t, x, y, u_prev, s):
+    def u_row_at(x, y, u_prev, s):
         if u_prev is None:
             return float(z0.u)
         return segment_u(potential, x, y, s, u_prev)
@@ -412,54 +407,39 @@ def simulate_pdmp(potential: PeriodicPotential, lam: float, z0: PdmpState,
                           u_row_at, seed, "self")
 
 
-def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: DriveFn,
+def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: float,
                          x0: float, y0: int, horizon: float, *, seed: int = 0,
-                         g_lipschitz: Optional[float] = None,
                          max_events: int = 10 ** 8,
                          until: Optional[Sequence[ArcSet]] = None) -> EventLog:
-    """Simulate the frozen-drive variant: the rate uses g(t) in place of U.
-
-    g is a constant or a callable of absolute time; a callable requires
-    its Lipschitz constant g_lipschitz to certify the thinning bounds.
-    The u column of the log echoes the drive at the row times.
+    """Simulate the frozen-drive variant: the rate uses the constant g in
+    place of U.  The u column of the log echoes g on every row.
     """
     gen = generator_from_seed(seed)
-    if callable(g):
-        if g_lipschitz is None:
-            raise ValueError("a callable drive requires g_lipschitz")
-        lip = float(g_lipschitz)
+    gv = float(g)
 
-        def value_for_segment(t_seg, x, y, u):
-            return lambda s: float(g(t_seg + s))
+    def value_for_segment(x, y, u):
+        return lambda s: gv
 
-        def u_row_at(t, x, y, u_prev, s):
-            return float(g(t))
-    else:
-        gv = float(g)
-        lip = 0.0
-
-        def value_for_segment(t_seg, x, y, u):
-            return lambda s: gv
-
-        def u_row_at(t, x, y, u_prev, s):
-            return gv
+    def u_row_at(x, y, u_prev, s):
+        return gv
 
     return _simulate_core(potential, lam, x0, y0, horizon, gen, max_events,
-                          until, value_for_segment, lip, u_row_at, seed,
+                          until, value_for_segment, 0.0, u_row_at, seed,
                           "driven")
 
 
 def jump_time_cdf_oracle(potential: PeriodicPotential, lam: float, x0: float,
                          y: int, u0: Optional[float], grid, *,
-                         g: Optional[DriveFn] = None,
+                         g: Optional[float] = None,
                          subintervals: int = 10_000) -> np.ndarray:
     """Brute-force CDF of the first jump time on the given time grid.
 
     Integrates the total rate lambda + (y * u(s) * F'(x0 + y s))_+ by
     composite Simpson quadrature with `subintervals` subintervals per grid
     cell and returns 1 - exp(-Lambda) at the grid points.  u(s) is the
-    closed-form interaction from u0, or the frozen drive g if given.
-    lam = 0 is allowed here (pure landscape clock), unlike the samplers.
+    closed-form interaction from u0, or the constant frozen drive g if
+    given.  lam = 0 is allowed here (pure landscape clock), unlike the
+    samplers.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
@@ -480,10 +460,6 @@ def jump_time_cdf_oracle(potential: PeriodicPotential, lam: float, x0: float,
 
         def interaction(s):
             return u0 + y * (potential.antiderivative(x0 + y * s) - g0)
-
-    elif callable(g):
-        def interaction(s):
-            return np.asarray([float(g(v)) for v in np.atleast_1d(s)])
 
     else:
         gv = float(g)

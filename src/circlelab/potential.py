@@ -64,11 +64,18 @@ class PeriodicPotential:
             if ki in seen:
                 raise DegeneratePotentialError(f"duplicate harmonic frequency {ki}")
             seen.add(ki)
-            terms.append((ki, float(a), float(b)))
+            a, b = float(a), float(b)
+            for name, c in ((f"a_{ki}", a), (f"b_{ki}", b)):
+                if not math.isfinite(c):
+                    raise ConfigError(f"potential coefficient {name!r}: must be finite, got {c!r}")
+            terms.append((ki, a, b))
         terms.sort()
+        a0 = float(self.a0)
+        if not math.isfinite(a0):
+            raise ConfigError(f"potential coefficient 'a0': must be finite, got {a0!r}")
         if not any(a != 0.0 or b != 0.0 for _, a, b in terms):
             raise DegeneratePotentialError("potential has no nonzero harmonic coefficient")
-        object.__setattr__(self, "a0", float(self.a0))
+        object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "harmonics", tuple(terms))
         object.__setattr__(self, "_deriv_cache", {})
         object.__setattr__(self, "_extremes_cache", None)
@@ -228,7 +235,7 @@ class PeriodicPotential:
         try:
             harmonics = tuple((int(k), float(a), float(b)) for k, a, b in record["harmonics"])
             return cls(float(record.get("a0", 0.0)), harmonics)
-        except DegeneratePotentialError:
+        except (DegeneratePotentialError, ConfigError):
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed potential record: {exc}") from exc

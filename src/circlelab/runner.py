@@ -41,7 +41,11 @@ from .landscape import classify_landscape, compute_level_geometry
 from .pdmp import PdmpState, simulate_pdmp
 from .seeding import derive_replica_seed
 from .stats import (
+    DEFAULT_U_BINS,
+    DEFAULT_U_RANGE,
+    DEFAULT_X_BINS,
     EmpiricalHistogram,
+    _histogram_edges,
     _tail_heavy,
     detect_convergence,
     escape_bound,
@@ -161,16 +165,12 @@ def _masses_to_payload(h: EmpiricalHistogram) -> Dict[str, Any]:
 
 
 def _payload_to_hist(payload: Dict[str, Any]) -> EmpiricalHistogram:
-    template = _default_hist_edges()
-    masses = np.array(payload["masses"]).reshape(template)
-    x_edges = np.linspace(0.0, TWO_PI, template[0] + 1)
-    u_edges = np.linspace(-12.0, 12.0, template[1] - 1)
+    x_edges, u_edges = _histogram_edges(DEFAULT_X_BINS, DEFAULT_U_BINS,
+                                        DEFAULT_U_RANGE)
+    masses = np.array(payload["masses"]).reshape(x_edges.size - 1,
+                                                 u_edges.size + 1)
     return EmpiricalHistogram(x_edges, u_edges, masses,
                               float(payload["weight"]))
-
-
-def _default_hist_edges() -> Tuple[int, int]:
-    return (64, 42)
 
 
 def _merge_payload_hists(payloads: Sequence[Dict[str, Any]]):

@@ -46,7 +46,6 @@ __all__ = [
     "DriftReport",
     "MomentEntry",
     "wilson_interval",
-    "dkw_tolerance",
     "occupation_histogram",
     "tv_distance",
     "hitting_time",
@@ -90,13 +89,6 @@ def wilson_interval(successes: int, trials: int,
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
-
-
-def dkw_tolerance(n: int, alpha: float = 0.05) -> float:
-    """One-sample DKW band half-width at confidence 1 - alpha."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 @dataclass(frozen=True)

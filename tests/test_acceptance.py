@@ -51,6 +51,8 @@ MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
 COSINE_RECORD = {"a0": 0.0, "harmonics": [[1, 1.0, 0.0]]}
 MIXTURE_RECORD = {"a0": -0.2, "harmonics": [[1, 1.0, 0.0], [2, 1.0, 0.0]]}
 
+pytestmark = pytest.mark.acceptance
+
 
 def _cdf_from_grid(grid, values):
     def cdf(s):

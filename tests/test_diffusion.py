@@ -12,9 +12,7 @@ from circlelab.diffusion import (
     em_step,
     run_exit_trials,
     simulate_diffusion,
-    simulate_diffusion_driven,
     simulate_diffusion_ensemble,
-    simulate_driven_ensemble,
     simulate_terminal_u_coupled,
 )
 from circlelab.errors import MonotonicityError
@@ -101,12 +99,16 @@ class TestSimulate:
         assert np.array_equal(rep.u, single.u)
 
     def test_scalar_and_vector_engines_agree(self):
+        # Six replicas run the vector loop; each single-seed run takes the
+        # scalar loop on the same noise stream.
         seeds = derive_replica_seeds(77, 6)
-        kw = dict(dt=1e-3, seeds=seeds, record_every=50)
-        a = simulate_diffusion_ensemble(MIXTURE, 1.0, 0.5, 1.0, engine="scalar", **kw)
-        b = simulate_diffusion_ensemble(MIXTURE, 1.0, 0.5, 1.0, engine="vector", **kw)
-        assert np.max(circle_dist(a.x, b.x)) < 1e-9
-        assert np.max(np.abs(a.u - b.u)) < 1e-9
+        ens = simulate_diffusion_ensemble(MIXTURE, 1.0, 0.5, 1.0, dt=1e-3,
+                                          seeds=seeds, record_every=50)
+        for i, seed in enumerate(seeds):
+            single = simulate_diffusion(MIXTURE, DiffusionState(1.0, 0.5), 1.0,
+                                        dt=1e-3, seed=seed, record_every=50)
+            assert np.max(circle_dist(ens.x[i], single.x)) < 1e-9
+            assert np.max(np.abs(ens.u[i] - single.u)) < 1e-9
 
     def test_time_lookup(self):
         ens = simulate_diffusion_ensemble(COSINE, 0.0, 0.0, 0.5, seeds=(1, 2))
@@ -123,42 +125,6 @@ class TestSimulate:
             simulate_diffusion(COSINE, DiffusionState(0.0, 0.0), 1.0, record_every=0)
 
 
-class TestDriven:
-    def test_zero_drive_occupation_is_uniform(self):
-        # With g = 0 the drift vanishes identically, so the scheme samples
-        # circular Brownian motion exactly and any dt is admissible.
-        traj = simulate_diffusion_driven(
-            COSINE, 0.0, 1.0, 1e4, dt=0.05, seed=3, record_every=1
-        )
-        counts, _ = np.histogram(np.clip(traj.x, 0.0, TWO_PI - 1e-12),
-                                 bins=64, range=(0.0, TWO_PI))
-        frac = counts / counts.sum()
-        tv = 0.5 * np.abs(frac - 1.0 / 64).sum()
-        assert tv < 0.05
-
-    def test_drive_column_echoes_drive(self):
-        traj = simulate_diffusion_driven(COSINE, 0.0, 1.0, 0.5, seed=1)
-        assert np.all(traj.u == 0.0)
-        ramp = simulate_diffusion_driven(
-            COSINE, lambda t: np.minimum(t, 0.2), 1.0, 0.5, seed=1
-        )
-        assert np.allclose(ramp.u, np.minimum(ramp.times, 0.2))
-        assert ramp.kind == "driven"
-
-    def test_strong_drive_confines_near_minimum(self):
-        traj = simulate_diffusion_driven(
-            COSINE, 12.0, math.pi, 30.0, dt=1e-3, seed=8, record_every=10
-        )
-        near = circle_dist(traj.x, math.pi) < 0.8
-        assert near.mean() > 0.95
-
-    def test_driven_ensemble_replica_matches_single(self):
-        seeds = (4, 5, 6)
-        ens = simulate_driven_ensemble(COSINE, 2.0, 0.5, 0.3, seeds=seeds)
-        single = simulate_diffusion_driven(COSINE, 2.0, 0.5, 0.3, seed=5)
-        assert np.array_equal(ens.replica(1).x, single.x)
-
-
 class TestCoupledRefinement:
     def test_finest_level_matches_plain_vector_run(self):
         seeds = derive_replica_seeds(21, 32)
@@ -166,8 +132,7 @@ class TestCoupledRefinement:
             MIXTURE, 1.0, 0.5, 2.0, (4e-3, 2e-3, 1e-3), seeds=seeds
         )
         ens = simulate_diffusion_ensemble(
-            MIXTURE, 1.0, 0.5, 2.0, dt=1e-3, seeds=seeds,
-            record_every=2000, engine="vector"
+            MIXTURE, 1.0, 0.5, 2.0, dt=1e-3, seeds=seeds, record_every=2000
         )
         assert np.array_equal(coupled[1e-3], ens.u[:, -1])
 

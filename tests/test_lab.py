@@ -134,6 +134,13 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="missing"):
             scenario_from_dict({"kind": "drift"})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lambda", "dt", "horizon", "x0", "u0"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"field '{field}': must be finite"):
+            scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
+                                "process": "both", field: value})
+
     def test_hash_ignores_out_dir_only(self):
         a = scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
                                 "out_dir": "x"})

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelab import (
+    ConfigError,
     DegenerateCriticalPointError,
     DegeneratePotentialError,
     MonotonicityError,
@@ -98,6 +99,17 @@ class TestEvaluation:
     def test_constant_potential_rejected(self):
         with pytest.raises(DegeneratePotentialError):
             PeriodicPotential(1.5, ((1, 0.0, 0.0),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a0", "a_2", "b_2"])
+    def test_non_finite_coefficient_rejected(self, field, value):
+        a0, a2, b2 = (value if name == field else 0.5
+                      for name in ("a0", "a_2", "b_2"))
+        with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
+            PeriodicPotential(a0, ((1, 1.0, 0.0), (2, a2, b2)))
+        record = {"a0": a0, "harmonics": [[1, 1.0, 0.0], [2, a2, b2]]}
+        with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
+            PeriodicPotential.from_record(record)
 
 
 class TestCriticalPoints:

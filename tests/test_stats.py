@@ -43,7 +43,7 @@ MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
 def _flat_trajectory(x, u, n=5):
     return Trajectory(np.arange(n, dtype=float), np.full(n, float(x)),
                       np.full(n, float(u)), dt=1.0, record_every=1, seed=0,
-                      potential_id="test", kind="self")
+                      potential_id="test")
 
 
 def _random_histogram(rng, weight):
