@@ -38,29 +38,37 @@ PROCESS_KINDS = ("diffusion", "pdmp", "both")
 # options have working defaults so minimal configs run out of the box.
 
 
+def _finite_float(value):
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"must be finite, got {value!r}")
+    return out
+
+
 def _float_list(value):
     if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(tok) for tok in str(value).replace(",", " ").split())
+        return tuple(_finite_float(v) for v in value)
+    return tuple(_finite_float(tok)
+                 for tok in str(value).replace(",", " ").split())
 
 
 _OPTION_SPECS: Dict[str, Any] = {
-    "burn_in": float,
+    "burn_in": _finite_float,
     "record_every": int,
     "save_paths": int,
-    "eta": float,
+    "eta": _finite_float,
     "m_grid": _float_list,
-    "max_time": float,
-    "kappa": float,
+    "max_time": _finite_float,
+    "kappa": _finite_float,
     "u0_grid": _float_list,
     "t_grid": _float_list,
     "lambda_grid": _float_list,
     "eta_fractions": _float_list,
     "box": _float_list,
     "grid_points": int,
-    "tolerance": float,
-    "epsilon": float,
-    "u_threshold": float,
+    "tolerance": _finite_float,
+    "epsilon": _finite_float,
+    "u_threshold": _finite_float,
 }
 
 
@@ -111,9 +119,10 @@ class ScenarioConfig:
                               "velocity-jump process")
         if self.y0 not in (-1, 1):
             raise ConfigError("field 'y0': must be -1 or +1")
-        for key in self.options:
+        for key, value in self.options.items():
             if key not in _OPTION_SPECS:
                 raise ConfigError(f"field {key!r}: unknown option")
+            _parse_option(key, value)
 
     def processes(self) -> Tuple[str, ...]:
         return ("diffusion", "pdmp") if self.process == "both" \

@@ -281,6 +281,8 @@ def _noise_block_len(n_replicas: int, multiple_of: int = 1) -> int:
 
 def _as_replica_array(value, n: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if arr.ndim == 0:
         return np.full(n, float(arr))
     if arr.shape != (n,):
@@ -387,7 +389,8 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     to 4 replicas run a per-replica scalar loop and larger ensembles a
     replica-vectorized loop; both consume identical noise streams and
     agree up to last-bit trig rounding.  A given call is bit-reproducible
-    for fixed (seeds, parameters).
+    for fixed (seeds, parameters).  A non-finite x0 or u0 raises
+    ValueError naming it.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:

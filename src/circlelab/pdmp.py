@@ -293,6 +293,11 @@ def _first_target_entry(targets, x, y, max_travel):
     return best
 
 
+def _require_finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
                    value_for_segment, lipschitz_u, u_row_at, seed, kind):
     """Shared event loop; parameterized over the interaction source.
@@ -302,10 +307,11 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
     row reached after flow time s from (x, y, u_prev), with u_prev None
     for the initial row.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError("horizon must be positive")
+    _require_finite("x0", x0)
     x = float(wrap(x0))
     y = int(y0)
     if y not in (-1, 1):
@@ -389,8 +395,9 @@ def simulate_pdmp(potential: PeriodicPotential, lam: float, z0: PdmpState,
     If `until` is given (a sequence of target sets), the run stops at the
     first entry of X into any target, recorded exactly from the unit-speed
     segments; hit_time/hit_target report the entry.  Raises RunawayError
-    past max_events.
+    past max_events, and ValueError naming x0 or u0 for a non-finite start.
     """
+    _require_finite("u0", z0.u)
     gen = generator_from_seed(seed)
     lip = abs(potential.a0) + potential.coefficient_bound_derivative(0)
 
@@ -412,10 +419,12 @@ def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: float,
                          max_events: int = 10 ** 8,
                          until: Optional[Sequence[ArcSet]] = None) -> EventLog:
     """Simulate the frozen-drive variant: the rate uses the constant g in
-    place of U.  The u column of the log echoes g on every row.
+    place of U.  The u column of the log echoes g on every row.  A
+    non-finite x0 or g raises ValueError naming it.
     """
     gen = generator_from_seed(seed)
     gv = float(g)
+    _require_finite("g", gv)
 
     def value_for_segment(x, y, u):
         return lambda s: gv

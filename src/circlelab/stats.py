@@ -72,6 +72,10 @@ DOMINANCE_CROSSING = "crossing"
 
 _Z95 = 1.959963984540054
 
+# Event-log binning works on blocks of whole segments holding about this
+# many slices, which bounds its temporary arrays.
+_SLICE_BLOCK = 8192
+
 
 def wilson_interval(successes: int, trials: int,
                     z: float = _Z95) -> Tuple[float, float]:
@@ -192,13 +196,22 @@ def occupation_histogram(path, *, x_bins: int = DEFAULT_X_BINS,
                          t_max: float = math.inf) -> EmpiricalHistogram:
     """Time-weighted occupation histogram of a path on (x, u).
 
-    Diffusion trajectories contribute their recorded samples with equal
-    weights.  Event logs are unit-speed between events, so each segment
-    is split exactly at the x-bin boundaries it sweeps; every slice
-    carries its exact duration and is binned in u at the slice midpoint
-    (for driven logs, at the segment's recorded drive value).  Only the
-    time window [burn_in, t_max] contributes.
+    Only the time window [burn_in, t_max] contributes; a NaN bound raises
+    ValueError.  Diffusion trajectories contribute their recorded samples
+    with equal weights (an ensemble's replicas in order).  Event logs are
+    unit-speed between events, so the segments inside the window are
+    split exactly at the x-bin boundaries they sweep, all at once with
+    array operations: every slice carries its exact duration and is
+    binned in u at its midpoint, by the closed-form segment integral of F
+    (for driven logs, at the segment's recorded drive value).  A segment
+    that straddles burn_in is cut at it.  The masses do not depend on how
+    the segments are grouped for the array work: slices are added in
+    segment-then-slice order.
     """
+    if math.isnan(burn_in):
+        raise ValueError("burn_in must not be NaN")
+    if math.isnan(t_max):
+        raise ValueError("t_max must not be NaN")
     if like is not None:
         x_edges, u_edges = like.x_edges, like.u_edges
     else:
@@ -209,9 +222,8 @@ def occupation_histogram(path, *, x_bins: int = DEFAULT_X_BINS,
         keep = (path.times >= burn_in) & (path.times <= t_max)
         if not np.any(keep):
             raise ValueError("no samples in [burn_in, t_max]")
-        for i in range(path.n_replicas):
-            _accumulate(counts, path.x[i, keep], path.u[i, keep],
-                        x_edges, u_edges, 1.0)
+        _accumulate(counts, path.x[:, keep], path.u[:, keep],
+                    x_edges, u_edges, 1.0)
     elif isinstance(path, Trajectory):
         keep = (path.times >= burn_in) & (path.times <= t_max)
         if not np.any(keep):
@@ -233,40 +245,84 @@ def _accumulate_event_log(counts, log, x_edges, u_edges, burn_in, t_max):
     bin_width = TWO_PI / n_x
     potential = log.potential
     driven = log.kind != "self"
-    for t0, t1, x0, u0, y in log.segments():
-        if t1 <= burn_in or t0 >= t_max:
-            continue
-        if t0 < burn_in:
-            # Advance the segment start to the burn-in boundary.
-            shift = burn_in - t0
-            if not driven:
-                u0 = segment_u(potential, x0, y, shift, u0)
-            x0 = float(wrap(x0 + y * shift))
-            t0 = burn_in
-        length = min(t1, t_max) - t0
-        if length <= 0.0:
-            continue
-        # Exact split of the swept arc at the x-bin boundaries it crosses
-        # (unit speed, so arc length equals time).  Classifying each slice
-        # by its midpoint keeps the allocation robust at the boundaries.
-        lo = min(x0, x0 + y * length)
-        hi = max(x0, x0 + y * length)
-        k_lo = math.ceil(lo / bin_width)
-        k_hi = math.floor(hi / bin_width)
-        bounds = np.arange(k_lo, k_hi + 1) * bin_width
-        s_cross = y * (bounds - x0)
-        s_cross = np.sort(s_cross[(s_cross > 1e-14) & (s_cross < length - 1e-14)])
-        cuts = np.concatenate(([0.0], s_cross, [length]))
-        durations = np.diff(cuts)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        xi = _bin_x(x0 + y * mids, n_x)
-        if driven:
-            u_mid = np.full(mids.size, u0)
-        else:
-            u_mid = u0 + y * (potential.antiderivative(x0 + y * mids)
-                              - potential.antiderivative(x0))
-        ui = _bin_u(u_mid, u_edges)
-        np.add.at(counts, (xi, ui), durations)
+    inside = np.flatnonzero((log.times[1:] > burn_in)
+                            & (log.times[:-1] < t_max))
+    if inside.size == 0:
+        return
+    t0 = log.times[inside]
+    x0 = log.x[inside]
+    u0 = log.u[inside]
+    y = log.y[inside].astype(float)
+    if t0[0] < burn_in:
+        # Only the first segment in the window can straddle the burn-in
+        # boundary; advance its start to the boundary.
+        shift = burn_in - float(t0[0])
+        if not driven:
+            u0[0] = segment_u(potential, float(x0[0]), int(y[0]), shift,
+                              float(u0[0]))
+        x0[0] = wrap(float(x0[0]) + y[0] * shift)
+        t0[0] = burn_in
+    length = np.minimum(log.times[inside + 1], t_max) - t0
+    live = length > 0.0
+    x0, u0, y, length = x0[live], u0[live], y[live], length[live]
+    # A segment of length L crosses at most L / bin_width + 1 bin edges.
+    # Blocks of whole segments with about _SLICE_BLOCK slices bound the
+    # temporary arrays; they are binned in order, so slices are still
+    # added segment by segment.
+    n_slices = length / bin_width + 2.0
+    block = (np.cumsum(n_slices) - n_slices) // _SLICE_BLOCK
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1,
+                           [block.size]))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        _bin_segments(counts, potential, u_edges, x0[a:b], u0[a:b], y[a:b],
+                      length[a:b], driven)
+
+
+def _bin_segments(counts, potential, u_edges, x0, u0, y, length, driven):
+    """Split segments at the x-bin edges they cross and bin the slices.
+
+    Unit speed makes arc length equal time, so each slice carries its
+    exact duration.  Classifying a slice by its midpoint keeps the
+    allocation robust at the edges.  Slices of driven logs take the
+    recorded drive value.
+    """
+    n_x = counts.shape[0]
+    bin_width = TWO_PI / n_x
+    m = x0.size
+    end = x0 + y * length
+    k_lo = np.ceil(np.minimum(x0, end) / bin_width)
+    k_hi = np.floor(np.maximum(x0, end) / bin_width)
+    n_cand = np.maximum(k_hi - k_lo + 1.0, 0.0).astype(np.int64)
+    seg = np.repeat(np.arange(m), n_cand)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(n_cand) - n_cand, n_cand)
+    # Edges in order of travel, so crossing times come out ascending
+    # within each segment.
+    k = np.where(y[seg] > 0.0, k_lo[seg] + j, k_hi[seg] - j)
+    s = y[seg] * (k * bin_width - x0[seg])
+    keep = (s > 1e-14) & (s < length[seg] - 1e-14)
+    s, seg = s[keep], seg[keep]
+    n_cross = np.bincount(seg, minlength=m)
+    # Segment i owns slices i + C_i .. i + C_i + n_cross[i], where C_i
+    # counts the crossings of earlier segments; crossing q ends slice
+    # q + seg[q] and starts the next one.
+    q = np.arange(s.size)
+    lo = np.zeros(m + s.size)
+    hi = np.empty(m + s.size)
+    lo[q + seg + 1] = s
+    hi[q + seg] = s
+    hi[np.cumsum(n_cross) + np.arange(m)] = length
+    sid = np.repeat(np.arange(m), n_cross + 1)
+    durations = hi - lo
+    mids = 0.5 * (lo + hi)
+    x_mid = x0[sid] + y[sid] * mids
+    xi = _bin_x(x_mid, n_x)
+    if driven:
+        u_mid = u0[sid]
+    else:
+        g0 = potential.antiderivative(x0)
+        u_mid = u0[sid] + y[sid] * (potential.antiderivative(x_mid) - g0[sid])
+    ui = _bin_u(u_mid, u_edges)
+    np.add.at(counts, (xi, ui), durations)
 
 
 def tv_distance(h1: EmpiricalHistogram, h2: EmpiricalHistogram) -> float:

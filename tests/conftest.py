@@ -1,4 +1,9 @@
-"""Shared pytest plumbing for the acceptance battery.
+"""Shared pytest plumbing: the hypothesis profile and acceptance verdicts.
+
+Property tests run under one hypothesis profile: derandomized, so every
+run draws the same examples; without a deadline, because a loaded
+machine can stretch any one example; and without the example database,
+so runs leave no ``.hypothesis/`` directory behind.
 
 The acceptance tests report one human-readable verdict line per criterion.
 Lines are printed inline (visible under ``-s``) and replayed in a dedicated
@@ -7,6 +12,11 @@ capture is on.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("circlelab", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("circlelab")
 
 _LINES = []
 

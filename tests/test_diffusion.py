@@ -124,6 +124,19 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_diffusion(COSINE, DiffusionState(0.0, 0.0), 1.0, record_every=0)
 
+    @pytest.mark.parametrize("field", ["x0", "u0"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_start_rejected(self, field, value):
+        start = {"x0": 1.0, "u0": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            simulate_diffusion(COSINE, DiffusionState(start["x0"], start["u0"]),
+                               0.1)
+        # One bad replica in a per-replica start array is enough.
+        starts = {"x0": 1.0, "u0": 0.5, field: [0.0, value, 0.0]}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            simulate_diffusion_ensemble(COSINE, starts["x0"], starts["u0"],
+                                        0.1, seeds=(1, 2, 3))
+
 
 class TestCoupledRefinement:
     def test_finest_level_matches_plain_vector_run(self):

@@ -141,6 +141,27 @@ class TestScenarioConfig:
             scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
                                 "process": "both", field: value})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["burn_in", "eta", "max_time", "kappa",
+                                       "tolerance", "epsilon", "u_threshold"])
+    def test_non_finite_option_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"field '{field}': must be finite"):
+            scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
+                                "options": {field: value}})
+
+    def test_constructor_checks_option_values(self):
+        with pytest.raises(ConfigError, match="field 'burn_in': must be finite"):
+            ScenarioConfig(kind="ergodic", potential=COSINE,
+                           options={"burn_in": math.nan})
+
+    @pytest.mark.parametrize("grid", ["1.0 nan", "2, -inf", [1.0, math.inf]])
+    @pytest.mark.parametrize("field", ["m_grid", "u0_grid", "t_grid",
+                                       "lambda_grid", "eta_fractions", "box"])
+    def test_non_finite_grid_element_rejected(self, field, grid):
+        with pytest.raises(ConfigError, match=f"field '{field}': must be finite"):
+            scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
+                                field: grid})
+
     def test_hash_ignores_out_dir_only(self):
         a = scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
                                 "out_dir": "x"})

@@ -78,7 +78,7 @@ class TestEvaluation:
             rtol=1e-14, atol=1e-14,
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(0.0, TWO_PI, allow_nan=False), st.integers(1, 4))
     def test_derivative_matches_finite_difference(self, pot, x, order):
         h = 1e-5
@@ -89,7 +89,7 @@ class TestEvaluation:
         scale = max(1.0, pot.coefficient_bound_derivative(order))
         assert abs(fd - exact) < 1e-5 * scale
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(harmonic_potentials(), st.floats(0.0, TWO_PI, allow_nan=False))
     def test_antiderivative_inverts_value(self, pot, x):
         h = 1e-6
@@ -146,7 +146,7 @@ class TestCriticalPoints:
         with pytest.raises(DegenerateCriticalPointError):
             find_critical_points(quartic, order_cap=2)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(harmonic_potentials())
     def test_alternation_and_gradient_sign(self, pot):
         try:
@@ -191,7 +191,7 @@ class TestClassification:
         assert minima_pos[0].value == pytest.approx(0.2, abs=1e-9)
         np.testing.assert_allclose(land.trap_positions(), [math.pi], atol=1e-8)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(harmonic_potentials())
     def test_negation_swaps_components(self, pot):
         neg = PeriodicPotential(-pot.a0, tuple((k, -a, -b) for k, a, b in pot.harmonics))

@@ -315,6 +315,21 @@ class TestSimulate:
             simulate_pdmp(COSINE, 200.0, PdmpState(0.0, 0.0, 1), 10.0,
                           seed=1, max_events=3)
 
+    @pytest.mark.parametrize("field", ["x0", "u0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, field, value):
+        start = {"x0": 1.0, "u0": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            simulate_pdmp(COSINE, 1.0, PdmpState(start["x0"], start["u0"], 1),
+                          5.0)
+
+    @pytest.mark.parametrize("field", ["lam", "horizon"])
+    def test_nan_rate_or_horizon_rejected(self, field):
+        args = {"lam": 1.0, "horizon": 5.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            simulate_pdmp(COSINE, args["lam"], PdmpState(1.0, 0.0, 1),
+                          args["horizon"])
+
     def test_output_arrays_are_frozen(self):
         log = simulate_pdmp(COSINE, 1.0, PdmpState(0.0, 0.0, 1), 5.0, seed=0)
         with pytest.raises(ValueError):
@@ -346,6 +361,12 @@ class TestSimulateDriven:
         assert log.kind == "driven"
         with pytest.raises(ValueError):
             log.u_at(1.0)
+
+    @pytest.mark.parametrize("field", ["x0", "g"])
+    def test_non_finite_input_rejected(self, field):
+        args = {"x0": 1.0, "g": 0.5, field: math.nan}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            simulate_pdmp_driven(COSINE, 1.0, args["g"], args["x0"], 1, 5.0)
 
     def test_driven_landscape_jumps_match_oracle_rate(self):
         # Strong constant drive from the top of the cosine well: the first

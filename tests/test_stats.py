@@ -5,12 +5,28 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelab.angles import TWO_PI, ArcSet, wrap
-from circlelab.diffusion import DiffusionState, Trajectory, simulate_diffusion
+from circlelab.diffusion import (
+    DiffusionState,
+    Trajectory,
+    simulate_diffusion,
+    simulate_diffusion_ensemble,
+)
 from circlelab.errors import BinMismatchError, HypothesisWarning
 from circlelab.landscape import classify_landscape, compute_level_geometry
-from circlelab.pdmp import PdmpState, simulate_pdmp, simulate_pdmp_driven
+from circlelab.pdmp import (
+    CAUSE_CONSTANT,
+    CAUSE_END,
+    CAUSE_INIT,
+    EventLog,
+    PdmpState,
+    segment_u,
+    simulate_pdmp,
+    simulate_pdmp_driven,
+)
 from circlelab.potential import PeriodicPotential
 from circlelab.stats import (
     DOMINANCE_A,
@@ -35,9 +51,17 @@ from circlelab.stats import (
     tv_distance,
     wilson_interval,
 )
+from circlelab.stats import (
+    _SLICE_BLOCK,
+    _accumulate,
+    _bin_u,
+    _bin_x,
+)
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
+# Sine terms (b_k != 0) move G(0) off zero and the extrema off the bin grid.
+SKEWED = PeriodicPotential(-0.2, ((1, 1.0, 0.4), (2, 0.7, -0.5)))
 
 
 def _flat_trajectory(x, u, n=5):
@@ -168,6 +192,168 @@ class TestOccupation:
     def test_rejects_unknown_path(self):
         with pytest.raises(TypeError):
             occupation_histogram([1.0, 2.0])
+
+
+def _reference_event_log_counts(log, x_edges, u_edges, burn_in, t_max):
+    """Unnormalized event-log occupation masses, one segment at a time.
+
+    This is the per-segment loop that `occupation_histogram` ran before
+    it binned all segments with array operations; the array version must
+    reproduce its masses bit for bit.
+    """
+    counts = np.zeros((x_edges.size - 1, u_edges.size + 1))
+    n_x = x_edges.size - 1
+    bin_width = TWO_PI / n_x
+    potential = log.potential
+    driven = log.kind != "self"
+    for t0, t1, x0, u0, y in log.segments():
+        if t1 <= burn_in or t0 >= t_max:
+            continue
+        if t0 < burn_in:
+            # Advance the segment start to the burn-in boundary.
+            shift = burn_in - t0
+            if not driven:
+                u0 = segment_u(potential, x0, y, shift, u0)
+            x0 = float(wrap(x0 + y * shift))
+            t0 = burn_in
+        length = min(t1, t_max) - t0
+        if length <= 0.0:
+            continue
+        # Exact split of the swept arc at the x-bin boundaries it crosses
+        # (unit speed, so arc length equals time).  Classifying each slice
+        # by its midpoint keeps the allocation robust at the boundaries.
+        lo = min(x0, x0 + y * length)
+        hi = max(x0, x0 + y * length)
+        k_lo = math.ceil(lo / bin_width)
+        k_hi = math.floor(hi / bin_width)
+        bounds = np.arange(k_lo, k_hi + 1) * bin_width
+        s_cross = y * (bounds - x0)
+        s_cross = np.sort(s_cross[(s_cross > 1e-14) & (s_cross < length - 1e-14)])
+        cuts = np.concatenate(([0.0], s_cross, [length]))
+        durations = np.diff(cuts)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        xi = _bin_x(x0 + y * mids, n_x)
+        if driven:
+            u_mid = np.full(mids.size, u0)
+        else:
+            u_mid = u0 + y * (potential.antiderivative(x0 + y * mids)
+                              - potential.antiderivative(x0))
+        ui = _bin_u(u_mid, u_edges)
+        np.add.at(counts, (xi, ui), durations)
+    return counts
+
+
+def _assert_matches_reference(log, burn_in=0.0, t_max=math.inf):
+    h = occupation_histogram(log, burn_in=burn_in, t_max=t_max)
+    counts = _reference_event_log_counts(log, h.x_edges, h.u_edges,
+                                         burn_in, t_max)
+    total = counts.sum()
+    assert h.weight == float(total)
+    assert np.array_equal(h.masses, counts / total)
+    return h
+
+
+def _hand_log(times, x, u, y, kind="self", potential=COSINE):
+    """An event log with the given rows; causes are filler."""
+    n = len(times)
+    causes = (CAUSE_INIT,) + (CAUSE_CONSTANT,) * (n - 2) + (CAUSE_END,)
+    return EventLog(times=np.asarray(times, dtype=float),
+                    x=np.asarray(x, dtype=float),
+                    u=np.asarray(u, dtype=float),
+                    y=np.asarray(y, dtype=np.int8), causes=causes, lam=1.0,
+                    horizon=float(times[-1]), seed=0, potential=potential,
+                    kind=kind)
+
+
+class TestEventLogBinning:
+    HORIZON = 30.0
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           lam=st.floats(0.1, 4.0),
+           u0=st.floats(-6.0, 6.0),
+           y0=st.sampled_from([-1, 1]),
+           potential=st.sampled_from([COSINE, SKEWED]),
+           driven=st.booleans(),
+           a=st.floats(-2.0, 32.0),
+           b=st.floats(-2.0, 32.0),
+           open_ended=st.booleans())
+    def test_matches_per_segment_reference(self, seed, lam, u0, y0, potential,
+                                           driven, a, b, open_ended):
+        if driven:
+            log = simulate_pdmp_driven(potential, lam, u0, 1.0, y0,
+                                       self.HORIZON, seed=seed)
+        else:
+            log = simulate_pdmp(potential, lam, PdmpState(1.0, u0, y0),
+                                self.HORIZON, seed=seed)
+        burn_in, t_max = min(a, b), max(a, b)
+        if open_ended:
+            t_max = math.inf
+        overlap = min(t_max, self.HORIZON) - max(burn_in, 0.0)
+        if overlap <= 0.0:
+            with pytest.raises(ValueError):
+                occupation_histogram(log, burn_in=burn_in, t_max=t_max)
+            return
+        h = _assert_matches_reference(log, burn_in, t_max)
+        assert abs(h.weight - overlap) < 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, 4e-15])
+    def test_segment_on_bin_edges(self, eps):
+        # x runs from edge 2 to edge 5 and back to edge 1, exactly or eps
+        # short of each: every slice is one whole bin, with no sliver at
+        # either end.  Bin 1 is swept once, bins 2-4 twice.
+        bw = TWO_PI / 64
+        log = _hand_log([0.0, 3 * bw, 7 * bw],
+                        [2 * bw - eps, 5 * bw - eps, 1 * bw - eps],
+                        [0.0, 0.0, 0.0], [1, -1, -1], kind="driven")
+        h = _assert_matches_reference(log)
+        xm = h.x_marginal() * h.weight
+        assert np.count_nonzero(xm) == 4
+        np.testing.assert_allclose(xm[1:5], [bw, 2 * bw, 2 * bw, 2 * bw],
+                                   rtol=1e-12)
+
+    def test_coincident_event_times(self):
+        log = _hand_log([0.0, 1.0, 1.0, 1.0, 2.5], [0.5, 1.5, 1.5, 1.5, 0.0],
+                        [0.2, 0.3, 0.3, 0.3, 0.1], [1, -1, 1, -1, -1])
+        h = _assert_matches_reference(log)
+        assert abs(h.weight - 2.5) < 1e-12
+        _assert_matches_reference(log, burn_in=1.0)
+
+    def test_window_inside_one_segment(self):
+        log = simulate_pdmp(SKEWED, 0.05, PdmpState(4.0, 1.0, -1), 10.0,
+                            seed=3)
+        t0, t1 = float(log.times[0]), float(log.times[1])
+        lo, hi = t0 + 0.3 * (t1 - t0), t0 + 0.6 * (t1 - t0)
+        h = _assert_matches_reference(log, lo, hi)
+        assert abs(h.weight - (hi - lo)) < 1e-12
+
+    def test_log_longer_than_one_slice_block(self):
+        horizon = 2000.0
+        assert horizon / (TWO_PI / 64) > 2 * _SLICE_BLOCK
+        log = simulate_pdmp(SKEWED, 0.5, PdmpState(0.3, 0.0, 1), horizon,
+                            seed=9)
+        _assert_matches_reference(log)
+        _assert_matches_reference(log, burn_in=417.3, t_max=1533.9)
+
+    @pytest.mark.parametrize("bounds", [{"burn_in": math.nan},
+                                        {"t_max": math.nan}])
+    def test_nan_window_rejected(self, bounds):
+        log = simulate_pdmp(COSINE, 1.0, PdmpState(0.5, 0.0, 1), 5.0, seed=1)
+        name = next(iter(bounds))
+        with pytest.raises(ValueError, match=name):
+            occupation_histogram(log, **bounds)
+
+    def test_ensemble_matches_per_replica_loop(self):
+        ens = simulate_diffusion_ensemble(MIXTURE, 1.0, 0.5, 2.0, dt=1e-2,
+                                          seeds=range(6), record_every=1)
+        h = occupation_histogram(ens, burn_in=0.5, t_max=1.5)
+        keep = (ens.times >= 0.5) & (ens.times <= 1.5)
+        counts = np.zeros_like(h.masses)
+        for i in range(ens.n_replicas):
+            _accumulate(counts, ens.x[i, keep], ens.u[i, keep],
+                        h.x_edges, h.u_edges, 1.0)
+        assert h.weight == counts.sum()
+        assert np.array_equal(h.masses, counts / counts.sum())
 
 
 class TestTvDistance:
