@@ -128,25 +128,24 @@ def _rk4_span(potential: PeriodicPotential, x: float, u: float, v: float,
     """
     if duration <= 0.0:
         return x, u
-    fv = potential.value_s
-    fp = potential.derivative_s
+    fd = potential.value_derivative_s
     dt_target = min(_RK_DT, _RK_SWEEP / (1.0 + abs(v)))
     n = max(_RK_MIN_STEPS, int(math.ceil(duration / dt_target)))
     h = duration / n
     half = 0.5 * h
     sixth = h / 6.0
     for _ in range(n):
-        k1x = v - u * fp(x)
-        k1u = fv(x)
+        k1u, d = fd(x)
+        k1x = v - u * d
         x2 = x + half * k1x
-        k2x = v - (u + half * k1u) * fp(x2)
-        k2u = fv(x2)
+        k2u, d = fd(x2)
+        k2x = v - (u + half * k1u) * d
         x3 = x + half * k2x
-        k3x = v - (u + half * k2u) * fp(x3)
-        k3u = fv(x3)
+        k3u, d = fd(x3)
+        k3x = v - (u + half * k2u) * d
         x4 = x + h * k3x
-        k4x = v - (u + h * k3u) * fp(x4)
-        k4u = fv(x4)
+        k4u, d = fd(x4)
+        k4x = v - (u + h * k3u) * d
         x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
     return x, u
@@ -167,10 +166,16 @@ def _shoot_window(potential, x, u, epsilon, target_lift, drift_bound):
 
     x(epsilon; v) is strictly increasing in v, so the root is bracketed by
     the naive transport speed plus the drift bound and found by brentq.
+    Gaps are memoized, so brentq reuses the two bracketing integrations.
     """
+    gaps = {}
+
     def landing_gap(v):
-        xe, _ = _rk4_span(potential, x, u, v, epsilon)
-        return xe - target_lift
+        gap = gaps.get(v)
+        if gap is None:
+            xe, _ = _rk4_span(potential, x, u, v, epsilon)
+            gap = gaps[v] = xe - target_lift
+        return gap
 
     v0 = (target_lift - x) / epsilon
     r = drift_bound + 1.0

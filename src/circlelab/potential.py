@@ -80,6 +80,9 @@ class PeriodicPotential:
         object.__setattr__(self, "_deriv_cache", {})
         object.__setattr__(self, "_extremes_cache", None)
         object.__setattr__(self, "_sup_cache", {})
+        object.__setattr__(self, "_value_deriv_terms", tuple(
+            (k, a, b, da, db) for (k, a, b), (_, da, db)
+            in zip(self.harmonics, self._terms_for_order(1))))
 
     # ----- evaluation ---------------------------------------------------
 
@@ -140,6 +143,19 @@ class PeriodicPotential:
             kx = k * x
             out += a * math.cos(kx) + b * math.sin(kx)
         return out
+
+    def value_derivative_s(self, x: float) -> tuple[float, float]:
+        """(F(x), F'(x)) from one cos/sin pair per harmonic; each is
+        bitwise equal to value_s(x) and derivative_s(x)."""
+        f = self.a0
+        fp = 0.0
+        for k, a, b, da, db in self._value_deriv_terms:
+            kx = k * x
+            c = math.cos(kx)
+            s = math.sin(kx)
+            f += a * c + b * s
+            fp += da * c + db * s
+        return f, fp
 
     def antiderivative_s(self, x: float) -> float:
         out = self.a0 * x

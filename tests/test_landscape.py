@@ -79,6 +79,11 @@ class TestEvaluation:
         )
 
     @settings(max_examples=60)
+    @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
+    def test_joint_scalar_evaluator_is_bitwise(self, pot, x):
+        assert pot.value_derivative_s(x) == (pot.value_s(x), pot.derivative_s(x))
+
+    @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(0.0, TWO_PI, allow_nan=False), st.integers(1, 4))
     def test_derivative_matches_finite_difference(self, pot, x, order):
         h = 1e-5
