@@ -79,7 +79,7 @@ from .stats import (
     MomentEntry,
     detect_convergence,
     doeblin_probe,
-    drift_check_scan,
+    drift_samples,
     ecdf_dominance,
     escape_bound,
     estimate_escape,

@@ -89,14 +89,6 @@ class Trajectory:
         return int(self.times.size)
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def initial_state(self) -> DiffusionState:
-        return DiffusionState(float(self.x[0]), float(self.u[0]))
-
-    @property
     def terminal_state(self) -> DiffusionState:
         return DiffusionState(float(self.x[-1]), float(self.u[-1]))
 
@@ -127,19 +119,6 @@ class EnsembleTrajectories:
             seed=self.seeds[i],
             potential_id=self.potential_id,
         )
-
-    def index_of_time(self, t: float) -> int:
-        """Index of the recorded sample at time t; t must lie on the grid."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[i]) - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the recording grid")
-        return i
-
-    def x_at_time(self, t: float) -> np.ndarray:
-        return self.x[:, self.index_of_time(t)]
-
-    def u_at_time(self, t: float) -> np.ndarray:
-        return self.u[:, self.index_of_time(t)]
 
 
 @dataclass(frozen=True)
@@ -266,13 +245,6 @@ def _scalar_terms(potential: PeriodicPotential):
                                  for k, a, b in potential.harmonics]
 
 
-def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
-    steps = np.arange(0, n_steps + 1, record_every, dtype=np.int64)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, np.int64(n_steps))
-    return steps
-
-
 def _noise_block_len(n_replicas: int, multiple_of: int = 1) -> int:
     blen = max(256, min(4096, (1 << 23) // max(n_replicas, 1)))
     blen -= blen % multiple_of
@@ -305,7 +277,7 @@ def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
     return n_steps
 
 
-def _scalar_self(potential, x0, u0, n_steps, dt, gen, record_every, out_x, out_u):
+def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
     a0, terms = _scalar_terms(potential)
     sqrt_dt = math.sqrt(dt)
     cos = math.cos
@@ -316,6 +288,8 @@ def _scalar_self(potential, x0, u0, n_steps, dt, gen, record_every, out_x, out_u
     u = float(u0)
     out_x[0] = x
     out_u[0] = u
+    marks = rec_steps.tolist()
+    n_steps = marks[-1]
     rec = 1
     step = 0
     while step < n_steps:
@@ -333,7 +307,7 @@ def _scalar_self(potential, x0, u0, n_steps, dt, gen, record_every, out_x, out_u
             x = (x + (sqrt_dt * g - (u * fp) * dt)) % TWO_PI
             u = u + fv * dt
             step += 1
-            if step % record_every == 0 or step == n_steps:
+            if step == marks[rec]:
                 out_x[rec] = x
                 out_u[rec] = u
                 rec += 1
@@ -348,7 +322,7 @@ def _fill_noise(block: np.ndarray, gens, m: int) -> None:
             block[j, :m] = gen.standard_normal(m)
 
 
-def _vector_self(potential, x, u, n_steps, dt, gens, record_every, out_x, out_u):
+def _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u):
     n = x.size
     ws = _HarmonicWorkspace(potential, n)
     sqrt_dt = math.sqrt(dt)
@@ -356,6 +330,8 @@ def _vector_self(potential, x, u, n_steps, dt, gens, record_every, out_x, out_u)
     block = np.empty((n, blen))
     out_x[:, 0] = x
     out_u[:, 0] = u
+    marks = rec_steps.tolist()
+    n_steps = marks[-1]
     rec = 1
     step = 0
     while step < n_steps:
@@ -364,10 +340,36 @@ def _vector_self(potential, x, u, n_steps, dt, gens, record_every, out_x, out_u)
         for i in range(m):
             ws.em_step(x, u, block[:, i], dt, sqrt_dt)
             step += 1
-            if step % record_every == 0 or step == n_steps:
+            if step == marks[rec]:
                 out_x[:, rec] = x
                 out_u[:, rec] = u
                 rec += 1
+
+
+def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
+    """(x, u) of every replica at each step count in rec_steps, an
+    increasing int64 array starting at 0; both of shape (n, len(rec_steps))."""
+    n = len(seeds)
+    x = _as_replica_array(x0, n, "x0")
+    np.remainder(x, TWO_PI, out=x)
+    u = _as_replica_array(u0, n, "u0")
+    out_x = np.empty((n, rec_steps.size))
+    out_u = np.empty((n, rec_steps.size))
+    gens = generators_from_seeds(seeds)
+    if n <= _SCALAR_PATH_MAX:
+        for j in range(n):
+            _scalar_self(potential, x[j], u[j], dt, gens[j], rec_steps,
+                         out_x[j], out_u[j])
+    else:
+        _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u)
+    return out_x, out_u
+
+
+def _seed_tuple(seeds) -> tuple:
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    return seeds
 
 
 def _freeze(*arrays):
@@ -392,26 +394,12 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     for fixed (seeds, parameters).  A non-finite x0 or u0 raises
     ValueError naming it.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    n = len(seeds)
+    seeds = _seed_tuple(seeds)
     n_steps = _validate_grid(horizon, dt, record_every)
-    rec_steps = _record_steps(n_steps, record_every)
+    rec_steps = np.append(np.arange(0, n_steps, record_every, dtype=np.int64),
+                          n_steps)
     times = rec_steps.astype(float) * dt
-    x = _as_replica_array(x0, n, "x0")
-    np.remainder(x, TWO_PI, out=x)
-    u = _as_replica_array(u0, n, "u0")
-    out_x = np.empty((n, rec_steps.size))
-    out_u = np.empty((n, rec_steps.size))
-    gens = generators_from_seeds(seeds)
-    if n <= _SCALAR_PATH_MAX:
-        for j in range(n):
-            _scalar_self(potential, x[j], u[j], n_steps, dt, gens[j],
-                         record_every, out_x[j], out_u[j])
-    else:
-        _vector_self(potential, x, u, n_steps, dt, gens, record_every,
-                     out_x, out_u)
+    out_x, out_u = _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds)
     _freeze(times, out_x, out_u)
     return EnsembleTrajectories(times=times, x=out_x, u=out_u, dt=dt,
                                 record_every=record_every, seeds=seeds,
@@ -439,10 +427,8 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     nearly noise-free, which is what a step-size refinement ratio needs.
     Returns {dt: array of terminal u over replicas}.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = _seed_tuple(seeds)
     n = len(seeds)
-    if n == 0:
-        raise ValueError("seeds must be nonempty")
     dt_levels = [float(d) for d in dt_levels]
     dt_f = min(dt_levels)
     factors = []
@@ -492,12 +478,16 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     high and run dX = dB - drive * F'(X) dt until crossing either boundary
     (detected by sign change at the dt scale) or until max_time, when the
     trial is censored.  Each replica consumes its own noise stream in
-    fixed blocks, so a trial's outcome depends only on its seed.
+    fixed blocks, so a trial's outcome depends only on its seed.  A
+    non-finite drive, boundary, start, dt or max_time raises ValueError
+    naming it.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = _seed_tuple(seeds)
     n = len(seeds)
-    if n == 0:
-        raise ValueError("seeds must be nonempty")
+    for name, value in (("drive", drive), ("low", low), ("x_start", x_start),
+                        ("high", high), ("dt", dt), ("max_time", max_time)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if not (dt > 0.0 and max_time > 0.0):
         raise ValueError("dt and max_time must be positive")
     arc = float(wrap(high - low))

@@ -147,13 +147,10 @@ class EventLog:
         return segment_u(self.potential, float(self.x[i]), int(self.y[i]),
                          t - float(self.times[i]), float(self.u[i]))
 
-    def state_at(self, t: float) -> PdmpState:
-        return PdmpState(self.x_at(t), self.u_at(t), int(self.y[self._row_before(t)]))
-
 
 def local_rate(potential: PeriodicPotential, lam: float, state: PdmpState) -> float:
     """Total jump intensity lambda + (y * u * F'(x))_+ at one state."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     r = state.y * state.u * potential.derivative_s(state.x)
     return lam + (r if r > 0.0 else 0.0)
@@ -268,7 +265,7 @@ def sample_next_event(potential: PeriodicPotential, lam: float,
     (theta, cause) with cause "landscape" or "constant-rate", or None if
     no jump occurs within s_max.  Ties resolve to constant-rate.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     theta2 = gen.standard_exponential() / lam
     cutoff = min(theta2, s_max)

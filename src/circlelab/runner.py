@@ -48,6 +48,7 @@ from .stats import (
     _histogram_edges,
     _tail_heavy,
     detect_convergence,
+    drift_samples,
     escape_bound,
     estimate_escape,
     occupation_histogram,
@@ -474,44 +475,47 @@ def _limit_finalize(config: ScenarioConfig, results, out_dir):
 
 
 def _drift_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    t_grid = config.option("t_grid", (50.0, 100.0, 200.0))
+    """One task per (u0 index j, replica chunk), run once to max(t_grid).
+
+    Replica i gets splitmix64(root_seed, (m * len(u0_grid) + j) * replicas
+    + i), with m the index of the first largest t: the seeds a run of the
+    (t_grid[m], u0) cell alone would use.  Shorter t read the same paths.
+    """
     u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
-    tasks = []
-    pair = 0
-    for t in t_grid:
-        for u0 in u0_grid:
-            for lo, hi in replica_chunks(config.replicas):
-                tasks.append({"op": "drift", "t": float(t), "u0": float(u0),
-                              "pair": pair, "lo": lo, "hi": hi})
-            pair += 1
-    return tasks
+    return [{"op": "drift", "u0_index": j, "lo": lo, "hi": hi}
+            for j in range(len(u0_grid))
+            for lo, hi in replica_chunks(config.replicas)]
 
 
 def _drift_run(config: ScenarioConfig, task: Dict[str, Any]):
     kappa = config.option("kappa", 0.05)
-    base = task["pair"] * config.replicas
+    t_grid = config.option("t_grid", (50.0, 100.0, 200.0))
+    u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
+    j = task["u0_index"]
+    pair = t_grid.index(max(t_grid)) * len(u0_grid) + j
+    base = pair * config.replicas
     seeds = tuple(derive_replica_seed(config.root_seed, base + i)
                   for i in range(task["lo"], task["hi"]))
-    n_steps = int(round(task["t"] / config.dt))
-    ens = simulate_diffusion_ensemble(
-        config.potential, config.x0, task["u0"], task["t"], dt=config.dt,
-        seeds=seeds, record_every=n_steps)
-    values = np.exp(kappa * np.abs(ens.u[:, -1]))
-    return {"t": task["t"], "u0": task["u0"], "values": values.tolist()}
+    values = drift_samples(config.potential, kappa, config.x0,
+                           float(u0_grid[j]), t_grid, dt=config.dt,
+                           seeds=seeds)
+    return {"u0_index": j, "values": values}
 
 
 def _drift_finalize(config: ScenarioConfig, results, out_dir):
     kappa = config.option("kappa", 0.05)
     t_grid = config.option("t_grid", (50.0, 100.0, 200.0))
     u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
+    # values[j][k] holds every replica of u0_grid[j] at t_grid[k].
+    values = [np.concatenate([r["values"] for r in results
+                              if r["u0_index"] == j], axis=1)
+              for j in range(len(u0_grid))]
     per_t = []
     plot_rows = []
-    for t in t_grid:
+    for k, t in enumerate(t_grid):
         cells = []
-        for u0 in u0_grid:
-            vals = np.concatenate(
-                [np.asarray(r["values"]) for r in results
-                 if r["t"] == float(t) and r["u0"] == float(u0)])
+        for j, u0 in enumerate(u0_grid):
+            vals = values[j][k]
             est = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(vals.size))
             ratio = est / math.exp(kappa * abs(u0))

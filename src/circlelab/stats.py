@@ -22,6 +22,9 @@ from .angles import TWO_PI, ArcSet, circle_dist, wrap
 from .diffusion import (
     EnsembleTrajectories,
     Trajectory,
+    _seed_tuple,
+    _simulate_recorded,
+    _validate_grid,
     run_exit_trials,
     simulate_diffusion_ensemble,
 )
@@ -56,8 +59,8 @@ __all__ = [
     "detect_convergence",
     "eta_schedule",
     "fit_rate",
+    "drift_samples",
     "lyapunov_drift_check",
-    "drift_check_scan",
     "doeblin_probe",
 ]
 
@@ -684,11 +687,29 @@ class DriftReport:
             raise ValueError("estimates must be positive and finite")
 
 
+def drift_samples(potential: PeriodicPotential, kappa: float, x0: float,
+                  u0: float, ts: Sequence[float], *, dt: float,
+                  seeds: Sequence[int]) -> np.ndarray:
+    """e^{kappa |U_t|} for each t in ts (rows) and each seed (columns).
+
+    Every replica runs once, to the largest t, and U is read on the way at
+    step round(t / dt), so row i is bitwise equal to the terminal values of
+    a `simulate_diffusion_ensemble` run to ts[i] with the same seeds.
+    """
+    if not kappa > 0.0:
+        raise ValueError("kappa must be positive")
+    seeds = _seed_tuple(seeds)
+    steps = [_validate_grid(float(t), dt, 1) for t in ts]
+    marks = np.unique(np.array([0] + steps, dtype=np.int64))
+    _, u = _simulate_recorded(potential, x0, u0, marks, dt, seeds)
+    u_t = u[:, np.searchsorted(marks, steps)].T
+    return np.exp(kappa * np.abs(u_t))
+
+
 def lyapunov_drift_check(potential: PeriodicPotential, kappa: float, t: float,
                          u0_grid: Sequence[float], reps: int, *,
                          landscape: Optional[CriticalLandscape] = None,
                          x0: float = 0.0, dt: float = 1e-3,
-                         record_every: Optional[int] = None,
                          root_seed: int = 0) -> DriftReport:
     """Estimate E[e^{kappa |U_t|}] per u0 and compare to e^{kappa |u0|}.
 
@@ -702,17 +723,14 @@ def lyapunov_drift_check(potential: PeriodicPotential, kappa: float, t: float,
         warnings.warn("drift check called with a nonempty trap set",
                       HypothesisWarning)
     u0_grid = np.asarray(u0_grid, dtype=float)
-    n_steps = int(round(t / dt))
-    stride = n_steps if record_every is None else record_every
     estimates = np.empty(u0_grid.size)
     std_errors = np.empty(u0_grid.size)
     tail_flags = np.zeros(u0_grid.size, dtype=bool)
     for i, u0 in enumerate(u0_grid):
         seeds = derive_replica_seeds(derive_replica_seeds(root_seed, i + 1)[-1],
                                      reps)
-        ens = simulate_diffusion_ensemble(potential, x0, float(u0), t, dt=dt,
-                                          seeds=seeds, record_every=stride)
-        ev = np.exp(kappa * np.abs(ens.u[:, -1]))
+        ev = drift_samples(potential, kappa, x0, float(u0), (t,), dt=dt,
+                           seeds=seeds)[0]
         estimates[i] = float(ev.mean())
         std_errors[i] = float(ev.std(ddof=1) / math.sqrt(reps))
         tail_flags[i] = _tail_heavy(ev)
@@ -723,16 +741,6 @@ def lyapunov_drift_check(potential: PeriodicPotential, kappa: float, t: float,
     passes = bool(ratios[largest] <= 0.75)
     return DriftReport(float(kappa), float(t), u0_grid, estimates, std_errors,
                        ratios, tail_flags, c_fit, passes)
-
-
-def drift_check_scan(potential: PeriodicPotential, kappa: float,
-                     u0_grid: Sequence[float], reps: int,
-                     ts: Sequence[float] = (50.0, 100.0, 200.0),
-                     **kwargs) -> Tuple[List[DriftReport], bool]:
-    """Run the drift check over a grid of times; passes if any t passes."""
-    reports = [lyapunov_drift_check(potential, kappa, float(t), u0_grid,
-                                    reps, **kwargs) for t in ts]
-    return reports, any(r.passes for r in reports)
 
 
 def doeblin_probe(potential: PeriodicPotential, starts, box, t: float,

@@ -110,12 +110,6 @@ class TestSimulate:
             assert np.max(circle_dist(ens.x[i], single.x)) < 1e-9
             assert np.max(np.abs(ens.u[i] - single.u)) < 1e-9
 
-    def test_time_lookup(self):
-        ens = simulate_diffusion_ensemble(COSINE, 0.0, 0.0, 0.5, seeds=(1, 2))
-        assert ens.u_at_time(0.3).shape == (2,)
-        with pytest.raises(ValueError):
-            ens.u_at_time(0.1234)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             simulate_diffusion(COSINE, DiffusionState(0.0, 0.0), 0.0)
@@ -213,6 +207,16 @@ class TestExitTrials:
             run_exit_trials(COSINE, 1.0, 1.0, 1.5, 1.0, seeds=(0,), max_time=1.0)
         with pytest.raises(ValueError):
             run_exit_trials(COSINE, 1.0, 1.0, 1.0, 2.0, seeds=(0,), max_time=1.0)
+
+    @pytest.mark.parametrize("field", ["drive", "low", "x_start", "high",
+                                       "dt", "max_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, field, value):
+        kw = dict(drive=1.0, low=0.5, x_start=1.5, high=2.5, dt=1e-2,
+                  max_time=1.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            run_exit_trials(COSINE, seeds=(1, 2, 3), **kw)
 
     def test_determinism_and_chunk_invariance(self):
         seeds = derive_replica_seeds(101, 64)

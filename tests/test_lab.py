@@ -15,8 +15,10 @@ from circlelab import (
     ScenarioConfig,
     load_scenario,
     parse_scenario_text,
+    derive_replica_seed,
     scenario_from_dict,
     simulate_diffusion,
+    simulate_diffusion_ensemble,
     simulate_pdmp,
 )
 from circlelab.cli import main as cli_main
@@ -443,6 +445,35 @@ class TestScenarioEstimates:
         for c in cells:
             assert c["estimate"] > 0.0
             assert c["std_error"] >= 0.0
+
+    def test_drift_runs_each_u0_once_to_max_t(self, tmp_path, monkeypatch):
+        # 130 replicas make chunks of 64, 64 and 2, so both EM loops run.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        t_grid, u0_grid, n = [0.6, 1.0, 0.3], [0.0, 8.0], 130
+        config = scenario_from_dict({
+            "kind": "drift", "potential": COSINE_RECORD, "dt": 2e-2,
+            "replicas": n, "root_seed": 11, "x0": 1.0,
+            "out_dir": str(tmp_path / "drift"),
+            "options": {"kappa": 0.05, "t_grid": t_grid,
+                        "u0_grid": u0_grid},
+        })
+        manifest = run_scenario(config)
+        assert manifest.n_tasks == len(u0_grid) * len(replica_chunks(n))
+        estimates = read_json(str(tmp_path / "drift" / "estimates.json"))
+        row = estimates["per_t"][1]
+        assert row["t"] == 1.0
+        for j, (u0, cell) in enumerate(zip(u0_grid, row["cells"])):
+            # The seeds a run of the (t = 1, u0) cell alone uses.
+            base = (1 * len(u0_grid) + j) * n
+            vals = np.concatenate([
+                np.exp(0.05 * np.abs(simulate_diffusion_ensemble(
+                    COSINE, 1.0, u0, 1.0, dt=2e-2, record_every=50,
+                    seeds=[derive_replica_seed(11, base + i)
+                           for i in range(lo, hi)]).u[:, -1]))
+                for lo, hi in replica_chunks(n)])
+            assert cell["estimate"] == float(vals.mean())
+            assert cell["std_error"] == float(vals.std(ddof=1)
+                                              / math.sqrt(vals.size))
 
     def test_limit_comparison_estimates(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")

@@ -49,6 +49,10 @@ class TestLocalRate:
         with pytest.raises(ValueError):
             local_rate(COSINE, 0.0, PdmpState(0.0, 0.0, 1))
 
+    def test_nan_lam_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            local_rate(COSINE, math.nan, PdmpState(1.0, 0.5, 1))
+
 
 class TestSegmentU:
     def test_cosine_integral_is_sine(self):
@@ -238,6 +242,12 @@ class TestNextEvent:
         gen = generator_from_seed(0)
         with pytest.raises(ValueError):
             sample_next_event(COSINE, 0.0, PdmpState(0.0, 0.0, 1), gen)
+
+    def test_nan_lam_rejected(self):
+        gen = generator_from_seed(0)
+        with pytest.raises(ValueError, match="lam"):
+            sample_next_event(COSINE, math.nan, PdmpState(1.0, 0.5, 1), gen,
+                              5.0)
 
 
 class TestSimulate:

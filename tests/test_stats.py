@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab.angles import TWO_PI, ArcSet, wrap
@@ -38,7 +38,7 @@ from circlelab.stats import (
     HittingSample,
     detect_convergence,
     doeblin_probe,
-    drift_check_scan,
+    drift_samples,
     ecdf_dominance,
     escape_bound,
     estimate_escape,
@@ -604,11 +604,42 @@ class TestDrift:
         assert report.estimates[0] <= math.exp(0.05 * 1.0 * 50.0)
         assert report.ratios[0] > report.ratios[-1]
 
-    def test_scan_any_pass(self):
-        reports, ok = drift_check_scan(COSINE, 0.05, [0.0, 60.0], 120,
-                                       ts=(20.0, 50.0), dt=4e-3, root_seed=5)
-        assert len(reports) == 2
-        assert ok == any(r.passes for r in reports)
+    @settings(max_examples=40)
+    @given(cells=st.lists(st.tuples(st.integers(2, 40), st.floats(-0.4, 0.4)),
+                          min_size=1, max_size=4),
+           width=st.sampled_from([1, 3, 4, 5, 7]),
+           dt=st.sampled_from([1e-2, 2e-2, 3e-3]),
+           u0=st.floats(-30.0, 30.0),
+           x0=st.floats(0.0, 6.0),
+           potential=st.sampled_from([COSINE, SKEWED]))
+    @example(cells=[(7, 0.3), (3, -0.2), (7, 0.0)], width=3, dt=3e-3,
+             u0=5.0, x0=1.0, potential=SKEWED)
+    @example(cells=[(7, 0.3), (3, -0.2), (7, 0.0)], width=5, dt=3e-3,
+             u0=5.0, x0=1.0, potential=SKEWED)
+    def test_one_pass_matches_runs_from_zero(self, cells, width, dt, u0, x0,
+                                             potential):
+        # Each t is (steps + offset) * dt: off the dt grid, unsorted,
+        # repeated, step counts with gcd 1.  Widths <= 4 take the scalar
+        # loop and wider ones the vector loop.
+        ts = [(n + f) * dt for n, f in cells]
+        seeds = tuple(range(width))
+        got = drift_samples(potential, 0.05, x0, u0, ts, dt=dt, seeds=seeds)
+        assert got.shape == (len(ts), width)
+        for row, (n, _), t in zip(got, cells, ts):
+            ens = simulate_diffusion_ensemble(potential, x0, u0, t, dt=dt,
+                                              seeds=seeds, record_every=n)
+            assert ens.times.size == 2
+            assert np.array_equal(row, np.exp(0.05 * np.abs(ens.u[:, -1])))
+
+    def test_samples_validation(self):
+        with pytest.raises(ValueError):
+            drift_samples(COSINE, 0.05, 0.0, 1.0, [1.0], dt=1e-2, seeds=())
+        with pytest.raises(ValueError):
+            drift_samples(COSINE, math.nan, 0.0, 1.0, [1.0], dt=1e-2,
+                          seeds=(1,))
+        with pytest.raises(ValueError):
+            drift_samples(COSINE, 0.05, 0.0, 1.0, [1.0, math.nan], dt=1e-2,
+                          seeds=(1,))
 
     def test_trap_warning(self):
         lan = classify_landscape(MIXTURE)
