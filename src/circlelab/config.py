@@ -52,16 +52,27 @@ def _float_list(value):
                  for tok in str(value).replace(",", " ").split())
 
 
+def _checked(parser, ok, requirement: str):
+    """parser, then a ValueError saying ``requirement`` unless ok(value)."""
+    def parse(value):
+        out = parser(value)
+        if not ok(out):
+            raise ValueError(f"{requirement}, got {value!r}")
+        return out
+    return parse
+
+
 _OPTION_SPECS: Dict[str, Any] = {
     "burn_in": _finite_float,
-    "record_every": int,
-    "save_paths": int,
+    "record_every": _checked(int, lambda v: v >= 1, "must be >= 1"),
+    "save_paths": _checked(int, lambda v: v >= 0, "must be >= 0"),
     "eta": _finite_float,
     "m_grid": _float_list,
     "max_time": _finite_float,
-    "kappa": _finite_float,
+    "kappa": _checked(_finite_float, lambda v: v > 0.0, "must be > 0"),
     "u0_grid": _float_list,
-    "t_grid": _float_list,
+    "t_grid": _checked(_float_list, lambda ts: ts and min(ts) > 0.0,
+                       "must be a nonempty list of times > 0"),
     "lambda_grid": _float_list,
     "eta_fractions": _float_list,
     "box": _float_list,

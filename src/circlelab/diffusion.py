@@ -53,8 +53,9 @@ __all__ = [
 ]
 
 # Ensembles at most this large run the per-replica scalar loop, which is
-# much faster than numpy vector ops on tiny arrays.  The noise streams are
-# identical either way; only last-bit trig rounding may differ.
+# much faster than numpy vector ops on tiny arrays.  Both loops draw the
+# same noise and do the same float operations in the same order, so a
+# replica's path is bitwise the same whichever loop runs it.
 _SCALAR_PATH_MAX = 4
 _MONOTONE_GRID = 512
 
@@ -240,11 +241,6 @@ class _HarmonicWorkspace:
                 fp += self.t
 
 
-def _scalar_terms(potential: PeriodicPotential):
-    return float(potential.a0), [(float(k), float(a), float(b))
-                                 for k, a, b in potential.harmonics]
-
-
 def _noise_block_len(n_replicas: int, multiple_of: int = 1) -> int:
     blen = max(256, min(4096, (1 << 23) // max(n_replicas, 1)))
     blen -= blen % multiple_of
@@ -278,7 +274,12 @@ def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
 
 
 def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
-    a0, terms = _scalar_terms(potential)
+    # F and F' are summed in the order of _HarmonicWorkspace.eval, zero
+    # coefficients skipped, so a replica's path is bitwise the same here
+    # as in a vector batch of any width.
+    a0 = float(potential.a0)
+    terms = [(float(k), float(a), float(k) * float(a), float(b),
+              float(k) * float(b)) for k, a, b in potential.harmonics]
     sqrt_dt = math.sqrt(dt)
     cos = math.cos
     sin = math.sin
@@ -298,12 +299,16 @@ def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
         for g in noise:
             fv = a0
             fp = 0.0
-            for k, a, b in terms:
+            for k, a, ka, b, kb in terms:
                 ph = k * x
                 c = cos(ph)
                 s = sin(ph)
-                fv += a * c + b * s
-                fp += k * (b * c - a * s)
+                if a != 0.0:
+                    fv += c * a
+                    fp -= s * ka
+                if b != 0.0:
+                    fv += s * b
+                    fp += c * kb
             x = (x + (sqrt_dt * g - (u * fp) * dt)) % TWO_PI
             u = u + fv * dt
             step += 1
@@ -389,10 +394,10 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
 
     x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
     to 4 replicas run a per-replica scalar loop and larger ensembles a
-    replica-vectorized loop; both consume identical noise streams and
-    agree up to last-bit trig rounding.  A given call is bit-reproducible
-    for fixed (seeds, parameters).  A non-finite x0 or u0 raises
-    ValueError naming it.
+    replica-vectorized loop; both consume identical noise streams in the
+    same arithmetic order, so a replica's path depends only on its seed
+    and start, bitwise, not on the batch it runs in.  A non-finite x0 or
+    u0 raises ValueError naming it.
     """
     seeds = _seed_tuple(seeds)
     n_steps = _validate_grid(horizon, dt, record_every)

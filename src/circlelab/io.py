@@ -30,17 +30,20 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _floats(column) -> list:
+    return np.asarray(column, dtype=float).tolist()
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Write sampled rows as ``t,x,u`` with full-precision floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "u"])
-        for t, x, u in zip(traj.times, traj.x, traj.u):
-            writer.writerow([_fmt(t), _fmt(x), _fmt(u)])
+    rows = zip(_floats(traj.times), _floats(traj.x), _floats(traj.u))
+    _write_text(path, "t,x,u\n" + "".join(f"{t!r},{x!r},{u!r}\n"
+                                           for t, x, u in rows))
 
 
 def read_trajectory_rows(path) -> np.ndarray:
@@ -55,12 +58,10 @@ def read_trajectory_rows(path) -> np.ndarray:
 
 def write_events_csv(path, log: EventLog) -> None:
     """Write event rows as ``t,x,u,y,cause`` with full-precision floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "u", "y", "cause"])
-        for t, x, u, y, cause in zip(log.times, log.x, log.u, log.y,
-                                     log.causes):
-            writer.writerow([_fmt(t), _fmt(x), _fmt(u), int(y), cause])
+    rows = zip(_floats(log.times), _floats(log.x), _floats(log.u),
+               np.asarray(log.y).astype(int).tolist(), log.causes)
+    _write_text(path, "t,x,u,y,cause\n" + "".join(
+        f"{t!r},{x!r},{u!r},{y},{cause}\n" for t, x, u, y, cause in rows))
 
 
 def read_events_rows(path):

@@ -16,7 +16,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,6 +147,11 @@ def _simulate_path(config: ScenarioConfig, process: str, seed: int,
         PdmpState(config.x0, config.u0, config.y0), span, seed=seed)
 
 
+def _saved_path_count(config: ScenarioConfig) -> int:
+    """How many replicas per process, the first ones, get raw path files."""
+    return min(config.option("save_paths", 2), config.replicas)
+
+
 def _path_time_grid(config: ScenarioConfig, n: int = 41) -> np.ndarray:
     return np.linspace(0.0, config.horizon, n)
 
@@ -212,8 +217,9 @@ def _ergodic_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
 
 def _ergodic_run(config: ScenarioConfig, task: Dict[str, Any]):
     path = _simulate_path(config, task["process"], task["seed"])
-    out = {"process": task["process"], "replica": task["replica"],
-           "windows": {}}
+    rep = task["replica"]
+    out = {"process": task["process"], "replica": rep, "windows": {},
+           "paths": [(rep, path)] if rep < _saved_path_count(config) else []}
     for label, lo, hi in _ergodic_windows(config):
         h = occupation_histogram(path, burn_in=lo, t_max=hi)
         out["windows"][label] = _masses_to_payload(h)
@@ -271,6 +277,7 @@ def _localization_run(config: ScenarioConfig, task: Dict[str, Any]):
     tol = config.option("tolerance", 0.15)
     window = min(config.option("burn_in", 200.0), 0.25 * config.horizon)
     grid = _path_time_grid(config)
+    n_saved = _saved_path_count(config)
     replica_range = range(task["lo"], task["hi"])
     seeds = tuple(derive_replica_seed(config.root_seed, task["base"] + rep)
                   for rep in replica_range)
@@ -282,11 +289,17 @@ def _localization_run(config: ScenarioConfig, task: Dict[str, Any]):
             dt=config.dt, seeds=seeds,
             record_every=config.option("record_every", 100))
     rows = []
+    paths = []
     for offset, rep in enumerate(replica_range):
         if ensemble is not None:
             path = ensemble.replica(offset)
         else:
             path = _simulate_path(config, task["process"], seeds[offset])
+        if rep < n_saved:
+            if ensemble is not None:
+                # Copy the row so it does not keep the whole chunk alive.
+                path = replace(path, x=np.array(path.x), u=np.array(path.u))
+            paths.append((rep, path))
         xs = _state_on_grid(path, grid)
         if traps:
             dmin = np.min([circle_dist(xs, tx) for tx, _ in traps], axis=0)
@@ -304,7 +317,7 @@ def _localization_run(config: ScenarioConfig, task: Dict[str, Any]):
                      "d_final": d_final, "u_final": float(path.u[-1]),
                      "converged_to": x_star, "trap_value": trap_value,
                      "curve": curve})
-    return {"rows": rows}
+    return {"process": task["process"], "rows": rows, "paths": paths}
 
 
 def _localization_finalize(config: ScenarioConfig, results, out_dir):
@@ -769,17 +782,18 @@ def _write_plotdata(out_dir, name: str, header: Sequence[str], rows):
                              for v in row])
 
 
-def _write_path_files(config: ScenarioConfig, out_dir) -> None:
-    """Persist raw paths for the first few replicas of path scenarios."""
-    if config.kind not in ("ergodic", "localization"):
-        return
-    k = min(config.option("save_paths", 2), config.replicas)
-    for p_idx, process in enumerate(config.processes()):
-        for rep in range(k):
-            idx = p_idx * config.replicas + rep
-            seed = derive_replica_seed(config.root_seed, idx)
-            path = _simulate_path(config, process, seed)
-            if process == "diffusion":
+def _write_path_files(out_dir, results) -> None:
+    """Write the raw paths that the tasks returned for their saved replicas.
+
+    A path-producing task returns ``paths``, the (replica, path) pairs of
+    its replicas below _saved_path_count(config); the diffusion gets
+    ``trajectory_<replica>.csv`` and the velocity-jump process
+    ``events_<replica>.csv``.  Nothing is simulated here, so a saved
+    replica whose task failed gets no file.
+    """
+    for r in results:
+        for rep, path in r.get("paths", ()):
+            if r["process"] == "diffusion":
                 write_trajectory_csv(
                     os.path.join(out_dir, f"trajectory_{rep}.csv"), path)
             else:
@@ -855,7 +869,7 @@ def run_scenario(config: ScenarioConfig,
 
     estimates = finalize(config, results, out_dir)
     estimates["failures"] = len(failures)
-    _write_path_files(config, out_dir)
+    _write_path_files(out_dir, results)
     return _finish_manifest(config, out_dir, tasks, workers, started,
                             failures, estimates)
 

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlelab.angles import TWO_PI, circle_dist
+from circlelab.angles import TWO_PI
 from circlelab.diffusion import (
     DiffusionState,
     analytic_escape_probability,
@@ -22,6 +24,10 @@ from circlelab.seeding import derive_replica_seeds
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
+# A sine term (b_k != 0) and a harmonic k = 3: each reorders F or F' if the
+# two EM loops disagree on arithmetic order.
+SKEWED = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+ODD_HARMONIC = PeriodicPotential(0.1, ((1, 1.0, 0.0), (3, 0.3, 0.0)))
 
 
 class TestEmStep:
@@ -107,8 +113,27 @@ class TestSimulate:
         for i, seed in enumerate(seeds):
             single = simulate_diffusion(MIXTURE, DiffusionState(1.0, 0.5), 1.0,
                                         dt=1e-3, seed=seed, record_every=50)
-            assert np.max(circle_dist(ens.x[i], single.x)) < 1e-9
-            assert np.max(np.abs(ens.u[i] - single.u)) < 1e-9
+            assert np.array_equal(ens.x[i], single.x)
+            assert np.array_equal(ens.u[i], single.u)
+
+    @settings(max_examples=20)
+    @given(root=st.integers(0, 2**63 - 1),
+           potential=st.sampled_from([SKEWED, ODD_HARMONIC]),
+           x0=st.floats(0.0, TWO_PI, allow_nan=False),
+           u0=st.floats(-5.0, 5.0, allow_nan=False))
+    def test_replica_path_is_bitwise_the_same_at_every_width(
+            self, root, potential, x0, u0):
+        # Widths 1-4 take the scalar loop and 5-8 the vector loop; the last
+        # w seeds of an 8-wide batch must give the same rows at width w.
+        seeds = derive_replica_seeds(root, 8)
+        kw = dict(dt=1e-3, record_every=40)
+        full = simulate_diffusion_ensemble(potential, x0, u0, 1.0,
+                                           seeds=seeds, **kw)
+        for w in range(1, 8):
+            ens = simulate_diffusion_ensemble(potential, x0, u0, 1.0,
+                                              seeds=seeds[8 - w:], **kw)
+            assert np.array_equal(ens.x, full.x[8 - w:]), w
+            assert np.array_equal(ens.u, full.u[8 - w:]), w
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 """Scenario configs, artifact IO, the runner, and the CLI."""
 
+import csv
+import functools
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from circlelab import (
     simulate_diffusion_ensemble,
     simulate_pdmp,
 )
+import circlelab.runner as runner_module
 from circlelab.cli import main as cli_main
+from circlelab.diffusion import Trajectory
 from circlelab.io import (
     hash_inventory,
     read_events_rows,
@@ -32,6 +38,7 @@ from circlelab.io import (
     write_json,
     write_trajectory_csv,
 )
+from circlelab.pdmp import EventLog
 from circlelab.runner import (
     MIN_CHUNK,
     TASKS_TARGET,
@@ -43,6 +50,7 @@ from circlelab.runner import (
 
 COSINE_RECORD = {"a0": 0.0, "harmonics": [[1, 1.0, 0.0]]}
 MIXTURE_RECORD = {"a0": -0.2, "harmonics": [[1, 1.0, 0.0], [2, 1.0, 0.0]]}
+SKEWED_RECORD = {"a0": 0.0, "harmonics": [[1, 1.0, 0.5], [3, 0.3, -0.4]]}
 
 COSINE = PeriodicPotential.from_record(COSINE_RECORD)
 
@@ -164,6 +172,26 @@ class TestScenarioConfig:
             scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
                                 field: grid})
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", -1.0), ("kappa", 0.0), ("kappa", "-0.5"),
+        ("t_grid", []), ("t_grid", ""), ("t_grid", [0.0, 5.0]),
+        ("t_grid", [10.0, -5.0]), ("t_grid", "5 0"),
+        ("save_paths", -1), ("save_paths", "-2"),
+        ("record_every", 0), ("record_every", -3), ("record_every", "0"),
+    ])
+    def test_option_out_of_bounds_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"field '{field}': must be"):
+            scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
+                                "options": {field: value}})
+
+    def test_option_bounds_admit_their_edges(self):
+        config = scenario_from_dict({
+            "kind": "drift", "potential": COSINE_RECORD,
+            "options": {"kappa": 1e-9, "t_grid": "0.5", "save_paths": 0,
+                        "record_every": 1}})
+        assert config.option("t_grid", None) == (0.5,)
+        assert config.option("save_paths", None) == 0
+
     def test_hash_ignores_out_dir_only(self):
         a = scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
                                 "out_dir": "x"})
@@ -225,6 +253,40 @@ class TestArtifactIO:
         np.testing.assert_array_equal(nums[:, 2], log.u)
         np.testing.assert_array_equal(ys, log.y)
         assert causes == log.causes
+
+    def test_path_writers_match_csv_writer_bytes(self, tmp_path):
+        # The writers format rows themselves; the bytes must be those of
+        # csv.writer with repr-formatted floats.
+        vals = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300,
+                         -1e300, 0.1, 1.0 / 3.0, 6.283185307179586])
+        n = vals.size
+        traj = Trajectory(times=vals, x=vals[::-1].copy(), u=-vals,
+                          dt=1e-3, record_every=1, seed=0, potential_id="c")
+        log = EventLog(times=vals, x=vals[::-1].copy(), u=-vals,
+                       y=np.array([1, -1] * 4 + [1], dtype=np.int8),
+                       causes=("init",) + ("landscape",) * (n - 2)
+                       + ("horizon-end",),
+                       lam=1.0, horizon=1.0, seed=0, potential=COSINE)
+
+        def reference(header, rows):
+            path = tmp_path / "ref.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+            return path.read_bytes()
+
+        write_trajectory_csv(str(tmp_path / "t.csv"), traj)
+        assert (tmp_path / "t.csv").read_bytes() == reference(
+            ["t", "x", "u"],
+            [[repr(float(c)) for c in row]
+             for row in zip(traj.times, traj.x, traj.u)])
+        write_events_csv(str(tmp_path / "e.csv"), log)
+        assert (tmp_path / "e.csv").read_bytes() == reference(
+            ["t", "x", "u", "y", "cause"],
+            [[repr(float(t)), repr(float(x)), repr(float(u)), int(y), c]
+             for t, x, u, y, c in zip(log.times, log.x, log.u, log.y,
+                                      log.causes)])
 
     def test_json_roundtrip_and_stable_bytes(self, tmp_path):
         payload = {"b": [1.5, 2.25], "a": {"x": 1e-9}}
@@ -371,6 +433,109 @@ class TestRunScenario:
         ok2, report2 = replay(str(manifest_path), str(tmp_path / "replayed2"))
         assert not ok2
         assert not report2["estimates.json"]["match"]
+
+
+def _record_simulator_calls(monkeypatch, log_path):
+    """Log one line "<simulator> <seed>..." per runner simulator call.
+
+    The pool is forked so its workers inherit the wrappers; every process
+    appends to the same file.
+    """
+    for name in ("simulate_pdmp", "simulate_diffusion",
+                 "simulate_diffusion_ensemble"):
+        def wrapped(*args, _real=getattr(runner_module, name), _name=name,
+                    **kwargs):
+            seeds = kwargs["seeds"] if "seeds" in kwargs else (kwargs["seed"],)
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(" ".join([_name, *map(str, seeds)]) + "\n")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, name, wrapped)
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+class TestSavedPaths:
+    """Path files come from the task that simulated the replica."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kind", ["ergodic", "localization"])
+    @pytest.mark.parametrize("record, replicas", [
+        (COSINE_RECORD, 3), (SKEWED_RECORD, 3), (SKEWED_RECORD, 6)])
+    def test_each_replica_is_simulated_once(self, tmp_path, monkeypatch,
+                                            kind, record, replicas, workers):
+        monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
+        calls_path = tmp_path / "calls.txt"
+        _record_simulator_calls(monkeypatch, calls_path)
+        config = scenario_from_dict({
+            "kind": kind, "potential": record, "process": "both",
+            "horizon": 3.0, "replicas": replicas, "x0": 1.0, "u0": 0.5,
+            "root_seed": 17, "out_dir": str(tmp_path / "run"),
+            "options": {"burn_in": 0.5, "save_paths": 2, "record_every": 20},
+        })
+        run_scenario(config)
+
+        calls = [line.split() for line in calls_path.read_text().splitlines()]
+        seeds = {name: sorted(int(s) for c in calls if c[0] == name
+                              for s in c[1:])
+                 for name in ("simulate_diffusion", "simulate_pdmp",
+                              "simulate_diffusion_ensemble")}
+        diffusion_seeds = [derive_replica_seed(17, i) for i in range(replicas)]
+        pdmp_seeds = [derive_replica_seed(17, replicas + i)
+                      for i in range(replicas)]
+        assert seeds["simulate_pdmp"] == sorted(pdmp_seeds)
+        assert len([c for c in calls if c[0] == "simulate_pdmp"]) == replicas
+        # ergodic runs one diffusion per replica, localization one per chunk
+        per_replica = kind == "ergodic"
+        diffusion_call = ("simulate_diffusion" if per_replica
+                          else "simulate_diffusion_ensemble")
+        n_diffusion = replicas if per_replica else len(replica_chunks(replicas))
+        assert len([c for c in calls if c[0] == diffusion_call]) == n_diffusion
+        assert seeds[diffusion_call] == sorted(diffusion_seeds)
+        assert len(calls) == replicas + n_diffusion
+
+        out = tmp_path / "run"
+        names = {n for n in os.listdir(out)
+                 if n.startswith(("trajectory_", "events_"))}
+        assert names == {"trajectory_0.csv", "trajectory_1.csv",
+                         "events_0.csv", "events_1.csv"}
+        potential = config.potential
+        for rep in range(2):
+            fresh = tmp_path / "fresh.csv"
+            write_trajectory_csv(str(fresh), simulate_diffusion(
+                potential, DiffusionState(1.0, 0.5), 3.0, dt=config.dt,
+                seed=diffusion_seeds[rep], record_every=20))
+            assert (out / f"trajectory_{rep}.csv").read_bytes() == \
+                fresh.read_bytes()
+            write_events_csv(str(fresh), simulate_pdmp(
+                potential, config.lam, PdmpState(1.0, 0.5, 1), 3.0,
+                seed=pdmp_seeds[rep]))
+            assert (out / f"events_{rep}.csv").read_bytes() == \
+                fresh.read_bytes()
+
+    def test_failed_task_leaves_no_path_file(self, tmp_path, monkeypatch):
+        # One failed replica in 101 is within the 1 % the runner tolerates.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        bad_seed = derive_replica_seed(5, 1)
+        real = runner_module.simulate_pdmp
+
+        def flaky(*args, **kwargs):
+            if kwargs["seed"] == bad_seed:
+                raise RuntimeError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "simulate_pdmp", flaky)
+        config = scenario_from_dict({
+            "kind": "ergodic", "potential": COSINE_RECORD, "process": "pdmp",
+            "horizon": 2.0, "replicas": 101, "root_seed": 5,
+            "out_dir": str(tmp_path / "run"),
+            "options": {"burn_in": 0.5, "save_paths": 3},
+        })
+        manifest = run_scenario(config)
+        assert len(manifest.failures) == 1
+        out = tmp_path / "run"
+        assert sorted(n for n in os.listdir(out) if n.startswith("events_")) \
+            == ["events_0.csv", "events_2.csv"]
 
 
 class TestScenarioEstimates:
