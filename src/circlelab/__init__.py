@@ -25,7 +25,6 @@ from .diffusion import (
     ExitEnsemble,
     Trajectory,
     analytic_escape_probability,
-    em_step,
     run_exit_trials,
     simulate_diffusion,
     simulate_diffusion_ensemble,
@@ -54,7 +53,6 @@ from .landscape import (
     classify_landscape,
     compute_level_geometry,
     compute_level_margin,
-    escape_covers_high_ground,
     find_critical_points,
     validate_assumptions,
 )
@@ -62,7 +60,6 @@ from .pdmp import (
     EventLog,
     PdmpState,
     jump_time_cdf_oracle,
-    local_rate,
     sample_landscape_time,
     sample_next_event,
     segment_u,
@@ -71,23 +68,14 @@ from .pdmp import (
 )
 from .potential import PeriodicPotential, load_potential, parse_potential_text
 from .stats import (
-    DriftReport,
     EmpiricalHistogram,
     EscapeEstimate,
-    HittingEntry,
-    HittingSample,
-    MomentEntry,
     detect_convergence,
-    doeblin_probe,
+    doeblin_hits,
     drift_samples,
-    ecdf_dominance,
     escape_bound,
     estimate_escape,
-    eta_schedule,
-    exponential_moment_scan,
-    fit_rate,
-    hitting_time,
-    lyapunov_drift_check,
+    hitting_times,
     occupation_histogram,
     tv_distance,
     wilson_interval,

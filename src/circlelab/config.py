@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
+from .angles import ArcSet
 from .errors import ConfigError
 from .potential import PeriodicPotential, load_potential
 
@@ -45,6 +46,13 @@ def _finite_float(value):
     return out
 
 
+def _integer(value):
+    """int(value), refusing a float that is fractional, NaN or infinite."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _float_list(value):
     if isinstance(value, (list, tuple)):
         return tuple(_finite_float(v) for v in value)
@@ -62,10 +70,20 @@ def _checked(parser, ok, requirement: str):
     return parse
 
 
+def _is_box(box) -> bool:
+    """Four numbers, u_hi > u_lo, and an x arc of positive width."""
+    if len(box) != 4 or not box[3] > box[2]:
+        return False
+    try:
+        return ArcSet.from_endpoints([(box[0], box[1])]).total_length() > 0.0
+    except ValueError:
+        return False
+
+
 _OPTION_SPECS: Dict[str, Any] = {
     "burn_in": _finite_float,
-    "record_every": _checked(int, lambda v: v >= 1, "must be >= 1"),
-    "save_paths": _checked(int, lambda v: v >= 0, "must be >= 0"),
+    "record_every": _checked(_integer, lambda v: v >= 1, "must be >= 1"),
+    "save_paths": _checked(_integer, lambda v: v >= 0, "must be >= 0"),
     "eta": _finite_float,
     "m_grid": _float_list,
     "max_time": _finite_float,
@@ -75,8 +93,10 @@ _OPTION_SPECS: Dict[str, Any] = {
                        "must be a nonempty list of times > 0"),
     "lambda_grid": _float_list,
     "eta_fractions": _float_list,
-    "box": _float_list,
-    "grid_points": int,
+    "box": _checked(_float_list, _is_box,
+                    "must be x_lo, x_hi, u_lo, u_hi with u_hi > u_lo "
+                    "and an arc of positive width"),
+    "grid_points": _checked(_integer, lambda v: v >= 1, "must be >= 1"),
     "tolerance": _finite_float,
     "epsilon": _finite_float,
     "u_threshold": _finite_float,
@@ -229,11 +249,11 @@ def scenario_from_dict(data: Dict[str, Any],
         lam=_num("lambda", float, 1.0),
         dt=_num("dt", float, 1e-3),
         horizon=_num("horizon", float, 100.0),
-        replicas=_num("replicas", int, 1),
+        replicas=_num("replicas", _integer, 1),
         x0=_num("x0", float, 0.0),
         u0=_num("u0", float, 0.0),
-        y0=_num("y0", int, 1),
-        root_seed=_num("root_seed", int, 0),
+        y0=_num("y0", _integer, 1),
+        root_seed=_num("root_seed", _integer, 0),
         out_dir=str(core.get("out_dir", "run")),
         options=options,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "Trajectory",
     "EnsembleTrajectories",
     "ExitEnsemble",
-    "em_step",
     "simulate_diffusion",
     "simulate_diffusion_ensemble",
     "simulate_terminal_u_coupled",
@@ -159,19 +158,6 @@ class ExitEnsemble:
     @property
     def fraction_upper(self) -> float:
         return self.n_upper / self.n_trials
-
-
-def em_step(potential: PeriodicPotential, state: DiffusionState, dt: float,
-            gaussian: float) -> DiffusionState:
-    """One Euler-Maruyama step from ``state`` with a supplied normal draw."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    fp = potential.derivative_s(state.x)
-    fv = potential.value_s(state.x)
-    x_new = (state.x + (math.sqrt(dt) * gaussian - (state.u * fp) * dt)) % TWO_PI
-    if x_new == TWO_PI:
-        x_new = 0.0
-    return DiffusionState(x_new, state.u + fv * dt)
 
 
 # ---------------------------------------------------------------------------

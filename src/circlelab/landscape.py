@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, ArcSet, circle_dist, wrap
+from .angles import TWO_PI, ArcSet, wrap
 from .errors import (
     CirclelabError,
     DegenerateCriticalPointError,
@@ -388,26 +388,6 @@ def compute_level_geometry(
     kappa *= 0.99
 
     return LevelGeometry(delta=float(delta), eta=float(eta), wells=tuple(wells), kappa=float(kappa))
-
-
-def escape_covers_high_ground(
-    potential: PeriodicPotential,
-    landscape: CriticalLandscape | None = None,
-    delta: float | None = None,
-    grid: int = DEFAULT_GRID,
-    slack: float = 1e-9,
-) -> bool:
-    """Check that with no traps, {F >= -delta} lies inside the escape region
-    at eta = delta (grid verification)."""
-    if landscape is None:
-        landscape = classify_landscape(potential)
-    if delta is None:
-        delta = compute_level_margin(potential, landscape, grid=grid)
-    geom = compute_level_geometry(potential, landscape, delta=delta, eta=delta, grid=grid)
-    region = geom.escape_region()
-    xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    high = xs[potential.value(xs) >= -delta + slack]
-    return bool(np.all(region.indicator(high)))
 
 
 # ----- standing assumptions ----------------------------------------------

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angles import TWO_PI, ArcSet, wrap
+from .angles import ArcSet, wrap
 from .errors import RunawayError
 from .potential import PeriodicPotential
 from .seeding import generator_from_seed
@@ -49,7 +49,6 @@ __all__ = [
     "CAUSE_HIT",
     "PdmpState",
     "EventLog",
-    "local_rate",
     "segment_u",
     "sample_landscape_time",
     "sample_next_event",
@@ -146,14 +145,6 @@ class EventLog:
         i = self._row_before(t)
         return segment_u(self.potential, float(self.x[i]), int(self.y[i]),
                          t - float(self.times[i]), float(self.u[i]))
-
-
-def local_rate(potential: PeriodicPotential, lam: float, state: PdmpState) -> float:
-    """Total jump intensity lambda + (y * u * F'(x))_+ at one state."""
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    r = state.y * state.u * potential.derivative_s(state.x)
-    return lam + (r if r > 0.0 else 0.0)
 
 
 def segment_u(potential: PeriodicPotential, x0: float, y: int, s: float,

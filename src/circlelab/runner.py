@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .angles import ArcSet, TWO_PI, circle_dist
+from .angles import TWO_PI, circle_dist
 from .config import ScenarioConfig, scenario_from_dict
 from .diffusion import (
     DiffusionState,
@@ -48,9 +48,11 @@ from .stats import (
     _histogram_edges,
     _tail_heavy,
     detect_convergence,
+    doeblin_hits,
     drift_samples,
     escape_bound,
     estimate_escape,
+    hitting_times,
     occupation_histogram,
     tv_distance,
     wilson_interval,
@@ -574,37 +576,15 @@ def _doeblin_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     return tasks
 
 
-def _doeblin_box(config: ScenarioConfig):
-    box = config.option("box", (math.pi - 1.0, math.pi + 1.0, -2.0, 2.0))
-    if len(box) != 4:
-        raise ConfigError("field 'box': expected x_lo,x_hi,u_lo,u_hi")
-    return (box[0], box[1]), (box[2], box[3])
-
-
 def _doeblin_run(config: ScenarioConfig, task: Dict[str, Any]):
-    (x_lo, x_hi), (u_lo, u_hi) = _doeblin_box(config)
-    arc = ArcSet.from_endpoints([(x_lo, x_hi)])
+    box = config.option("box", (math.pi - 1.0, math.pi + 1.0, -2.0, 2.0))
     x0, u0 = _doeblin_starts(config)[task["start"]]
     base = task["start"] * config.replicas
     seeds = tuple(derive_replica_seed(config.root_seed, base + i)
                   for i in range(task["lo"], task["hi"]))
-    if task["process"] == "diffusion":
-        n_steps = int(round(config.horizon / config.dt))
-        ens = simulate_diffusion_ensemble(
-            config.potential, x0, u0, config.horizon, dt=config.dt,
-            seeds=seeds, record_every=n_steps)
-        in_box = arc.indicator(ens.x[:, -1]) \
-            & (ens.u[:, -1] >= u_lo) & (ens.u[:, -1] <= u_hi)
-        hits = int(in_box.sum())
-    else:
-        hits = 0
-        for s in seeds:
-            log = simulate_pdmp(config.potential, config.lam,
-                                PdmpState(x0, u0, config.y0),
-                                config.horizon, seed=int(s))
-            term = log.terminal_state
-            if arc.contains(term.x) and u_lo <= term.u <= u_hi:
-                hits += 1
+    hits = doeblin_hits(config.potential, task["process"], x0, u0, box,
+                        config.horizon, seeds=seeds, lam=config.lam,
+                        y0=config.y0, dt=config.dt)
     return {"process": task["process"], "start": task["start"],
             "hits": hits, "trials": task["hi"] - task["lo"]}
 
@@ -663,34 +643,13 @@ def _hitting_run(config: ScenarioConfig, task: Dict[str, Any]):
     eta = task["fraction"] * delta
     geometry = compute_level_geometry(potential, eta=eta)
     target = geometry.mid_level_set()
-    x_start = potential.argmin
     base = task["cell"] * config.replicas
-    cap = config.horizon
-    values = []
-    censored = []
-    for rep in range(task["lo"], task["hi"]):
-        seed = derive_replica_seed(config.root_seed, base + rep)
-        if task["process"] == "pdmp":
-            log = simulate_pdmp(potential, config.lam,
-                                PdmpState(x_start, 0.0, config.y0), cap,
-                                seed=seed, until=[target])
-            if log.hit_time is None:
-                values.append(cap)
-                censored.append(True)
-            else:
-                values.append(float(log.hit_time))
-                censored.append(False)
-        else:
-            traj = simulate_diffusion(
-                potential, DiffusionState(x_start, 0.0), cap, dt=config.dt,
-                seed=seed, record_every=config.option("record_every", 10))
-            hits = np.flatnonzero(target.indicator(traj.x))
-            if hits.size == 0:
-                values.append(cap)
-                censored.append(True)
-            else:
-                values.append(float(traj.times[hits[0]]))
-                censored.append(False)
+    seeds = [derive_replica_seed(config.root_seed, base + rep)
+             for rep in range(task["lo"], task["hi"])]
+    values, censored = hitting_times(
+        potential, task["process"], potential.argmin, target, config.horizon,
+        seeds=seeds, lam=config.lam, y0=config.y0, dt=config.dt,
+        record_every=config.option("record_every", 10))
     return {"process": task["process"], "fraction": task["fraction"],
             "eta": eta, "kappa": base_geometry.kappa,
             "values": values, "censored": censored}

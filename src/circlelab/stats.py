@@ -1,12 +1,12 @@
-"""Estimators and property checks over trajectories and event logs.
+"""Estimators over trajectories and event logs.
 
 The estimators here turn simulation output into the quantities the rest
 of the package reasons about: occupation histograms and total-variation
 distances between them, hitting/escape probabilities with Wilson
-intervals and the explicit escape bounds, exponential-moment and drift
-diagnostics for the interaction coordinate, stochastic-dominance
-comparisons, convergence detection toward trap points, and a local
-minorization probe over a grid of starts.
+intervals and the explicit escape bounds, convergence detection toward
+trap points, and the per-chunk cores of the scenario estimators
+(exponential drift moments, Doeblin box hits and hitting times), each of
+which takes the seeds of its replicas explicitly.
 """
 
 from __future__ import annotations
@@ -14,18 +14,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .angles import TWO_PI, ArcSet, circle_dist, wrap
 from .diffusion import (
+    DiffusionState,
     EnsembleTrajectories,
     Trajectory,
     _seed_tuple,
     _simulate_recorded,
     _validate_grid,
     run_exit_trials,
+    simulate_diffusion,
     simulate_diffusion_ensemble,
 )
 from .errors import BinMismatchError, HypothesisWarning
@@ -38,40 +40,22 @@ __all__ = [
     "DEFAULT_X_BINS",
     "DEFAULT_U_BINS",
     "DEFAULT_U_RANGE",
-    "DOMINANCE_A",
-    "DOMINANCE_B",
-    "DOMINANCE_BOTH",
-    "DOMINANCE_CROSSING",
     "EmpiricalHistogram",
     "EscapeEstimate",
-    "HittingEntry",
-    "HittingSample",
-    "DriftReport",
-    "MomentEntry",
     "wilson_interval",
     "occupation_histogram",
     "tv_distance",
-    "hitting_time",
     "estimate_escape",
     "escape_bound",
-    "exponential_moment_scan",
-    "ecdf_dominance",
     "detect_convergence",
-    "eta_schedule",
-    "fit_rate",
     "drift_samples",
-    "lyapunov_drift_check",
-    "doeblin_probe",
+    "doeblin_hits",
+    "hitting_times",
 ]
 
 DEFAULT_X_BINS = 64
 DEFAULT_U_BINS = 40
 DEFAULT_U_RANGE = (-12.0, 12.0)
-
-DOMINANCE_A = "A<=B"
-DOMINANCE_B = "B<=A"
-DOMINANCE_BOTH = "both"
-DOMINANCE_CROSSING = "crossing"
 
 _Z95 = 1.959963984540054
 
@@ -334,87 +318,6 @@ def tv_distance(h1: EmpiricalHistogram, h2: EmpiricalHistogram) -> float:
     return 0.5 * float(np.abs(h1.masses - h2.masses).sum())
 
 
-@dataclass(frozen=True)
-class HittingEntry:
-    """One hitting-time observation, possibly right-censored at the cap."""
-
-    value: float
-    censored: bool
-
-
-@dataclass(frozen=True)
-class HittingSample:
-    """A batch of hitting times with censoring flags."""
-
-    values: np.ndarray
-    censored: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        c = np.asarray(self.censored, dtype=bool)
-        if v.shape != c.shape or v.ndim != 1:
-            raise ValueError("values and censored must be matching 1-d arrays")
-        if np.any(v < 0.0):
-            raise ValueError("hitting times must be nonnegative")
-        v.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "censored", c)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[HittingEntry]) -> "HittingSample":
-        return cls(np.array([e.value for e in entries], dtype=float),
-                   np.array([e.censored for e in entries], dtype=bool))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def uncensored_fraction(self) -> float:
-        if self.values.size == 0:
-            return 1.0
-        return 1.0 - float(self.censored.mean())
-
-
-def _first_entry_time_eventlog(log: EventLog, target: ArcSet):
-    for t0, t1, x0, _, y in log.segments():
-        s = target.first_entry(x0, y, max_travel=t1 - t0)
-        if s is not None:
-            return t0 + s
-    return None
-
-
-def hitting_time(simulate: Callable, start, target, cap: float) -> HittingEntry:
-    """First time the simulated path enters the target, censored at cap.
-
-    `simulate(start, cap)` must return a Trajectory or an EventLog.  The
-    target is an ArcSet (position target; resolved exactly on event-log
-    segments, at recording resolution on trajectories) or a predicate
-    `target(x, u) -> bool` evaluated on recorded rows.
-    """
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
-    path = simulate(start, cap)
-    if isinstance(path, EventLog) and isinstance(target, ArcSet):
-        if path.hit_time is not None:
-            return HittingEntry(float(path.hit_time), False)
-        t = _first_entry_time_eventlog(path, target)
-        return HittingEntry(cap, True) if t is None else HittingEntry(float(t), False)
-    if isinstance(path, (Trajectory, EventLog)):
-        x = path.x
-        u = path.u
-        if isinstance(target, ArcSet):
-            hits = target.indicator(x)
-        else:
-            hits = np.array([bool(target(float(a), float(b)))
-                             for a, b in zip(x, u)])
-        idx = np.flatnonzero(hits)
-        if idx.size == 0:
-            return HittingEntry(cap, True)
-        return HittingEntry(float(path.times[idx[0]]), False)
-    raise TypeError("simulate must return a Trajectory or EventLog")
-
-
 def escape_bound(process: str, potential: PeriodicPotential, M: float,
                  eta: float, lam: Optional[float] = None) -> float:
     """Explicit escape-probability bound K(M) e^{-c eta M} per process."""
@@ -527,16 +430,6 @@ def estimate_escape(potential: PeriodicPotential, geometry: LevelGeometry,
                           float(M), float(eta), process, censored)
 
 
-@dataclass(frozen=True)
-class MomentEntry:
-    """One row of an exponential-moment scan."""
-
-    theta: float
-    estimate: float
-    std_error: float
-    tail_flag: bool
-
-
 def _tail_heavy(exp_values: np.ndarray) -> bool:
     """True when the top 1% of terms carries over half the estimate."""
     n = exp_values.size
@@ -544,58 +437,6 @@ def _tail_heavy(exp_values: np.ndarray) -> bool:
     top = np.sort(exp_values)[-k:]
     total = exp_values.sum()
     return bool(total > 0.0 and top.sum() > 0.5 * total)
-
-
-def exponential_moment_scan(sample: HittingSample,
-                            thetas: Sequence[float]) -> List[MomentEntry]:
-    """Monte Carlo E[e^{theta Z}] per theta, with heavy-tail flags.
-
-    Censored values enter as recorded (lower bounds), so a sample with
-    more than 1% censoring is reported with a warning.
-    """
-    if len(sample) == 0:
-        raise ValueError("sample is empty")
-    if sample.uncensored_fraction < 0.99:
-        warnings.warn("more than 1% of the sample is censored; moment "
-                      "estimates are biased low", HypothesisWarning)
-    out = []
-    values = sample.values
-    n = values.size
-    for theta in thetas:
-        ev = np.exp(float(theta) * values)
-        est = float(ev.mean())
-        se = float(ev.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-        out.append(MomentEntry(float(theta), est, se, _tail_heavy(ev)))
-    return out
-
-
-def _ecdf_on_grid(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    sorted_s = np.sort(sample)
-    return np.searchsorted(sorted_s, grid, side="right") / sorted_s.size
-
-
-def ecdf_dominance(sample_a, sample_b, tol: float = 0.0) -> str:
-    """Stochastic-order verdict from empirical CDFs on the pooled grid.
-
-    A is stochastically smaller than B when its CDF dominates pointwise;
-    `tol` is the allowed band (pass a DKW width for a noise-aware check).
-    """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
-    grid = np.union1d(a, b)
-    fa = _ecdf_on_grid(a, grid)
-    fb = _ecdf_on_grid(b, grid)
-    a_smaller = bool(np.all(fa - fb >= -tol))
-    b_smaller = bool(np.all(fb - fa >= -tol))
-    if a_smaller and b_smaller:
-        return DOMINANCE_BOTH
-    if a_smaller:
-        return DOMINANCE_A
-    if b_smaller:
-        return DOMINANCE_B
-    return DOMINANCE_CROSSING
 
 
 def detect_convergence(path, landscape: CriticalLandscape, window: float,
@@ -630,63 +471,6 @@ def detect_convergence(path, landscape: CriticalLandscape, window: float,
     return None
 
 
-def eta_schedule(j: int, delta: float) -> float:
-    """Shrinking level schedule min(4 ln(1+j)/(1+j), delta)."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return min(4.0 * math.log(1.0 + j) / (1.0 + j), delta)
-
-
-def fit_rate(series, n_grid: Sequence[int], floor: float = 1e-9) -> int:
-    """Best exponent n for d(t) ~ (ln t / t)^(1/n) by intercept-only fits.
-
-    For each n the slope is fixed at 1/n and only the intercept is free;
-    the n with the smallest mean squared residual of log d against
-    (1/n) log(ln t / t) wins.  Distances are clipped at `floor`.
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise ValueError("series must be an (m, 2) array of (t, d) pairs")
-    t = arr[:, 0]
-    d = np.maximum(arr[:, 1], floor)
-    if np.any(t <= 1.0):
-        raise ValueError("fit needs t > 1 (past burn-in)")
-    log_d = np.log(d)
-    log_rate = np.log(np.log(t) / t)
-    best_n, best_res = None, math.inf
-    for n in n_grid:
-        if n <= 0:
-            raise ValueError("n grid must be positive")
-        x = log_rate / float(n)
-        resid = log_d - x
-        resid = resid - resid.mean()
-        mse = float(np.mean(resid ** 2))
-        if mse < best_res:
-            best_res, best_n = mse, int(n)
-    return best_n
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Exponential-moment drift diagnostics per starting u0."""
-
-    kappa: float
-    t: float
-    u0_grid: np.ndarray
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    ratios: np.ndarray
-    tail_flags: np.ndarray
-    c_fit: float
-    passes: bool
-
-    def __post_init__(self):
-        if np.any(~np.isfinite(self.estimates)) or np.any(self.estimates <= 0):
-            raise ValueError("estimates must be positive and finite")
-
-
 def drift_samples(potential: PeriodicPotential, kappa: float, x0: float,
                   u0: float, ts: Sequence[float], *, dt: float,
                   seeds: Sequence[int]) -> np.ndarray:
@@ -706,83 +490,70 @@ def drift_samples(potential: PeriodicPotential, kappa: float, x0: float,
     return np.exp(kappa * np.abs(u_t))
 
 
-def lyapunov_drift_check(potential: PeriodicPotential, kappa: float, t: float,
-                         u0_grid: Sequence[float], reps: int, *,
-                         landscape: Optional[CriticalLandscape] = None,
-                         x0: float = 0.0, dt: float = 1e-3,
-                         root_seed: int = 0) -> DriftReport:
-    """Estimate E[e^{kappa |U_t|}] per u0 and compare to e^{kappa |u0|}.
 
-    The report passes when the ratio at the largest |u0| is at most 3/4.
-    Warns when the trap set is nonempty (the drift inequality is a
-    no-trap statement).
+
+def doeblin_hits(potential: PeriodicPotential, process: str, x0: float,
+                 u0: float, box, t: float, *, seeds: Sequence[int],
+                 lam: float, y0: int, dt: float) -> int:
+    """How many replicas started at (x0, u0) are in the box at time t.
+
+    `box` is (x_lo, x_hi, u_lo, u_hi), the x part read as a circular
+    arc.  The diffusion runs all seeds as one ensemble of step dt; the
+    velocity-jump process runs one path per seed from velocity y0 at
+    rate lam.
     """
-    if kappa <= 0.0 or t <= 0.0 or reps <= 0:
-        raise ValueError("kappa, t, and reps must be positive")
-    if landscape is not None and landscape.traps:
-        warnings.warn("drift check called with a nonempty trap set",
-                      HypothesisWarning)
-    u0_grid = np.asarray(u0_grid, dtype=float)
-    estimates = np.empty(u0_grid.size)
-    std_errors = np.empty(u0_grid.size)
-    tail_flags = np.zeros(u0_grid.size, dtype=bool)
-    for i, u0 in enumerate(u0_grid):
-        seeds = derive_replica_seeds(derive_replica_seeds(root_seed, i + 1)[-1],
-                                     reps)
-        ev = drift_samples(potential, kappa, x0, float(u0), (t,), dt=dt,
-                           seeds=seeds)[0]
-        estimates[i] = float(ev.mean())
-        std_errors[i] = float(ev.std(ddof=1) / math.sqrt(reps))
-        tail_flags[i] = _tail_heavy(ev)
-    baseline = np.exp(kappa * np.abs(u0_grid))
-    ratios = estimates / baseline
-    c_fit = float(np.max(estimates - 0.75 * baseline))
-    largest = int(np.argmax(np.abs(u0_grid)))
-    passes = bool(ratios[largest] <= 0.75)
-    return DriftReport(float(kappa), float(t), u0_grid, estimates, std_errors,
-                       ratios, tail_flags, c_fit, passes)
+    x_lo, x_hi, u_lo, u_hi = box
+    arc = ArcSet.from_endpoints([(x_lo, x_hi)])
+    if process == "diffusion":
+        n_steps = int(round(t / dt))
+        ens = simulate_diffusion_ensemble(
+            potential, x0, u0, t, dt=dt, seeds=seeds, record_every=n_steps)
+        in_box = arc.indicator(ens.x[:, -1]) \
+            & (ens.u[:, -1] >= u_lo) & (ens.u[:, -1] <= u_hi)
+        return int(in_box.sum())
+    hits = 0
+    for s in seeds:
+        log = simulate_pdmp(potential, lam, PdmpState(x0, u0, y0), t,
+                            seed=int(s))
+        term = log.terminal_state
+        if arc.contains(term.x) and u_lo <= term.u <= u_hi:
+            hits += 1
+    return hits
 
 
-def doeblin_probe(potential: PeriodicPotential, starts, box, t: float,
-                  reps: int, *, process: str = "diffusion", lam: float = 1.0,
-                  dt: float = 1e-3, root_seed: int = 0):
-    """Minimum over starts of P(Z_t in box), with its Wilson interval.
+def hitting_times(potential: PeriodicPotential, process: str, x_start: float,
+                  target: ArcSet, cap: float, *, seeds: Sequence[int],
+                  lam: float, y0: int, dt: float, record_every: int
+                  ) -> Tuple[List[float], List[bool]]:
+    """First entry time into target of each replica started at (x_start, 0).
 
-    `starts` is a sequence of (x, u) pairs (diffusion) or PdmpState
-    (velocity-jump); `box` is ((x_lo, x_hi), (u_lo, u_hi)) with the x part
-    read as a circular arc.  Returns (min_estimate, interval, per_start).
+    Returns (values, censored), one entry per seed: a replica that has not
+    entered by cap gets the value cap and censored True.  The
+    velocity-jump entry (rate lam, velocity y0) is exact; the diffusion's
+    is the first recorded row inside the target, every `record_every`
+    steps of size dt.
     """
-    (x_lo, x_hi), (u_lo, u_hi) = box
-    if u_hi <= u_lo:
-        raise ValueError("box must have positive u-height")
-    arc = ArcSet.from_endpoints([(float(x_lo), float(x_hi))])
-    if arc.total_length() <= 0.0:
-        raise ValueError("box must have positive arc width")
-    if t <= 0.0 or reps <= 0:
-        raise ValueError("t and reps must be positive")
-    per_start = []
-    for i, start in enumerate(starts):
-        seeds = derive_replica_seeds(derive_replica_seeds(root_seed, i + 1)[-1],
-                                     reps)
-        if process == "diffusion":
-            x0, u0 = float(start[0]), float(start[1])
-            n_steps = int(round(t / dt))
-            ens = simulate_diffusion_ensemble(potential, x0, u0, t, dt=dt,
-                                              seeds=seeds,
-                                              record_every=n_steps)
-            in_box = arc.indicator(ens.x[:, -1]) \
-                & (ens.u[:, -1] >= u_lo) & (ens.u[:, -1] <= u_hi)
-            hits = int(in_box.sum())
-        elif process == "pdmp":
-            hits = 0
-            for s in seeds:
-                log = simulate_pdmp(potential, lam, start, t, seed=int(s))
-                term = log.terminal_state
-                if arc.contains(term.x) and u_lo <= term.u <= u_hi:
-                    hits += 1
+    values = []
+    censored = []
+    for seed in seeds:
+        if process == "pdmp":
+            log = simulate_pdmp(potential, lam, PdmpState(x_start, 0.0, y0),
+                                cap, seed=seed, until=[target])
+            if log.hit_time is None:
+                values.append(cap)
+                censored.append(True)
+            else:
+                values.append(float(log.hit_time))
+                censored.append(False)
         else:
-            raise ValueError("process must be 'diffusion' or 'pdmp'")
-        per_start.append((hits / reps, wilson_interval(hits, reps)))
-    estimates = [p for p, _ in per_start]
-    k = int(np.argmin(estimates))
-    return estimates[k], per_start[k][1], per_start
+            traj = simulate_diffusion(
+                potential, DiffusionState(x_start, 0.0), cap, dt=dt,
+                seed=seed, record_every=record_every)
+            hits = np.flatnonzero(target.indicator(traj.x))
+            if hits.size == 0:
+                values.append(cap)
+                censored.append(True)
+            else:
+                values.append(float(traj.times[hits[0]]))
+                censored.append(False)
+    return values, censored

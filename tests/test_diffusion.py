@@ -11,7 +11,6 @@ from circlelab.angles import TWO_PI
 from circlelab.diffusion import (
     DiffusionState,
     analytic_escape_probability,
-    em_step,
     run_exit_trials,
     simulate_diffusion,
     simulate_diffusion_ensemble,
@@ -20,7 +19,7 @@ from circlelab.diffusion import (
 from circlelab.errors import MonotonicityError
 from circlelab.landscape import compute_level_geometry
 from circlelab.potential import PeriodicPotential
-from circlelab.seeding import derive_replica_seeds
+from circlelab.seeding import derive_replica_seeds, generators_from_seeds
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
@@ -31,28 +30,35 @@ ODD_HARMONIC = PeriodicPotential(0.1, ((1, 1.0, 0.0), (3, 0.3, 0.0)))
 
 
 class TestEmStep:
+    """A one-step simulate_diffusion run is one Euler-Maruyama step,
+    x' = x + sqrt(dt) g - (u F'(x)) dt, u' = u + F(x) dt, with g the first
+    normal draw of the seed's stream."""
+
+    @staticmethod
+    def _one_step(x0, u0, dt, seed=3):
+        traj = simulate_diffusion(COSINE, DiffusionState(x0, u0), dt, dt=dt,
+                                  seed=seed, record_every=1)
+        g = generators_from_seeds((seed,))[0].standard_normal()
+        return float(traj.x[-1]), float(traj.u[-1]), math.sqrt(dt) * g
+
     def test_flat_derivative_at_maximum(self):
-        out = em_step(COSINE, DiffusionState(0.0, 0.0), 1e-3, 1.7)
-        assert out.x == (1.7 * math.sqrt(1e-3)) % TWO_PI
-        assert out.u == 1e-3
+        x, u, noise = self._one_step(0.0, 0.0, 1e-3)
+        assert x == noise % TWO_PI
+        assert u == 1e-3
 
     def test_flat_derivative_at_minimum(self):
-        out = em_step(COSINE, DiffusionState(math.pi, 5.0), 1e-3, 0.0)
-        assert out.x == math.pi
-        assert out.u == 5.0 - 1e-3
+        x, u, noise = self._one_step(math.pi, 5.0, 1e-3)
+        assert x == pytest.approx((math.pi + noise) % TWO_PI, abs=1e-15)
+        assert u == 5.0 - 1e-3
 
     def test_pure_drift_at_zero_of_potential(self):
-        out = em_step(COSINE, DiffusionState(math.pi / 2, 2.0), 1e-3, 0.0)
-        assert out.x == math.pi / 2 + 2e-3
-        assert out.u == 2.0
+        x, u, noise = self._one_step(math.pi / 2, 2.0, 1e-3)
+        assert x == pytest.approx(math.pi / 2 + 2e-3 + noise, abs=1e-15)
+        assert u == 2.0
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            em_step(COSINE, DiffusionState(0.0, 0.0), 0.0, 0.0)
-
-    def test_tiny_negative_position_folds_to_zero(self):
-        out = em_step(COSINE, DiffusionState(0.0, 0.0), 1e-6, -1e-14)
-        assert out.x == 0.0
+        with pytest.raises(ValueError, match="dt"):
+            simulate_diffusion(COSINE, DiffusionState(0.0, 0.0), 1.0, dt=0.0)
 
 
 class TestSimulate:

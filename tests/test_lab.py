@@ -178,6 +178,10 @@ class TestScenarioConfig:
         ("t_grid", [10.0, -5.0]), ("t_grid", "5 0"),
         ("save_paths", -1), ("save_paths", "-2"),
         ("record_every", 0), ("record_every", -3), ("record_every", "0"),
+        ("grid_points", 0), ("grid_points", -3),
+        ("box", "1 2 3"), ("box", "1 2 3 4 5"), ("box", "0 1 2 2"),
+        ("box", "1 2 3 1"), ("box", "1 1 -2 2"), ("box", "10 1 -2 2"),
+        ("box", [1.0, 2.0, 3.0, 3.0]),
     ])
     def test_option_out_of_bounds_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"field '{field}': must be"):
@@ -188,9 +192,39 @@ class TestScenarioConfig:
         config = scenario_from_dict({
             "kind": "drift", "potential": COSINE_RECORD,
             "options": {"kappa": 1e-9, "t_grid": "0.5", "save_paths": 0,
-                        "record_every": 1}})
+                        "record_every": 1, "grid_points": 1,
+                        "box": [5.0, 1.0, -1.0, -0.5]}})
         assert config.option("t_grid", None) == (0.5,)
         assert config.option("save_paths", None) == 0
+        assert config.option("box", None) == (5.0, 1.0, -1.0, -0.5)
+
+    @pytest.mark.parametrize("field", ["replicas", "y0", "root_seed",
+                                       "record_every", "save_paths",
+                                       "grid_points"])
+    @pytest.mark.parametrize("value", [2.7, 1.9, -0.5, math.nan, math.inf,
+                                       "2.5"])
+    def test_fractional_integer_rejected(self, field, value):
+        data = {"kind": "doeblin", "potential": COSINE_RECORD}
+        if field in ("replicas", "y0", "root_seed"):
+            data[field] = value
+        else:
+            data["options"] = {field: value}
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("form", [int, str, float],
+                             ids=["int", "str", "float"])
+    def test_integral_values_parse_as_before(self, form):
+        def build(conv):
+            return scenario_from_dict({
+                "kind": "doeblin", "potential": COSINE_RECORD,
+                "replicas": conv(3), "y0": conv(-1), "root_seed": conv(7),
+                "options": {"record_every": conv(2), "save_paths": conv(0),
+                            "grid_points": conv(9)}})
+        config = build(form)
+        assert config.to_dict() == build(int).to_dict()
+        assert config.config_hash() == build(int).config_hash()
+        assert type(config.replicas) is int
 
     def test_hash_ignores_out_dir_only(self):
         a = scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,

@@ -21,7 +21,6 @@ from circlelab import (
     classify_landscape,
     compute_level_geometry,
     compute_level_margin,
-    escape_covers_high_ground,
     find_critical_points,
     validate_assumptions,
 )
@@ -300,7 +299,14 @@ class TestLevelGeometry:
         assert region.contains(lo) and region.contains(hi)  # closed boundary shared
 
     def test_escape_covers_high_ground_without_traps(self):
-        assert escape_covers_high_ground(COSINE)
+        # With no traps, {F >= -delta} lies inside the escape region at
+        # eta = delta.
+        delta = compute_level_margin(COSINE)
+        geom = compute_level_geometry(COSINE, delta=delta, eta=delta)
+        xs = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        high = xs[COSINE.value(xs) >= -delta + 1e-9]
+        assert high.size > 0
+        assert np.all(geom.escape_region().indicator(high))
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):

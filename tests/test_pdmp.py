@@ -16,7 +16,6 @@ from circlelab.pdmp import (
     CAUSE_LANDSCAPE,
     PdmpState,
     jump_time_cdf_oracle,
-    local_rate,
     sample_landscape_time,
     sample_next_event,
     segment_u,
@@ -31,27 +30,40 @@ MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
 
 
 class TestLocalRate:
+    """The total jump intensity lam + (y * u * F'(x))_+ at a state, read off
+    the oracle's first-jump CDF as -log(1 - P(theta <= h)) / h at tiny h."""
+
+    @staticmethod
+    def _rate(lam, state, h=1e-8):
+        cdf = jump_time_cdf_oracle(COSINE, lam, state.x, state.y, state.u,
+                                   [h], subintervals=2)
+        return -math.log1p(-float(cdf[0])) / h
+
     def test_negative_part_clips_to_constant(self):
         # F' = -sin, so at x = pi/2 the product y*u*F' = -3 is clipped.
         state = PdmpState(math.pi / 2, 3.0, 1)
-        assert local_rate(COSINE, 1.0, state) == pytest.approx(1.0, abs=1e-12)
+        assert self._rate(1.0, state) == pytest.approx(1.0, rel=1e-6)
 
     def test_positive_part_adds_to_constant(self):
         # At x = 3*pi/2, F' = 1, so the landscape term contributes 3.
         state = PdmpState(3 * math.pi / 2, 3.0, 1)
-        assert local_rate(COSINE, 1.0, state) == pytest.approx(4.0, abs=1e-12)
+        assert self._rate(1.0, state) == pytest.approx(4.0, rel=1e-6)
 
     def test_zero_interaction_gives_bare_rate(self):
         state = PdmpState(1.3, 0.0, -1)
-        assert local_rate(COSINE, 0.7, state) == 0.7
+        assert self._rate(0.7, state) == pytest.approx(0.7, rel=1e-6)
 
     def test_nonpositive_lam_rejected(self):
-        with pytest.raises(ValueError):
-            local_rate(COSINE, 0.0, PdmpState(0.0, 0.0, 1))
+        # The simulator's clock needs a bare rate lam > 0 at every state.
+        gen = generator_from_seed(0)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                sample_next_event(COSINE, lam, PdmpState(0.0, 0.0, 1), gen)
 
     def test_nan_lam_rejected(self):
+        gen = generator_from_seed(0)
         with pytest.raises(ValueError, match="lam"):
-            local_rate(COSINE, math.nan, PdmpState(1.0, 0.5, 1))
+            sample_next_event(COSINE, math.nan, PdmpState(1.0, 0.5, 1), gen)
 
 
 class TestSegmentU:

@@ -1,7 +1,6 @@
 """Tests for the estimators and property checks."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -28,25 +27,15 @@ from circlelab.pdmp import (
     simulate_pdmp_driven,
 )
 from circlelab.potential import PeriodicPotential
+from circlelab.seeding import derive_replica_seeds
 from circlelab.stats import (
-    DOMINANCE_A,
-    DOMINANCE_B,
-    DOMINANCE_BOTH,
-    DOMINANCE_CROSSING,
     EmpiricalHistogram,
-    HittingEntry,
-    HittingSample,
     detect_convergence,
-    doeblin_probe,
+    doeblin_hits,
     drift_samples,
-    ecdf_dominance,
     escape_bound,
     estimate_escape,
-    eta_schedule,
-    exponential_moment_scan,
-    fit_rate,
-    hitting_time,
-    lyapunov_drift_check,
+    hitting_times,
     occupation_histogram,
     tv_distance,
     wilson_interval,
@@ -56,6 +45,7 @@ from circlelab.stats import (
     _accumulate,
     _bin_u,
     _bin_x,
+    _tail_heavy,
 )
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
@@ -381,46 +371,32 @@ class TestTvDistance:
 
 
 class TestHittingTime:
+    KW = dict(lam=1.0, y0=1, dt=1e-3, record_every=10)
+
     def test_start_inside_is_zero(self):
         target = ArcSet.from_endpoints([(0.0, 1.0)])
-        sim = lambda z0, cap: simulate_pdmp(COSINE, 1.0, z0, cap, seed=4,
-                                            until=[target])
-        entry = hitting_time(sim, PdmpState(0.5, 0.0, 1), target, 10.0)
-        assert entry == HittingEntry(0.0, False)
+        for process in ("diffusion", "pdmp"):
+            got = hitting_times(COSINE, process, 0.5, target, 10.0,
+                                seeds=[4], **self.KW)
+            assert got == ([0.0], [False])
 
     def test_pdmp_exact_first_entry(self):
         # No flip happens before reaching the target edge for this seed, so
         # the unit-speed travel time to pi - 0.2 is exact.
         target = ArcSet.from_endpoints([(math.pi - 0.2, math.pi + 0.2)])
-        sim = lambda z0, cap: simulate_pdmp(COSINE, 1.0, z0, cap, seed=9,
-                                            until=[target])
-        entry = hitting_time(sim, PdmpState(0.0, 0.0, 1), target, 100.0)
-        assert not entry.censored
-        assert entry.value == pytest.approx(math.pi - 0.2, abs=1e-12)
+        (value,), (censored,) = hitting_times(COSINE, "pdmp", 0.0, target,
+                                              100.0, seeds=[9], **self.KW)
+        assert not censored
+        assert value == pytest.approx(math.pi - 0.2, abs=1e-12)
 
     def test_censored_at_cap(self):
+        # Nearly half a turn away: unit speed or Brownian noise of scale
+        # sqrt(0.05) cannot get there by the cap.
         target = ArcSet.from_endpoints([(0.0, 0.1)])
-        sim = lambda z0, cap: simulate_diffusion(
-            COSINE, z0, cap, dt=1e-3, seed=1, record_every=10)
-        never = lambda x, u: False
-        entry = hitting_time(sim, DiffusionState(3.0, 0.0), never, 2.0)
-        assert entry.censored and entry.value == 2.0
-
-    def test_predicate_on_diffusion_rows(self):
-        sim = lambda z0, cap: simulate_diffusion(
-            COSINE, z0, cap, dt=1e-3, seed=1, record_every=10)
-        entry = hitting_time(sim, DiffusionState(3.0, 0.0),
-                             lambda x, u: abs(u) > 0.2, 50.0)
-        assert not entry.censored
-        assert 0.0 < entry.value < 50.0
-
-    def test_sample_container(self):
-        s = HittingSample.from_entries([HittingEntry(1.0, False),
-                                        HittingEntry(5.0, True)])
-        assert len(s) == 2
-        assert s.uncensored_fraction == 0.5
-        with pytest.raises(ValueError):
-            HittingSample(np.array([-1.0]), np.array([False]))
+        for process in ("diffusion", "pdmp"):
+            got = hitting_times(COSINE, process, 3.0, target, 0.05,
+                                seeds=[1, 2, 3], **self.KW)
+            assert got == ([0.05] * 3, [True] * 3)
 
 
 class TestEscape:
@@ -468,54 +444,16 @@ class TestEscape:
             estimate_escape(COSINE, self.GEO, 16.0, 0.2, 4)
 
 
-class TestMomentScan:
-    def test_constant_sample_exact(self):
-        s = HittingSample(np.full(50, 2.0), np.zeros(50, dtype=bool))
-        out = exponential_moment_scan(s, [0.0, 0.5, 1.0])
-        assert out[0].estimate == pytest.approx(1.0, abs=1e-15)
-        assert out[1].estimate == pytest.approx(math.e, rel=1e-12)
-        assert out[2].estimate == pytest.approx(math.e ** 2, rel=1e-12)
-        assert not any(e.tail_flag for e in out)
-
-    def test_exponential_closed_form(self):
-        rng = np.random.default_rng(3)
-        s = HittingSample(rng.standard_exponential(100_000),
-                          np.zeros(100_000, dtype=bool))
-        entry = exponential_moment_scan(s, [0.5])[0]
-        assert abs(entry.estimate - 2.0) <= 3 * entry.std_error
-        assert not entry.tail_flag
-
+class TestTailFlag:
     def test_divergent_moment_flagged(self):
+        # E[e^{Z}] diverges for Z ~ Exp(1): a few terms carry the mean.
         rng = np.random.default_rng(3)
-        s = HittingSample(rng.standard_exponential(100_000),
-                          np.zeros(100_000, dtype=bool))
-        assert exponential_moment_scan(s, [1.0])[0].tail_flag
+        assert _tail_heavy(np.exp(rng.standard_exponential(100_000)))
 
-    def test_censoring_warning(self):
-        s = HittingSample(np.ones(10), np.array([True] + [False] * 9))
-        with pytest.warns(HypothesisWarning):
-            exponential_moment_scan(s, [0.1])
-
-
-class TestDominance:
-    def test_shifted_sample_dominates(self):
-        assert ecdf_dominance([1, 2, 3], [2, 3, 4]) == DOMINANCE_A
-
-    def test_self_comparison_both(self):
-        rng = np.random.default_rng(0)
-        a = rng.random(100)
-        assert ecdf_dominance(a, a) == DOMINANCE_BOTH
-
-    def test_crossing(self):
-        assert ecdf_dominance([0.0, 10.0], [5.0, 5.0]) == DOMINANCE_CROSSING
-
-    def test_tolerance_absorbs_noise(self):
-        assert ecdf_dominance([1, 2, 3], [2, 3, 4], tol=1.0) == DOMINANCE_BOTH
-        assert ecdf_dominance([2, 3, 4], [1, 2, 3]) == DOMINANCE_B
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf_dominance([], [1.0])
+    def test_light_tail_not_flagged(self):
+        rng = np.random.default_rng(3)
+        assert not _tail_heavy(np.exp(0.5 * rng.standard_exponential(100_000)))
+        assert not _tail_heavy(np.full(50, math.e))
 
 
 class TestDetectConvergence:
@@ -553,56 +491,18 @@ class TestDetectConvergence:
             detect_convergence(log, self.LAN_MIX, 20.0, 0.15)
 
 
-class TestEtaSchedule:
-    def test_values(self):
-        assert eta_schedule(0, 1.0 / 3.0) == 0.0
-        assert eta_schedule(1, 1.0 / 3.0) == pytest.approx(1.0 / 3.0)
-        assert eta_schedule(100, 1.0 / 3.0) == pytest.approx(
-            4.0 * math.log(101.0) / 101.0, rel=1e-12)
-        assert eta_schedule(100, 1.0 / 3.0) == pytest.approx(0.18278,
-                                                             abs=1e-4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eta_schedule(1, 0.0)
-        with pytest.raises(ValueError):
-            eta_schedule(-1, 0.5)
-
-
-class TestFitRate:
-    def test_exact_recovery(self):
-        t = np.linspace(5.0, 400.0, 40)
-        for n_true, amp in ((2, 1.0), (3, 1.7)):
-            d = amp * (np.log(t) / t) ** (1.0 / n_true)
-            assert fit_rate(np.column_stack([t, d]), [1, 2, 3, 4]) == n_true
-
-    def test_noisy_recovery_within_one_step(self):
-        rng = np.random.default_rng(11)
-        t = np.linspace(5.0, 400.0, 60)
-        d = (np.log(t) / t) ** 0.5 * np.exp(0.1 * rng.standard_normal(60))
-        assert fit_rate(np.column_stack([t, d]), [1, 2, 3, 4]) in (1, 2, 3)
-
-    def test_floor_clipping(self):
-        t = np.array([10.0, 100.0])
-        d = np.array([0.0, 0.0])
-        assert fit_rate(np.column_stack([t, d]), [1, 2]) in (1, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_rate(np.array([[0.5, 1.0], [2.0, 1.0]]), [1, 2])
-        with pytest.raises(ValueError):
-            fit_rate(np.array([[2.0, 1.0]]), [1, 2])
-
-
 class TestDrift:
     def test_ratio_small_at_large_u0(self):
-        report = lyapunov_drift_check(COSINE, 0.05, 50.0, [0.0, 20.0, 60.0],
-                                      300, dt=2e-3, root_seed=3)
-        assert report.passes
-        assert report.ratios[-1] <= 0.75
+        seeds = derive_replica_seeds(3, 300)
+        estimates = [float(drift_samples(COSINE, 0.05, 0.0, u0, [50.0],
+                                         dt=2e-3, seeds=seeds).mean())
+                     for u0 in (0.0, 20.0, 60.0)]
+        ratios = [e / math.exp(0.05 * u0)
+                  for e, u0 in zip(estimates, (0.0, 20.0, 60.0))]
+        assert ratios[-1] <= 0.75
         # The deterministic bound |U_t| <= |u0| + t sup|F| caps the moment.
-        assert report.estimates[0] <= math.exp(0.05 * 1.0 * 50.0)
-        assert report.ratios[0] > report.ratios[-1]
+        assert estimates[0] <= math.exp(0.05 * 1.0 * 50.0)
+        assert ratios[0] > ratios[-1]
 
     @settings(max_examples=40)
     @given(cells=st.lists(st.tuples(st.integers(2, 40), st.floats(-0.4, 0.4)),
@@ -641,47 +541,39 @@ class TestDrift:
             drift_samples(COSINE, 0.05, 0.0, 1.0, [1.0, math.nan], dt=1e-2,
                           seeds=(1,))
 
-    def test_trap_warning(self):
-        lan = classify_landscape(MIXTURE)
-        with pytest.warns(HypothesisWarning):
-            lyapunov_drift_check(MIXTURE, 0.05, 1.0, [0.0], 4, dt=1e-2,
-                                 landscape=lan, root_seed=1)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            lyapunov_drift_check(COSINE, -0.1, 1.0, [0.0], 4)
+        with pytest.raises(ValueError, match="kappa"):
+            drift_samples(COSINE, -0.1, 0.0, 1.0, [1.0], dt=1e-2, seeds=(1,))
 
 
 class TestDoeblin:
+    BOX = (math.pi - 1.0, math.pi + 1.0, -2.0, 2.0)
+
     def test_full_box_and_unreachable_box(self):
-        full, _, _ = doeblin_probe(COSINE, [(0.0, 0.0)],
-                                   ((0.0, TWO_PI - 1e-9), (-50.0, 50.0)),
-                                   5.0, 50, root_seed=2)
-        assert full == 1.0
-        none, _, _ = doeblin_probe(COSINE, [(0.0, 0.0)],
-                                   ((1.0, 1.5), (40.0, 41.0)),
-                                   5.0, 50, root_seed=2)
-        assert none == 0.0
+        seeds = derive_replica_seeds(2, 50)
+        for process in ("diffusion", "pdmp"):
+            full = doeblin_hits(COSINE, process, 0.0, 0.0,
+                                (0.0, TWO_PI - 1e-9, -50.0, 50.0), 5.0,
+                                seeds=seeds, lam=1.0, y0=1, dt=1e-3)
+            assert full == 50
+            none = doeblin_hits(COSINE, process, 0.0, 0.0,
+                                (1.0, 1.5, 40.0, 41.0), 5.0,
+                                seeds=seeds, lam=1.0, y0=1, dt=1e-3)
+            assert none == 0
 
     def test_min_probability_positive_on_grid(self):
         starts = [(x, u)
                   for x in np.linspace(0.0, TWO_PI, 4, endpoint=False)
                   for u in (-2.0, 2.0)]
-        box = ((math.pi - 1.0, math.pi + 1.0), (-2.0, 2.0))
-        m, interval, per = doeblin_probe(COSINE, starts, box, 20.0, 150,
-                                         root_seed=1)
-        assert m > 0.0
-        assert interval[0] <= m <= interval[1]
-        assert len(per) == len(starts)
+        hits = [doeblin_hits(COSINE, "diffusion", x, u, self.BOX, 20.0,
+                             seeds=derive_replica_seeds(i + 1, 150),
+                             lam=1.0, y0=1, dt=1e-3)
+                for i, (x, u) in enumerate(starts)]
+        assert min(hits) > 0
 
     def test_pdmp_process(self):
-        starts = [PdmpState(0.0, -1.0, 1), PdmpState(math.pi, 1.0, -1)]
-        box = ((math.pi - 1.0, math.pi + 1.0), (-2.0, 2.0))
-        m, _, _ = doeblin_probe(COSINE, starts, box, 20.0, 60,
-                                process="pdmp", lam=1.0, root_seed=1)
-        assert m > 0.0
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            doeblin_probe(COSINE, [(0.0, 0.0)], ((0.0, 1.0), (2.0, 2.0)),
-                          1.0, 4)
+        for i, (x, u, y) in enumerate([(0.0, -1.0, 1), (math.pi, 1.0, -1)]):
+            hits = doeblin_hits(COSINE, "pdmp", x, u, self.BOX, 20.0,
+                                seeds=derive_replica_seeds(i + 1, 60),
+                                lam=1.0, y0=y, dt=1e-3)
+            assert hits > 0
