@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
@@ -47,10 +48,16 @@ def _finite_float(value):
 
 
 def _integer(value):
-    """int(value), refusing a float that is fractional, NaN or infinite."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a bool and a float that is fractional, NaN or
+    infinite."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_perfect_square(n: int) -> bool:
+    return n >= 1 and math.isqrt(n) ** 2 == n
 
 
 def _float_list(value):
@@ -96,7 +103,8 @@ _OPTION_SPECS: Dict[str, Any] = {
     "box": _checked(_float_list, _is_box,
                     "must be x_lo, x_hi, u_lo, u_hi with u_hi > u_lo "
                     "and an arc of positive width"),
-    "grid_points": _checked(_integer, lambda v: v >= 1, "must be >= 1"),
+    "grid_points": _checked(_integer, _is_perfect_square,
+                            "must be a perfect square >= 1"),
     "tolerance": _finite_float,
     "epsilon": _finite_float,
     "u_threshold": _finite_float,
@@ -133,6 +141,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"field 'process': {self.process!r} is not one of "
                 f"{PROCESS_KINDS}")
+        for name in ("replicas", "root_seed", "y0"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ConfigError(f"field {name!r}: must be an integer, "
+                                  f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.replicas < 1:
             raise ConfigError("field 'replicas': must be >= 1")
         for name, value in (("lambda", self.lam), ("dt", self.dt),

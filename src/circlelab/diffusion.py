@@ -20,6 +20,12 @@ Conventions shared by every simulator in this module:
 - One PCG64 stream per replica, derived from that replica's seed and
   consumed only by that replica.  A replica's noise sequence is therefore
   a pure function of its seed, independent of batch grouping.
+- A replica's path is bitwise the same at every batch width.  Up to 4
+  replicas run a per-replica scalar loop, the order reference; wider
+  batches run one vector step, `_HarmonicWorkspace.em_step`, with the
+  same float operations.  The vector loops draw noise per replica in
+  blocks of steps and scale it by sqrt(dt) into a time-major buffer, so
+  each step reads one contiguous row.
 - Recording keeps step 0, every `record_every`-th step, and the final
   step.  With the default dt = 1e-3 and record_every = 100 a horizon of
   2000 yields 20001 samples per replica.
@@ -165,8 +171,8 @@ class ExitEnsemble:
 
 
 class _HarmonicWorkspace:
-    """Preallocated buffers for batched evaluation of F and F' and for the
-    vector Euler-Maruyama step."""
+    """Preallocated buffers for the vector Euler-Maruyama step of a batch
+    of n replicas, and for evaluating F' alone."""
 
     def __init__(self, potential: PeriodicPotential, n: int):
         self.a0 = float(potential.a0)
@@ -177,41 +183,52 @@ class _HarmonicWorkspace:
         self.t = np.empty(n)
         self.fv = np.empty(n)
         self.fp = np.empty(n)
-        self.dx = np.empty(n)
+        # Per harmonic, its nonzero terms as (F source, F coefficient, F'
+        # source, F' coefficient), c and s holding cos(kx) and sin(kx):
+        # a_k adds c a to F and s (-k a) to F', b_k adds s b and c (k b).
+        self.step_terms = []
+        for k, a, b in self.terms:
+            parts = []
+            if a != 0.0:
+                parts.append((self.c, a, self.s, -k * a))
+            if b != 0.0:
+                parts.append((self.s, b, self.c, k * b))
+            if parts:
+                self.step_terms.append((k, parts))
 
-    def em_step(self, x: np.ndarray, u: np.ndarray, noise: np.ndarray,
-                dt: float, sqrt_dt: float) -> None:
+    def em_step(self, x: np.ndarray, u: np.ndarray, sn: np.ndarray,
+                dt: float) -> None:
         """Advance every replica's (x, u) in place by one step of size dt,
-        with noise holding one standard normal draw per replica."""
-        fv, fp, dx = self.fv, self.fp, self.dx
-        self.eval(x, fv, fp)
+        with sn holding sqrt(dt) times one standard normal per replica.
+
+        F and F' are summed term by term in the order of `_scalar_self`;
+        the first term is written straight into fv and fp (fv then adds
+        a0), which gives the same sums as starting from a0 and 0.
+        """
+        t, fv, fp = self.t, self.fv, self.fp
+        fresh = True
+        for k, parts in self.step_terms:
+            ph = x if k == 1.0 else np.multiply(x, k, out=self.ph)
+            np.cos(ph, out=self.c)
+            np.sin(ph, out=self.s)
+            for src_f, cf, src_d, cd in parts:
+                if fresh:
+                    np.multiply(src_f, cf, out=fv)
+                    fv += self.a0
+                    np.multiply(src_d, cd, out=fp)
+                    fresh = False
+                else:
+                    np.multiply(src_f, cf, out=t)
+                    fv += t
+                    np.multiply(src_d, cd, out=t)
+                    fp += t
         fp *= u
         fp *= dt
-        np.multiply(noise, sqrt_dt, out=dx)
-        dx -= fp
-        x += dx
+        np.subtract(sn, fp, out=fp)
+        x += fp
         np.remainder(x, TWO_PI, out=x)
         fv *= dt
         u += fv
-
-    def eval(self, x: np.ndarray, fv: np.ndarray, fp: np.ndarray) -> None:
-        """Fill fv with F(x) and fp with F'(x)."""
-        fv.fill(self.a0)
-        fp.fill(0.0)
-        for k, a, b in self.terms:
-            np.multiply(x, k, out=self.ph)
-            np.cos(self.ph, out=self.c)
-            np.sin(self.ph, out=self.s)
-            if a != 0.0:
-                np.multiply(self.c, a, out=self.t)
-                fv += self.t
-                np.multiply(self.s, k * a, out=self.t)
-                fp -= self.t
-            if b != 0.0:
-                np.multiply(self.s, b, out=self.t)
-                fv += self.t
-                np.multiply(self.c, k * b, out=self.t)
-                fp += self.t
 
     def eval_derivative(self, x: np.ndarray, fp: np.ndarray) -> None:
         fp.fill(0.0)
@@ -227,10 +244,19 @@ class _HarmonicWorkspace:
                 fp += self.t
 
 
-def _noise_block_len(n_replicas: int, multiple_of: int = 1) -> int:
-    blen = max(256, min(4096, (1 << 23) // max(n_replicas, 1)))
+def _noise_buffers(n_replicas: int, multiple_of: int = 1):
+    """The replica-major draw block and the time-major step block that the
+    vector loops fill once per block of steps.
+
+    A block spans at most 2048 steps, and up to 2048 replicas the two
+    hold at most 1 << 20 floats (8 MB) together.  Wider batches keep a
+    floor of 256 steps per block, so that one standard_normal call per
+    replica per block stays amortized.
+    """
+    blen = max(256, min(2048, (1 << 19) // max(n_replicas, 1)))
     blen -= blen % multiple_of
-    return max(blen, multiple_of)
+    blen = max(blen, multiple_of)
+    return np.empty((n_replicas, blen)), np.empty((blen, n_replicas))
 
 
 def _as_replica_array(value, n: int, name: str) -> np.ndarray:
@@ -260,9 +286,11 @@ def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
 
 
 def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
-    # F and F' are summed in the order of _HarmonicWorkspace.eval, zero
-    # coefficients skipped, so a replica's path is bitwise the same here
-    # as in a vector batch of any width.
+    # The order reference for every potential: F and F' are summed
+    # harmonic by harmonic, zero coefficients skipped, and
+    # _HarmonicWorkspace.em_step does the same float operations, so a
+    # replica's path is bitwise the same here as in a vector batch of any
+    # width.
     a0 = float(potential.a0)
     terms = [(float(k), float(a), float(k) * float(a), float(b),
               float(k) * float(b)) for k, a, b in potential.harmonics]
@@ -317,8 +345,7 @@ def _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u):
     n = x.size
     ws = _HarmonicWorkspace(potential, n)
     sqrt_dt = math.sqrt(dt)
-    blen = _noise_block_len(n)
-    block = np.empty((n, blen))
+    block, steps = _noise_buffers(n)
     out_x[:, 0] = x
     out_u[:, 0] = u
     marks = rec_steps.tolist()
@@ -326,10 +353,11 @@ def _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u):
     rec = 1
     step = 0
     while step < n_steps:
-        m = min(blen, n_steps - step)
+        m = min(steps.shape[0], n_steps - step)
         _fill_noise(block, gens, m)
-        for i in range(m):
-            ws.em_step(x, u, block[:, i], dt, sqrt_dt)
+        np.multiply(block[:, :m].T, sqrt_dt, out=steps[:m])
+        for sn in steps[:m]:
+            ws.em_step(x, u, sn, dt)
             step += 1
             if step == marks[rec]:
                 out_x[:, rec] = x
@@ -438,24 +466,21 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     us = [_as_replica_array(u0, n, "u0") for _ in dt_levels]
     gens = generators_from_seeds(seeds)
     ws = _HarmonicWorkspace(potential, n)
-    blen = _noise_block_len(n, multiple_of=lcm)
-    block = np.empty((n, blen))
+    block, steps = _noise_buffers(n, multiple_of=lcm)
     step = 0
     while step < n_steps_f:
-        m = min(blen, n_steps_f - step)
+        m = min(steps.shape[0], n_steps_f - step)
         _fill_noise(block, gens, m)
         for lvl, f in enumerate(factors):
             dt = dt_levels[lvl]
-            sqrt_dt = math.sqrt(dt)
             if f == 1:
                 coarse = block[:, :m]
             else:
                 coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
                 coarse *= 1.0 / math.sqrt(f)
-            x = xs[lvl]
-            u = us[lvl]
-            for i in range(m // f):
-                ws.em_step(x, u, coarse[:, i], dt, sqrt_dt)
+            np.multiply(coarse.T, math.sqrt(dt), out=steps[:m // f])
+            for sn in steps[:m // f]:
+                ws.em_step(xs[lvl], us[lvl], sn, dt)
         step += m
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
 

@@ -80,6 +80,7 @@ class PeriodicPotential:
         object.__setattr__(self, "_deriv_cache", {})
         object.__setattr__(self, "_extremes_cache", None)
         object.__setattr__(self, "_sup_cache", {})
+        object.__setattr__(self, "_bound_cache", {})
         object.__setattr__(self, "_value_deriv_terms", tuple(
             (k, a, b, da, db) for (k, a, b), (_, da, db)
             in zip(self.harmonics, self._terms_for_order(1))))
@@ -236,8 +237,13 @@ class PeriodicPotential:
         return cache[order]
 
     def coefficient_bound_derivative(self, order: int) -> float:
-        """Cheap certified bound sum_k k^order (|a_k| + |b_k|) >= sup|F^(order)|."""
-        return float(sum((float(k) ** order) * (abs(a) + abs(b)) for k, a, b in self.harmonics))
+        """Cheap certified bound sum_k k^order (|a_k| + |b_k|) >= sup|F^(order)|,
+        computed once per order."""
+        cache = self._bound_cache
+        if order not in cache:
+            cache[order] = float(sum((float(k) ** order) * (abs(a) + abs(b))
+                                     for k, a, b in self.harmonics))
+        return cache[order]
 
     # ----- serialization -------------------------------------------------
 

@@ -4,7 +4,13 @@ A scenario is decomposed into an ordered list of tasks (replica chunks or
 parameter cells).  Tasks run either serially or on a process pool; results
 are folded in task order, so the artifacts are a pure function of
 (config, root seed) no matter how many workers ran or in what order tasks
-finished.  Every run directory gets ``manifest.json`` (config echo, seed
+finished.  The drift, localization, doeblin and hitting kinds cut each
+cell into one chunk per worker, so that every worker runs one wide batch:
+the task list follows the worker count, the outputs do not, because a
+replica's seed comes from its global index and its path is bitwise the
+same at every batch width.  Metastability derives seeds from the chunk
+index, so it keeps a fixed layout of at most TASKS_TARGET chunks per
+cell.  Every run directory gets ``manifest.json`` (config echo, seed
 scheme, file hashes), ``estimates.json``, ``plotdata_<name>.csv``, and raw
 path files for the first few replicas of path-producing scenarios.
 """
@@ -75,16 +81,24 @@ _SEED_SCHEME = ("replica seeds are splitmix64(root_seed, index) with the "
                 "index layout documented per scenario kind in this module")
 
 
-def replica_chunks(n: int) -> List[Tuple[int, int]]:
-    """Split replica indices [0, n) into contiguous chunks.
+def replica_chunks(n: int, parts: int) -> List[Tuple[int, int]]:
+    """Split replica indices [0, n) into at most `parts` contiguous chunks.
 
-    Chunk layout is a pure function of n: aim for TASKS_TARGET tasks but
-    never go below MIN_CHUNK replicas per task.
+    Every chunk but the last holds at least MIN_CHUNK replicas.  The kinds
+    whose seeds are per replica pass the worker count, so each worker runs
+    one wide batch per cell; metastability passes TASKS_TARGET, since its
+    seeds come from the chunk index.
     """
     if n <= 0:
         return []
-    size = max(MIN_CHUNK, math.ceil(n / TASKS_TARGET))
+    size = max(MIN_CHUNK, math.ceil(n / parts))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _worker_chunks(config: ScenarioConfig) -> List[Tuple[int, int]]:
+    """One chunk of each cell per worker; the outputs do not depend on it,
+    since every replica's seed comes from its global index."""
+    return replica_chunks(config.replicas, worker_count(config.replicas))
 
 
 def worker_count(n_tasks: int) -> int:
@@ -267,7 +281,7 @@ def _localization_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     tasks = []
     for p_idx, process in enumerate(config.processes()):
         base = p_idx * config.replicas
-        for lo, hi in replica_chunks(config.replicas):
+        for lo, hi in _worker_chunks(config):
             tasks.append({"op": "localization", "process": process,
                           "lo": lo, "hi": hi, "base": base})
     return tasks
@@ -364,7 +378,7 @@ def _metastability_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     counter = 0
     for process in config.processes():
         for m_idx, m in enumerate(m_grid):
-            for lo, hi in replica_chunks(config.replicas):
+            for lo, hi in replica_chunks(config.replicas, TASKS_TARGET):
                 tasks.append({
                     "op": "metastability", "process": process, "m": float(m),
                     "trials": hi - lo,
@@ -499,7 +513,7 @@ def _drift_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
     return [{"op": "drift", "u0_index": j, "lo": lo, "hi": hi}
             for j in range(len(u0_grid))
-            for lo, hi in replica_chunks(config.replicas)]
+            for lo, hi in _worker_chunks(config)]
 
 
 def _drift_run(config: ScenarioConfig, task: Dict[str, Any]):
@@ -558,8 +572,7 @@ def _drift_finalize(config: ScenarioConfig, results, out_dir):
 
 
 def _doeblin_starts(config: ScenarioConfig) -> List[Tuple[float, float]]:
-    n = config.option("grid_points", 16)
-    side = max(1, int(round(math.sqrt(n))))
+    side = math.isqrt(config.option("grid_points", 16))
     xs = np.linspace(0.0, TWO_PI, side, endpoint=False)
     us = np.linspace(-2.0, 2.0, side)
     return [(float(x), float(u)) for x in xs for u in us]
@@ -570,7 +583,7 @@ def _doeblin_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     tasks = []
     for process in config.processes():
         for s_idx in range(len(starts)):
-            for lo, hi in replica_chunks(config.replicas):
+            for lo, hi in _worker_chunks(config):
                 tasks.append({"op": "doeblin", "process": process,
                               "start": s_idx, "lo": lo, "hi": hi})
     return tasks
@@ -628,7 +641,7 @@ def _hitting_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     cell = 0
     for process in config.processes():
         for frac in fractions:
-            for lo, hi in replica_chunks(config.replicas):
+            for lo, hi in _worker_chunks(config):
                 tasks.append({"op": "hitting", "process": process,
                               "fraction": float(frac), "cell": cell,
                               "lo": lo, "hi": hi})

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from circlelab.angles import TWO_PI
 from circlelab.diffusion import (
     DiffusionState,
+    _noise_buffers,
     analytic_escape_probability,
     run_exit_trials,
     simulate_diffusion,
@@ -27,6 +28,9 @@ MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
 # two EM loops disagree on arithmetic order.
 SKEWED = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
 ODD_HARMONIC = PeriodicPotential(0.1, ((1, 1.0, 0.0), (3, 0.3, 0.0)))
+# The first nonzero term is a sine term, and no harmonic has k = 1.
+SINE_FIRST = PeriodicPotential(0.0, ((2, 0.0, 0.8), (3, 0.3, 0.0),
+                                     (5, 0.0, 0.0)))
 
 
 class TestEmStep:
@@ -140,6 +144,39 @@ class TestSimulate:
                                               seeds=seeds[8 - w:], **kw)
             assert np.array_equal(ens.x, full.x[8 - w:]), w
             assert np.array_equal(ens.u, full.u[8 - w:]), w
+
+    @settings(max_examples=8)
+    @given(root=st.integers(0, 2**63 - 1),
+           potential=st.sampled_from([SKEWED, ODD_HARMONIC, SINE_FIRST,
+                                      MIXTURE]),
+           x0=st.one_of(st.just(0.0), st.floats(0.0, TWO_PI, allow_nan=False)),
+           u0=st.floats(-5.0, 5.0, allow_nan=False))
+    def test_wide_batch_rows_match_narrow_batches(self, root, potential, x0,
+                                                  u0):
+        # 2500 steps span two noise blocks at widths 300, 256 and 64, with
+        # the block edge at step 1747 at width 300 and at step 2048 at the
+        # other two; widths 1 and 3 take the scalar loop.
+        seeds = derive_replica_seeds(root, 300)
+        kw = dict(dt=1e-3, record_every=250)
+        full = simulate_diffusion_ensemble(potential, x0, u0, 2.5,
+                                           seeds=seeds, **kw)
+        for lo, hi in ((0, 1), (1, 4), (4, 68), (44, 300)):
+            ens = simulate_diffusion_ensemble(potential, x0, u0, 2.5,
+                                              seeds=seeds[lo:hi], **kw)
+            assert np.array_equal(ens.x, full.x[lo:hi]), (lo, hi)
+            assert np.array_equal(ens.u, full.u[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("n", [64, 100, 256, 1000, 2048])
+    @pytest.mark.parametrize("multiple_of", [1, 4])
+    def test_noise_buffers_stay_within_8_mb(self, n, multiple_of):
+        block, steps = _noise_buffers(n, multiple_of)
+        assert block.size + steps.size <= 1 << 20
+        assert steps.shape[0] <= 2048
+        assert block.shape == steps.shape[::-1] == (n, steps.shape[0])
+        assert steps.shape[0] % multiple_of == 0
+
+    def test_wide_noise_blocks_keep_256_steps(self):
+        assert _noise_buffers(5000)[1].shape == (256, 5000)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

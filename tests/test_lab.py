@@ -202,7 +202,7 @@ class TestScenarioConfig:
                                        "record_every", "save_paths",
                                        "grid_points"])
     @pytest.mark.parametrize("value", [2.7, 1.9, -0.5, math.nan, math.inf,
-                                       "2.5"])
+                                       "2.5", True])
     def test_fractional_integer_rejected(self, field, value):
         data = {"kind": "doeblin", "potential": COSINE_RECORD}
         if field in ("replicas", "y0", "root_seed"):
@@ -225,6 +225,39 @@ class TestScenarioConfig:
         assert config.to_dict() == build(int).to_dict()
         assert config.config_hash() == build(int).config_hash()
         assert type(config.replicas) is int
+
+    @pytest.mark.parametrize("field, value", [
+        ("replicas", 2.5), ("replicas", True), ("replicas", 3.0),
+        ("replicas", "3"), ("root_seed", 1.5), ("root_seed", False),
+        ("y0", True), ("y0", 1.0)])
+    def test_constructor_rejects_non_integer_count(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=f"field '{field}': must be an integer"):
+            ScenarioConfig(kind="doeblin", potential=COSINE, **{field: value})
+
+    def test_numpy_integer_count_is_stored_as_int(self):
+        config = ScenarioConfig(kind="doeblin", potential=COSINE,
+                                replicas=np.int64(3), root_seed=np.uint32(7))
+        assert type(config.replicas) is int and config.replicas == 3
+        assert type(config.root_seed) is int and config.root_seed == 7
+
+    @pytest.mark.parametrize("points", [2, 5, 7, "8"])
+    def test_grid_points_must_be_a_perfect_square(self, points):
+        with pytest.raises(ConfigError,
+                           match="field 'grid_points': must be a perfect square"):
+            scenario_from_dict({"kind": "doeblin", "potential": COSINE_RECORD,
+                                "options": {"grid_points": points}})
+        with pytest.raises(ConfigError,
+                           match="field 'grid_points': must be a perfect square"):
+            ScenarioConfig(kind="doeblin", potential=COSINE,
+                           options={"grid_points": points})
+
+    @pytest.mark.parametrize("points", [1, 4, 9, 16])
+    def test_grid_points_is_the_number_of_starts(self, points):
+        config = scenario_from_dict({"kind": "doeblin",
+                                     "potential": COSINE_RECORD,
+                                     "options": {"grid_points": points}})
+        assert len(runner_module._doeblin_starts(config)) == points
 
     def test_hash_ignores_out_dir_only(self):
         a = scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
@@ -341,22 +374,34 @@ class TestArtifactIO:
 # runner mechanics
 
 
+PARTS = (1, 2, 3, 8, TASKS_TARGET)
+
+
 class TestChunking:
     def test_small_counts_get_one_chunk(self):
-        assert replica_chunks(1) == [(0, 1)]
-        assert replica_chunks(MIN_CHUNK) == [(0, MIN_CHUNK)]
+        for parts in PARTS:
+            assert replica_chunks(1, parts) == [(0, 1)]
+            assert replica_chunks(MIN_CHUNK, parts) == [(0, MIN_CHUNK)]
 
     def test_zero_replicas(self):
-        assert replica_chunks(0) == []
+        for parts in PARTS:
+            assert replica_chunks(0, parts) == []
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 200, 1000, 10000])
     def test_chunks_partition_range(self, n):
-        chunks = replica_chunks(n)
-        covered = [i for lo, hi in chunks for i in range(lo, hi)]
-        assert covered == list(range(n))
-        assert len(chunks) <= TASKS_TARGET
-        for lo, hi in chunks[:-1]:
-            assert hi - lo >= MIN_CHUNK or n < MIN_CHUNK
+        for parts in PARTS:
+            chunks = replica_chunks(n, parts)
+            covered = [i for lo, hi in chunks for i in range(lo, hi)]
+            assert covered == list(range(n))
+            assert len(chunks) <= parts
+            for lo, hi in chunks[:-1]:
+                assert hi - lo >= MIN_CHUNK or n < MIN_CHUNK
+
+    def test_one_chunk_per_worker_when_wide_enough(self):
+        assert replica_chunks(4096, 2) == [(0, 2048), (2048, 4096)]
+        assert replica_chunks(130, 3) == [(0, 64), (64, 128), (128, 130)]
+        assert replica_chunks(200, TASKS_TARGET) == [
+            (0, 64), (64, 128), (128, 192), (192, 200)]
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "3")
@@ -523,7 +568,8 @@ class TestSavedPaths:
         per_replica = kind == "ergodic"
         diffusion_call = ("simulate_diffusion" if per_replica
                           else "simulate_diffusion_ensemble")
-        n_diffusion = replicas if per_replica else len(replica_chunks(replicas))
+        n_diffusion = (replicas if per_replica
+                       else len(replica_chunks(replicas, int(workers))))
         assert len([c for c in calls if c[0] == diffusion_call]) == n_diffusion
         assert seeds[diffusion_call] == sorted(diffusion_seeds)
         assert len(calls) == replicas + n_diffusion
@@ -570,6 +616,42 @@ class TestSavedPaths:
         out = tmp_path / "run"
         assert sorted(n for n in os.listdir(out) if n.startswith("events_")) \
             == ["events_0.csv", "events_2.csv"]
+
+
+class TestWorkerCountInvariance:
+    """Chunking follows the worker count; the artifacts do not."""
+
+    @pytest.mark.parametrize("kind, record, extra", [
+        ("drift", SKEWED_RECORD,
+         {"options": {"t_grid": [0.4, 0.2], "u0_grid": [-3.0, 6.0]}}),
+        ("localization", MIXTURE_RECORD,
+         {"process": "both", "horizon": 2.0, "u0": 5.0,
+          "options": {"burn_in": 0.5, "save_paths": 3, "record_every": 7}}),
+        ("doeblin", MIXTURE_RECORD,
+         {"process": "both", "horizon": 0.5, "y0": -1,
+          "options": {"grid_points": 4, "box": [5.0, 1.0, -2.0, 2.0]}}),
+        ("hitting", COSINE_RECORD,
+         {"process": "both", "lambda": 0.5, "horizon": 1.0,
+          "options": {"record_every": 3, "eta_fractions": [0.5, 1.0]}}),
+    ])
+    def test_hash_inventory_same_at_1_2_3_workers(self, tmp_path,
+                                                   monkeypatch, kind, record,
+                                                   extra):
+        # 130 replicas give one chunk per cell at 1 worker, 65 + 65 at 2
+        # and 64 + 64 + 2 (the scalar loop) at 3.
+        inventories, n_tasks = [], []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
+            out = tmp_path / workers
+            config = scenario_from_dict({
+                "kind": kind, "potential": record, "dt": 2e-3,
+                "replicas": 130, "x0": 0.0, "root_seed": 41,
+                "out_dir": str(out), **extra})
+            n_tasks.append(run_scenario(config).n_tasks)
+            inventories.append(hash_inventory(str(out)))
+        assert n_tasks[0] < n_tasks[1] < n_tasks[2]
+        assert inventories[1] == inventories[0]
+        assert inventories[2] == inventories[0]
 
 
 class TestScenarioEstimates:
@@ -646,8 +728,9 @@ class TestScenarioEstimates:
             assert c["std_error"] >= 0.0
 
     def test_drift_runs_each_u0_once_to_max_t(self, tmp_path, monkeypatch):
-        # 130 replicas make chunks of 64, 64 and 2, so both EM loops run.
-        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        # 130 replicas on 3 workers make chunks of 64, 64 and 2, so both EM
+        # loops run.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "3")
         t_grid, u0_grid, n = [0.6, 1.0, 0.3], [0.0, 8.0], 130
         config = scenario_from_dict({
             "kind": "drift", "potential": COSINE_RECORD, "dt": 2e-2,
@@ -657,7 +740,7 @@ class TestScenarioEstimates:
                         "u0_grid": u0_grid},
         })
         manifest = run_scenario(config)
-        assert manifest.n_tasks == len(u0_grid) * len(replica_chunks(n))
+        assert manifest.n_tasks == len(u0_grid) * 3
         estimates = read_json(str(tmp_path / "drift" / "estimates.json"))
         row = estimates["per_t"][1]
         assert row["t"] == 1.0
@@ -669,7 +752,7 @@ class TestScenarioEstimates:
                     COSINE, 1.0, u0, 1.0, dt=2e-2, record_every=50,
                     seeds=[derive_replica_seed(11, base + i)
                            for i in range(lo, hi)]).u[:, -1]))
-                for lo, hi in replica_chunks(n)])
+                for lo, hi in replica_chunks(n, 3)])
             assert cell["estimate"] == float(vals.mean())
             assert cell["std_error"] == float(vals.std(ddof=1)
                                               / math.sqrt(vals.size))
