@@ -106,9 +106,13 @@ _OPTION_SPECS: Dict[str, Any] = {
     "grid_points": _checked(_integer, _is_perfect_square,
                             "must be a perfect square >= 1"),
     "tolerance": _finite_float,
-    "epsilon": _finite_float,
     "u_threshold": _finite_float,
 }
+
+# Top-level keys of the JSON form besides the options.
+_CORE_KEYS = frozenset({"kind", "potential", "process", "lambda", "dt",
+                        "horizon", "replicas", "x0", "u0", "y0", "root_seed",
+                        "out_dir", "options"})
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,10 @@ def scenario_from_dict(data: Dict[str, Any],
     """
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
-    known = {"kind", "potential", "process", "lambda", "dt", "horizon",
-             "replicas", "x0", "u0", "y0", "root_seed", "out_dir", "options"}
     core: Dict[str, Any] = {}
     options: Dict[str, Any] = {}
     for key, value in data.items():
-        if key in known:
+        if key in _CORE_KEYS:
             core[key] = value
         elif key in _OPTION_SPECS:
             options[key] = _parse_option(key, value)

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from .angles import TWO_PI, circle_dist, wrap
 from .diffusion import DiffusionState
 from .errors import PlanningError, UnreachableTargetError
-from .pdmp import PdmpState
+from .pdmp import PdmpState, segment_u
 from .potential import PeriodicPotential
 
 __all__ = [
@@ -346,13 +346,6 @@ def potential_zeros(potential: PeriodicPotential, grid: int = 4096) -> List[floa
     return out
 
 
-def _travel_gain(potential: PeriodicPotential, x_from: float, y: int,
-                 s: float) -> float:
-    """u accumulated while moving distance s at velocity y from x_from."""
-    return y * (potential.antiderivative_s(x_from + y * s)
-                - potential.antiderivative_s(x_from))
-
-
 def integrate_velocity_schedule(potential: PeriodicPotential,
                                 schedule: ControlSchedule,
                                 z0: PdmpState) -> PdmpState:
@@ -372,7 +365,7 @@ def integrate_velocity_schedule(potential: PeriodicPotential,
         if yv == 0:
             u += potential.value_s(x) * dur
         else:
-            u += _travel_gain(potential, x, yv, dur)
+            u = segment_u(potential, x, yv, dur, u)
             x += yv * dur
             y_last = yv
     return PdmpState(float(wrap(x)), u, y_last)
@@ -415,7 +408,7 @@ def plan_pdmp_velocity_schedule(potential: PeriodicPotential, z0: PdmpState,
     du = u1 - u0
 
     xe = wrap(x0 + y0 * t)
-    ue = u0 + _travel_gain(potential, x0, y0, t)
+    ue = segment_u(potential, x0, y0, t, u0)
     if circle_dist(xe, x1) < _TRIVIAL_TOL and abs(ue - u1) < _TRIVIAL_TOL:
         return ControlSchedule(np.array([t]), np.array([float(y0)]))
 
@@ -437,13 +430,13 @@ def plan_pdmp_velocity_schedule(potential: PeriodicPotential, z0: PdmpState,
             continue
         for y_a in (1, -1):
             s1 = float(np.remainder((x_star - x0) * y_a, TWO_PI))
-            gain1 = _travel_gain(potential, x0, y_a, s1)
+            gain1 = segment_u(potential, x0, y_a, s1, 0.0)
             for x_zero in zeros:
                 for y_b in (1, -1):
                     s3 = float(np.remainder((x_zero - x_star) * y_b, TWO_PI))
-                    gain3 = _travel_gain(potential, x_star, y_b, s3)
+                    gain3 = segment_u(potential, x_star, y_b, s3, 0.0)
                     s5 = float(np.remainder((x1 - x_zero) * y_final, TWO_PI))
-                    gain5 = _travel_gain(potential, x_zero, y_final, s5)
+                    gain5 = segment_u(potential, x_zero, y_final, s5, 0.0)
                     d_star = (du - gain1 - gain3 - gain5) / f_star
                     d_wait = t - (s1 + s3 + s5 + d_star)
                     if d_star < -1e-9 or d_wait < -1e-9:

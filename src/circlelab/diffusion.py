@@ -23,7 +23,9 @@ Conventions shared by every simulator in this module:
 - A replica's path is bitwise the same at every batch width.  Up to 4
   replicas run a per-replica scalar loop, the order reference; wider
   batches run one vector step, `_HarmonicWorkspace.em_step`, with the
-  same float operations.  The vector loops draw noise per replica in
+  same float operations.  `run_exit_trials` evaluates F' with the same
+  `_HarmonicWorkspace.eval`, so an exit outcome does not depend on the
+  batch width either.  The vector loops draw noise per replica in
   blocks of steps and scale it by sqrt(dt) into a time-major buffer, so
   each step reads one contiguous row.
 - Recording keeps step 0, every `record_every`-th step, and the final
@@ -171,12 +173,11 @@ class ExitEnsemble:
 
 
 class _HarmonicWorkspace:
-    """Preallocated buffers for the vector Euler-Maruyama step of a batch
-    of n replicas, and for evaluating F' alone."""
+    """Preallocated buffers for evaluating F and F' on a batch of n
+    replicas, and for the vector Euler-Maruyama step built on it."""
 
     def __init__(self, potential: PeriodicPotential, n: int):
         self.a0 = float(potential.a0)
-        self.terms = [(float(k), float(a), float(b)) for k, a, b in potential.harmonics]
         self.ph = np.empty(n)
         self.c = np.empty(n)
         self.s = np.empty(n)
@@ -187,7 +188,8 @@ class _HarmonicWorkspace:
         # source, F' coefficient), c and s holding cos(kx) and sin(kx):
         # a_k adds c a to F and s (-k a) to F', b_k adds s b and c (k b).
         self.step_terms = []
-        for k, a, b in self.terms:
+        for k, a, b in potential.harmonics:
+            k, a, b = float(k), float(a), float(b)
             parts = []
             if a != 0.0:
                 parts.append((self.c, a, self.s, -k * a))
@@ -196,10 +198,8 @@ class _HarmonicWorkspace:
             if parts:
                 self.step_terms.append((k, parts))
 
-    def em_step(self, x: np.ndarray, u: np.ndarray, sn: np.ndarray,
-                dt: float) -> None:
-        """Advance every replica's (x, u) in place by one step of size dt,
-        with sn holding sqrt(dt) times one standard normal per replica.
+    def eval(self, x: np.ndarray) -> None:
+        """Write F(x) into fv and F'(x) into fp.
 
         F and F' are summed term by term in the order of `_scalar_self`;
         the first term is written straight into fv and fp (fv then adds
@@ -222,6 +222,13 @@ class _HarmonicWorkspace:
                     fv += t
                     np.multiply(src_d, cd, out=t)
                     fp += t
+
+    def em_step(self, x: np.ndarray, u: np.ndarray, sn: np.ndarray,
+                dt: float) -> None:
+        """Advance every replica's (x, u) in place by one step of size dt,
+        with sn holding sqrt(dt) times one standard normal per replica."""
+        self.eval(x)
+        fv, fp = self.fv, self.fp
         fp *= u
         fp *= dt
         np.subtract(sn, fp, out=fp)
@@ -229,19 +236,6 @@ class _HarmonicWorkspace:
         np.remainder(x, TWO_PI, out=x)
         fv *= dt
         u += fv
-
-    def eval_derivative(self, x: np.ndarray, fp: np.ndarray) -> None:
-        fp.fill(0.0)
-        for k, a, b in self.terms:
-            np.multiply(x, k, out=self.ph)
-            if a != 0.0:
-                np.sin(self.ph, out=self.s)
-                np.multiply(self.s, k * a, out=self.t)
-                fp -= self.t
-            if b != 0.0:
-                np.cos(self.ph, out=self.c)
-                np.multiply(self.c, k * b, out=self.t)
-                fp += self.t
 
 
 def _noise_buffers(n_replicas: int, multiple_of: int = 1):
@@ -520,28 +514,29 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     exit_side = np.zeros(n, dtype=np.int8)
     alive = np.arange(n)
     s = np.full(n, s0)
-    blen = 256  # fixed so each replica's stream layout never depends on n
+    ws = _HarmonicWorkspace(potential, n)
+    xs = np.empty(n)
+    block, steps = _noise_buffers(n)
+    # Finished replicas leave the batch every blen steps; until then they
+    # cost a full step each, and 2048-step blocks ran slower.  A replica's
+    # noise does not depend on blen (the buffers hold at least 256 steps).
+    blen = 256
     step = 0
     while step < max_steps and alive.size:
         m = min(blen, max_steps - step)
         na = alive.size
-        noise = np.empty((na, m))
-        for j in range(na):
-            noise[j] = gens[alive[j]].standard_normal(m)
-        ws = _HarmonicWorkspace(potential, na)
-        fp = np.empty(na)
-        tmp = np.empty(na)
-        xs = np.empty(na)
+        _fill_noise(block[:na], gens, m)
+        np.multiply(block[:na, :m].T, sqrt_dt, out=steps[:m, :na])
         active = np.ones(na, dtype=bool)
-        for i in range(m):
+        for i, sn in enumerate(steps[:m, :na]):
             np.add(s, low, out=xs)
-            ws.eval_derivative(xs, fp)
+            ws.eval(xs)
+            fp = ws.fp
             fp *= drv
             fp *= dt
-            np.multiply(noise[:, i], sqrt_dt, out=tmp)
-            tmp -= fp
-            tmp *= active  # finished replicas stop moving
-            s += tmp
+            np.subtract(sn, fp, out=fp)
+            fp *= active  # finished replicas stop moving
+            s += fp
             hit_lo = (s <= 0.0) & active
             hit_hi = (s >= arc) & active
             if hit_lo.any() or hit_hi.any():
@@ -557,6 +552,9 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
         if not active.all():
             alive = alive[active]
             s = s[active]
+            gens = [gen for gen, keep in zip(gens, active) if keep]
+            ws = _HarmonicWorkspace(potential, alive.size)
+            xs = np.empty(alive.size)
     _freeze(exit_time, exit_side)
     return ExitEnsemble(exit_time=exit_time, exit_side=exit_side,
                         low=float(low), high=float(high),

@@ -22,6 +22,11 @@ is recorded:
   that r_bar * h stays moderate, which keeps the proposal count bounded
   even when |u| is large.
 
+One event step, `_next_event`, races the two clocks; `sample_next_event`
+takes it once and both simulators repeat it from row to row.  The
+interaction in the rate is the closed-form u of the segment, or the frozen
+drive, and the same value gives each row's u column.
+
 The RNG draw order is fixed: first the theta2 exponential, then per
 thinning proposal one exponential followed by one uniform.  A replica's
 event log is therefore bit-reproducible from (seed, parameters, horizon).
@@ -223,6 +228,33 @@ def _homogeneous_value_at(potential, x0, y, u0):
     return value_at
 
 
+def _interaction(potential, x0, y, u0, g):
+    """(value_at, lipschitz_u) of the segment from x0 at velocity y: the
+    closed-form u from u0, or the constant frozen drive g if u0 is None."""
+    if u0 is None:
+        gv = float(g)
+        return (lambda s: gv), 0.0
+    return (_homogeneous_value_at(potential, x0, y, u0),
+            abs(potential.a0) + potential.coefficient_bound_derivative(0))
+
+
+def _next_event(potential, lam, x, y, gen, s_max, value_at, lip):
+    """(theta, cause) of the next jump within s_max, or None.
+
+    Draws theta2 = E/lambda from the constant-rate clock first, then runs
+    the landscape clock by thinning up to min(theta2, s_max).  Ties
+    resolve to constant-rate.
+    """
+    theta2 = gen.standard_exponential() / lam
+    theta1 = _sample_landscape_time(potential, x, y, gen, min(theta2, s_max),
+                                    value_at, lip)
+    if theta1 is not None and theta1 < theta2:
+        return theta1, CAUSE_LANDSCAPE
+    if theta2 < s_max:
+        return theta2, CAUSE_CONSTANT
+    return None
+
+
 def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
                           gen: np.random.Generator, cutoff: float, *,
                           u0: Optional[float] = None,
@@ -236,13 +268,7 @@ def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
         raise ValueError("provide exactly one of u0 or g")
     if y not in (-1, 1):
         raise ValueError("velocity y must be -1 or +1")
-    if u0 is not None:
-        value_at = _homogeneous_value_at(potential, x0, y, u0)
-        lip = abs(potential.a0) + potential.coefficient_bound_derivative(0)
-    else:
-        gv = float(g)
-        value_at = lambda s: gv
-        lip = 0.0
+    value_at, lip = _interaction(potential, x0, y, u0, g)
     return _sample_landscape_time(potential, x0, y, gen, cutoff, value_at, lip)
 
 
@@ -254,21 +280,14 @@ def sample_next_event(potential: PeriodicPotential, lam: float,
     Draws theta2 = E/lambda from the constant-rate clock first, then runs
     the landscape clock by thinning up to min(theta2, s_max).  Returns
     (theta, cause) with cause "landscape" or "constant-rate", or None if
-    no jump occurs within s_max.  Ties resolve to constant-rate.
+    no jump occurs within s_max.  Ties resolve to constant-rate.  This is
+    the step that `simulate_pdmp` repeats.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    theta2 = gen.standard_exponential() / lam
-    cutoff = min(theta2, s_max)
-    value_at = _homogeneous_value_at(potential, state.x, state.y, state.u)
-    lip = abs(potential.a0) + potential.coefficient_bound_derivative(0)
-    theta1 = _sample_landscape_time(potential, state.x, state.y, gen, cutoff,
-                                    value_at, lip)
-    if theta1 is not None and theta1 < theta2:
-        return theta1, CAUSE_LANDSCAPE
-    if theta2 < s_max:
-        return theta2, CAUSE_CONSTANT
-    return None
+    value_at, lip = _interaction(potential, state.x, state.y, state.u, None)
+    return _next_event(potential, lam, state.x, state.y, gen, s_max,
+                       value_at, lip)
 
 
 def _first_target_entry(targets, x, y, max_travel):
@@ -286,15 +305,12 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
-                   value_for_segment, lipschitz_u, u_row_at, seed, kind):
-    """Shared event loop; parameterized over the interaction source.
-
-    value_for_segment(x, y, u) -> value_at(s) for the segment that starts
-    at (x, y, u); u_row_at(x, y, u_prev, s) -> the u column entry for a
-    row reached after flow time s from (x, y, u_prev), with u_prev None
-    for the initial row.
-    """
+def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
+                   seed):
+    """The event loop of both simulators: `_next_event` from each row
+    until the horizon or a target.  The interaction is u from u0, or the
+    constant frozen drive g if u0 is None; either way a row's u column is
+    the segment's value_at at the row."""
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     if not horizon > 0.0:
@@ -304,63 +320,44 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
     y = int(y0)
     if y not in (-1, 1):
         raise ValueError("velocity y must be -1 or +1")
-    u = u_row_at(x, y, None, 0.0)
+    gen = generator_from_seed(seed)
+    value_at, lip = _interaction(potential, x, y, u0, g)
     times = [0.0]
     xs = [x]
-    us = [u]
+    us = [g if u0 is None else u0]
     ys = [y]
     causes = [CAUSE_INIT]
-    hit_time = None
     hit_target = None
     t = 0.0
     n_events = 0
     while True:
         s_rem = horizon - t
-        value_at = value_for_segment(x, y, us[-1])
-        theta2 = gen.standard_exponential() / lam
-        cutoff = min(theta2, s_rem)
-        theta1 = _sample_landscape_time(potential, x, y, gen, cutoff,
-                                        value_at, lipschitz_u)
-        if theta1 is not None and theta1 < theta2:
-            evt = (theta1, CAUSE_LANDSCAPE)
-        elif theta2 < s_rem:
-            evt = (theta2, CAUSE_CONSTANT)
-        else:
-            evt = None
-        duration = evt[0] if evt is not None else s_rem
-        if until is not None:
-            hit = _first_target_entry(until, x, y, duration)
-            if hit is not None:
-                s_hit, hit_target = hit
-                hit_time = t + s_hit
-                times.append(hit_time)
-                xs.append(float(wrap(x + y * s_hit)))
-                us.append(u_row_at(x, y, us[-1], s_hit))
-                ys.append(y)
-                causes.append(CAUSE_HIT)
-                break
-        if evt is None:
-            times.append(horizon)
-            xs.append(float(wrap(x + y * s_rem)))
-            us.append(u_row_at(x, y, us[-1], s_rem))
-            ys.append(y)
-            causes.append(CAUSE_END)
-            break
-        theta, cause = evt
-        t += theta
-        x_new = float(wrap(x + y * theta))
-        u_new = u_row_at(x, y, us[-1], theta)
-        y = -y
-        x = x_new
+        evt = _next_event(potential, lam, x, y, gen, s_rem, value_at, lip)
+        theta, cause = evt if evt is not None else (s_rem, CAUSE_END)
+        hit = None if until is None else _first_target_entry(until, x, y,
+                                                              theta)
+        if hit is not None:
+            theta, hit_target = hit
+            cause = CAUSE_HIT
+        t = horizon if cause == CAUSE_END else t + theta
+        x = float(wrap(x + y * theta))
+        u = value_at(theta)
+        jump = cause in (CAUSE_LANDSCAPE, CAUSE_CONSTANT)
+        if jump:
+            y = -y
         times.append(t)
         xs.append(x)
-        us.append(u_new)
+        us.append(u)
         ys.append(y)
         causes.append(cause)
+        if not jump:
+            break
         n_events += 1
         if n_events > max_events:
             raise RunawayError(
                 f"event count exceeded the cap of {max_events} before the horizon")
+        if u0 is not None:
+            value_at = _homogeneous_value_at(potential, x, y, u)
     times_a = np.asarray(times)
     x_a = np.asarray(xs)
     u_a = np.asarray(us)
@@ -370,8 +367,8 @@ def _simulate_core(potential, lam, x0, y0, horizon, gen, max_events, until,
     return EventLog(
         times=times_a, x=x_a, u=u_a, y=y_a, causes=tuple(causes),
         lam=float(lam), horizon=float(horizon), seed=int(seed),
-        potential=potential, kind=kind, hit_time=hit_time,
-        hit_target=hit_target)
+        potential=potential, kind="self" if u0 is not None else "driven",
+        hit_time=t if hit is not None else None, hit_target=hit_target)
 
 
 def simulate_pdmp(potential: PeriodicPotential, lam: float, z0: PdmpState,
@@ -386,20 +383,8 @@ def simulate_pdmp(potential: PeriodicPotential, lam: float, z0: PdmpState,
     past max_events, and ValueError naming x0 or u0 for a non-finite start.
     """
     _require_finite("u0", z0.u)
-    gen = generator_from_seed(seed)
-    lip = abs(potential.a0) + potential.coefficient_bound_derivative(0)
-
-    def value_for_segment(x, y, u):
-        return _homogeneous_value_at(potential, x, y, u)
-
-    def u_row_at(x, y, u_prev, s):
-        if u_prev is None:
-            return float(z0.u)
-        return segment_u(potential, x, y, s, u_prev)
-
-    return _simulate_core(potential, lam, z0.x, z0.y, horizon, gen,
-                          max_events, until, value_for_segment, lip,
-                          u_row_at, seed, "self")
+    return _simulate_core(potential, lam, z0.x, z0.y, horizon, max_events,
+                          until, float(z0.u), None, seed)
 
 
 def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: float,
@@ -410,19 +395,9 @@ def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: float,
     place of U.  The u column of the log echoes g on every row.  A
     non-finite x0 or g raises ValueError naming it.
     """
-    gen = generator_from_seed(seed)
-    gv = float(g)
-    _require_finite("g", gv)
-
-    def value_for_segment(x, y, u):
-        return lambda s: gv
-
-    def u_row_at(x, y, u_prev, s):
-        return gv
-
-    return _simulate_core(potential, lam, x0, y0, horizon, gen, max_events,
-                          until, value_for_segment, 0.0, u_row_at, seed,
-                          "driven")
+    _require_finite("g", float(g))
+    return _simulate_core(potential, lam, x0, y0, horizon, max_events, until,
+                          None, float(g), seed)
 
 
 def jump_time_cdf_oracle(potential: PeriodicPotential, lam: float, x0: float,

@@ -23,6 +23,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,11 +48,7 @@ from .landscape import classify_landscape, compute_level_geometry
 from .pdmp import PdmpState, simulate_pdmp
 from .seeding import derive_replica_seed
 from .stats import (
-    DEFAULT_U_BINS,
-    DEFAULT_U_RANGE,
-    DEFAULT_X_BINS,
     EmpiricalHistogram,
-    _histogram_edges,
     _tail_heavy,
     detect_convergence,
     doeblin_hits,
@@ -182,26 +179,6 @@ def _state_on_grid(path, grid: np.ndarray) -> np.ndarray:
     return np.asarray(path.x)[idx]
 
 
-def _masses_to_payload(h: EmpiricalHistogram) -> Dict[str, Any]:
-    return {"weight": h.weight, "masses": h.masses.ravel().tolist()}
-
-
-def _payload_to_hist(payload: Dict[str, Any]) -> EmpiricalHistogram:
-    x_edges, u_edges = _histogram_edges(DEFAULT_X_BINS, DEFAULT_U_BINS,
-                                        DEFAULT_U_RANGE)
-    masses = np.array(payload["masses"]).reshape(x_edges.size - 1,
-                                                 u_edges.size + 1)
-    return EmpiricalHistogram(x_edges, u_edges, masses,
-                              float(payload["weight"]))
-
-
-def _merge_payload_hists(payloads: Sequence[Dict[str, Any]]):
-    hist = _payload_to_hist(payloads[0])
-    for p in payloads[1:]:
-        hist = hist.merge(_payload_to_hist(p))
-    return hist
-
-
 # ---------------------------------------------------------------------------
 # scenario: ergodic
 
@@ -237,8 +214,8 @@ def _ergodic_run(config: ScenarioConfig, task: Dict[str, Any]):
     out = {"process": task["process"], "replica": rep, "windows": {},
            "paths": [(rep, path)] if rep < _saved_path_count(config) else []}
     for label, lo, hi in _ergodic_windows(config):
-        h = occupation_histogram(path, burn_in=lo, t_max=hi)
-        out["windows"][label] = _masses_to_payload(h)
+        out["windows"][label] = occupation_histogram(path, burn_in=lo,
+                                                     t_max=hi)
     return out
 
 
@@ -247,18 +224,17 @@ def _ergodic_finalize(config: ScenarioConfig, results, out_dir):
     plot_rows = []
     for process in config.processes():
         rows = [r for r in results if r["process"] == process]
-        halves = [tv_distance(_payload_to_hist(r["windows"]["half1"]),
-                              _payload_to_hist(r["windows"]["half2"]))
+        halves = [tv_distance(r["windows"]["half1"], r["windows"]["half2"])
                   for r in rows]
-        fulls = [_payload_to_hist(r["windows"]["full"]) for r in rows]
+        fulls = [r["windows"]["full"] for r in rows]
         pair_tvs = [tv_distance(fulls[i], fulls[i + 1])
                     for i in range(len(fulls) - 1)]
         series = []
         for frac in (0.125, 0.25, 0.5):
-            h1 = _merge_payload_hists(
-                [r["windows"][f"upto_{frac}"] for r in rows])
-            h2 = _merge_payload_hists(
-                [r["windows"][f"upto2_{frac}"] for r in rows])
+            h1 = reduce(EmpiricalHistogram.merge,
+                        [r["windows"][f"upto_{frac}"] for r in rows])
+            h2 = reduce(EmpiricalHistogram.merge,
+                        [r["windows"][f"upto2_{frac}"] for r in rows])
             series.append((frac, tv_distance(h1, h2)))
             plot_rows.append((process, frac, series[-1][1]))
         estimates["per_process"][process] = {

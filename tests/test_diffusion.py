@@ -299,6 +299,30 @@ class TestExitTrials:
             whole.exit_time, np.concatenate([first.exit_time, second.exit_time])
         )
 
+    def test_outcome_independent_of_batch_width(self):
+        # A b_k != 0, k = 3 potential: each seed's outcome is the same
+        # alone as in batches of 5 and 37, and the first eight match the
+        # values recorded before exit trials moved onto the shared
+        # evaluator.
+        seeds = derive_replica_seeds(7, 37)
+        kw = dict(dt=2e-3, max_time=2.0)
+
+        def outcomes(width):
+            runs = [run_exit_trials(SKEWED, 2.0, 0.3, 1.2, 2.6,
+                                    seeds=seeds[i:i + width], **kw)
+                    for i in range(0, len(seeds), width)]
+            return (np.concatenate([r.exit_time for r in runs]),
+                    np.concatenate([r.exit_side for r in runs]))
+
+        times, sides = outcomes(37)
+        for width in (1, 5):
+            other_times, other_sides = outcomes(width)
+            assert np.array_equal(other_times, times)
+            assert np.array_equal(other_sides, sides)
+        assert sides[:8].tolist() == [-1, -1, 1, 1, -1, -1, 0, -1]
+        steps = np.array([86, 650, 184, 857, 240, 336, 1000, 253])
+        assert np.array_equal(times[:8], steps * 2e-3)
+
     def test_empirical_exit_matches_scale_function_oracle(self):
         geo = compute_level_geometry(COSINE, eta=1.0 / 3.0)
         well = geo.wells[0]

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -25,6 +26,7 @@ from circlelab import (
     simulate_diffusion_ensemble,
     simulate_pdmp,
 )
+import circlelab.config as config_module
 import circlelab.runner as runner_module
 from circlelab.cli import main as cli_main
 from circlelab.diffusion import Trajectory
@@ -120,6 +122,29 @@ class TestScenarioConfig:
             scenario_from_dict({"kind": "drift",
                                 "potential": COSINE_RECORD,
                                 "options": {"nope": 1}})
+        with pytest.raises(ConfigError, match="epsilon"):
+            scenario_from_dict({"kind": "drift",
+                                "potential": COSINE_RECORD,
+                                "options": {"epsilon": 0.01}})
+
+    def test_schema_and_readme_list_the_parsed_keys(self):
+        # The parser, the JSON schema and the README option list must name
+        # the same keys.
+        with open(os.path.join(os.path.dirname(config_module.__file__),
+                               "schemas", "scenario.schema.json"),
+                  encoding="utf-8") as fh:
+            schema = json.load(fh)
+        props = schema["properties"]
+        assert set(props) == config_module._CORE_KEYS
+        assert set(props["options"]["properties"]) \
+            == set(config_module._OPTION_SPECS)
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        start = readme.index("Scenario-specific knobs")
+        listed = readme[start:readme.index("Out-of-range", start)]
+        assert set(re.findall(r"`(\w+)`", listed)) - {"options"} \
+            == set(config_module._OPTION_SPECS)
 
     def test_invalid_kind_and_process(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -153,7 +178,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["burn_in", "eta", "max_time", "kappa",
-                                       "tolerance", "epsilon", "u_threshold"])
+                                       "tolerance", "u_threshold"])
     def test_non_finite_option_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"field '{field}': must be finite"):
             scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,

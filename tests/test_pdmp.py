@@ -27,6 +27,7 @@ from circlelab.seeding import generator_from_seed
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
+SKEWED = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
 
 
 class TestLocalRate:
@@ -244,6 +245,17 @@ class TestNextEvent:
                    for _ in range(1000)]
         ks = stats.kstest(samples, _cdf_from_grid(grid, oracle))
         assert ks.statistic < 0.07
+
+    def test_matches_first_row_of_simulate(self):
+        # The simulator's first jump is one sample_next_event step from
+        # the same seed and state, here on a b_k != 0 potential.
+        for seed in range(50):
+            state = PdmpState(float(wrap(0.3 * seed)), 4.0 - 0.2 * seed,
+                              1 - 2 * (seed % 2))
+            log = simulate_pdmp(SKEWED, 0.8, state, 50.0, seed=seed)
+            gen = generator_from_seed(seed)
+            assert sample_next_event(SKEWED, 0.8, state, gen) \
+                == (float(log.times[1]), log.causes[1])
 
     def test_horizon_cutoff_returns_none(self):
         gen = generator_from_seed(7)
