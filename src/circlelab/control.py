@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .angles import TWO_PI, circle_dist, wrap
 from .diffusion import DiffusionState
 from .errors import PlanningError, UnreachableTargetError
 from .pdmp import PdmpState, segment_u
-from .potential import PeriodicPotential
+from .potential import PeriodicPotential, _circle_roots, _root
 
 __all__ = [
     "ControlSchedule",
@@ -165,8 +164,8 @@ def _shoot_window(potential, x, u, epsilon, target_lift, drift_bound):
     """Constant v on a window of width epsilon landing x exactly on target.
 
     x(epsilon; v) is strictly increasing in v, so the root is bracketed by
-    the naive transport speed plus the drift bound and found by brentq.
-    Gaps are memoized, so brentq reuses the two bracketing integrations.
+    the naive transport speed plus the drift bound and found by `_root`.
+    Gaps are memoized, so `_root` reuses the two bracketing integrations.
     """
     gaps = {}
 
@@ -187,7 +186,7 @@ def _shoot_window(potential, x, u, epsilon, target_lift, drift_bound):
         lo, hi = v0 - r, v0 + r
     else:
         raise PlanningError("could not bracket the steering speed")
-    return float(brentq(landing_gap, lo, hi, xtol=1e-10))
+    return _root(landing_gap, lo, hi, 1e-10)
 
 
 def _coast_chunks(duration: float, u_peak: float, lipschitz_fpp: float) -> int:
@@ -327,23 +326,9 @@ def plan_diffusion_control(potential: PeriodicPotential, z0: DiffusionState,
 
 
 def potential_zeros(potential: PeriodicPotential, grid: int = 4096) -> List[float]:
-    """All zeros of F on [0, 2*pi), located by sign scan plus brentq."""
-    xs = np.linspace(0.0, TWO_PI, grid + 1)
-    vals = potential.value(xs)
-    zeros = []
-    for i in range(grid):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            zeros.append(float(xs[i]))
-        elif a * b < 0.0:
-            zeros.append(float(brentq(potential.value_s, xs[i], xs[i + 1],
-                                      xtol=1e-14)))
-    # Deduplicate near-coincident roots (including across the wrap).
-    out: List[float] = []
-    for z in sorted(wrap(z) for z in zeros):
-        if not out or (z - out[-1] > 1e-9 and TWO_PI - (z - out[0]) > 1e-9):
-            out.append(z)
-    return out
+    """All zeros of F on [0, 2*pi): a sign scan on `grid` cells, each
+    bracket polished by Brent's method to 1e-14."""
+    return _circle_roots(potential.value, grid, 1e-9)
 
 
 def integrate_velocity_schedule(potential: PeriodicPotential,

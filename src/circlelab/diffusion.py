@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .angles import TWO_PI, wrap
 from .errors import MonotonicityError
@@ -579,8 +578,11 @@ def analytic_escape_probability(potential: PeriodicPotential, drive: float,
     x = x1).  orientation="escape" returns the complement, the
     probability of reaching x1 first.  Quadrature is adaptive with
     relative tolerance 1e-10 on the integrand shifted by the arc maximum
-    of F, so the exponentials never overflow.
+    of F, so the exponentials never overflow.  It needs scipy, which
+    only the tests install.
     """
+    from scipy.integrate import quad
+
     if orientation not in ("printed", "escape"):
         raise ValueError("orientation must be 'printed' or 'escape'")
     if drive < 0.0:

@@ -23,7 +23,7 @@ from .errors import (
     NoValidMarginError,
     ZeroCriticalValueError,
 )
-from .potential import PeriodicPotential
+from .potential import _XTOL, PeriodicPotential, _circle_roots, _root
 
 DEFAULT_GRID = 4096
 DEFAULT_ORDER_CAP = 8
@@ -85,27 +85,6 @@ class CriticalLandscape:
         return tuple(p.x for p in self.traps)
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 80) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise CirclelabError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def find_critical_points(
     potential: PeriodicPotential,
     tol: float = 1e-12,
@@ -115,34 +94,15 @@ def find_critical_points(
 ) -> tuple[CriticalPoint, ...]:
     """Locate and classify all sign-change roots of F' on the circle.
 
-    Roots are bracketed on a uniform grid and polished by bisection until
-    |F'| <= tol (scaled by the size of F''). A root where no derivative up
-    to order_cap exceeds order_tol raises DegenerateCriticalPointError.
+    Roots are bracketed on a uniform grid and polished by Brent's method;
+    one left with |F'| > tol (scaled by the size of F'') raises.  A root
+    where no derivative up to order_cap exceeds order_tol raises
+    DegenerateCriticalPointError.
     """
-    xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    fp = potential.derivative(xs)
-    roots: list[float] = []
-    for i in range(grid):
-        j = (i + 1) % grid
-        a, b = float(fp[i]), float(fp[j])
-        xa = float(xs[i])
-        xb = float(xs[j]) if j != 0 else TWO_PI
-        if a == 0.0:
-            roots.append(xa)
-        elif (a > 0) != (b > 0) and b != 0.0:
-            roots.append(_bisect(potential.derivative, xa, xb))
-    roots = sorted(float(wrap(r)) for r in roots)
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < 1e-7:
-            continue
-        merged.append(r)
-    if len(merged) > 1 and (TWO_PI - merged[-1]) + merged[0] < 1e-7:
-        merged.pop()
-
+    roots = _circle_roots(potential.derivative, grid, 1e-7)
     scale = max(1.0, potential.coefficient_bound_derivative(2))
     points = []
-    for r in merged:
+    for r in roots:
         if abs(potential.derivative(r)) > tol * scale:
             raise CirclelabError(f"root polish failed at x={r}")
         order = None
@@ -217,9 +177,12 @@ def _neighbor_maxima(landscape: CriticalLandscape, minimum: CriticalPoint):
     return (prev_x, prev_p), (next_x, next_p)
 
 
-def _level_crossing(potential, level, x_inner, x_outer):
-    """Root of F - level between a point below the level and one above."""
-    return _bisect(lambda z: potential.value(z) - level, x_outer, x_inner)
+def _level_crossings(potential, minimum, level, lo, hi):
+    """Roots of F - level between each of lo and hi (above the level) and
+    the minimum (below it)."""
+    def f(z):
+        return potential.value(z) - level
+    return _root(f, lo, minimum.x, _XTOL), _root(f, hi, minimum.x, _XTOL)
 
 
 def _well_interval(potential, landscape, minimum, rise, grid):
@@ -230,14 +193,10 @@ def _well_interval(potential, landscape, minimum, rise, grid):
     (prev_x, prev_p), (next_x, next_p) = _neighbor_maxima(landscape, minimum)
     if level >= min(prev_p.value, next_p.value):
         return None
-    lo = _level_crossing(potential, level, minimum.x, prev_x)
-    hi = _level_crossing(potential, level, minimum.x, next_x)
-    for a, b, falling in ((lo, minimum.x, True), (minimum.x, hi, False)):
+    lo, hi = _level_crossings(potential, minimum, level, prev_x, next_x)
+    for a, b, slope in ((lo, minimum.x, -1.0), (minimum.x, hi, 1.0)):
         zs = np.linspace(a, b, max(16, grid // 8))
-        diffs = np.diff(potential.value(zs))
-        if falling and np.any(diffs > 1e-12):
-            return None
-        if not falling and np.any(diffs < -1e-12):
+        if np.any(slope * np.diff(potential.value(zs)) < -1e-12):
             return None
     return lo, hi
 
@@ -321,12 +280,6 @@ class LevelGeometry:
         return ArcSet.points([w.minimum.x for w in self.wells])
 
 
-def _mid_crossings(potential, minimum, level, lo, hi):
-    left = _level_crossing(potential, level, minimum.x, lo)
-    right = _level_crossing(potential, level, minimum.x, hi)
-    return left, right
-
-
 def compute_level_geometry(
     potential: PeriodicPotential,
     landscape: CriticalLandscape | None = None,
@@ -358,14 +311,14 @@ def compute_level_geometry(
                 f"well at x={minimum.x} is not monotone at margin {delta}"
             )
         lo, hi = outer
-        mid = _mid_crossings(potential, minimum, minimum.value + eta, lo, hi)
+        mid = _level_crossings(potential, minimum, minimum.value + eta, lo, hi)
         if eta >= delta - 1e-12:
-            # The inner level coincides with the outer one; bisecting for
-            # it would start from a bracket endpoint that is a root up to
+            # The inner level coincides with the outer one; a root search
+            # for it would start from a bracket endpoint that is a root up to
             # rounding, with an arbitrary sign.
             inner = (lo, hi)
         else:
-            inner = _mid_crossings(
+            inner = _level_crossings(
                 potential, minimum, minimum.value + 2.0 * eta, lo, hi)
         wells.append(
             WellGeometry(
@@ -380,7 +333,7 @@ def compute_level_geometry(
     for eta_p in np.geomspace(delta * 1e-4, delta, kappa_grid):
         for w in wells:
             lo, hi = w.interval
-            left, right = _mid_crossings(
+            left, right = _level_crossings(
                 potential, w.minimum, w.minimum.value + eta_p, lo, hi
             )
             d = min(w.minimum.x - left, right - w.minimum.x)

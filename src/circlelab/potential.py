@@ -19,9 +19,77 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, wrap
-from .errors import ConfigError, DegeneratePotentialError
+from .errors import CirclelabError, ConfigError, DegeneratePotentialError
 
 _GRID = 8192
+_SCAN = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
+_RTOL = 4.0 * math.ulp(1.0)
+_XTOL = 1e-14  # bracket width for the roots of F, F - level and F^(n)
+
+
+def _root(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in a sign-change bracket by Brent's (1973) method.
+
+    A line-for-line port of the reference C `brentq` (rtol = 4 eps, at
+    most 100 iterations); every result is bitwise equal to its result.
+    """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise CirclelabError(f"no sign change on [{lo}, {hi}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise CirclelabError(f"no convergence in 100 iterations on [{lo}, {hi}]")
+
+
+def _circle_roots(f, grid: int, merge: float) -> list[float]:
+    """Zeros of f on the circle, sorted in [0, 2*pi).
+
+    f is scanned on `grid` equal cells: a node where f is 0 is a zero, and
+    a cell whose ends differ in sign gives one `_root`.  Zeros closer than
+    `merge`, also across the wrap, count once.
+    """
+    xs = np.linspace(0.0, TWO_PI, grid + 1)
+    v = f(xs)
+    a, b = v[:-1], v[1:]
+    cells = np.flatnonzero((a == 0.0) | ((b != 0.0) & ((a > 0.0) != (b > 0.0))))
+    roots = sorted(wrap(xs[i] if a[i] == 0.0 else _root(f, xs[i], xs[i + 1], _XTOL))
+                   for i in cells)
+    out: list[float] = []
+    for r in roots:
+        if not out or r - out[-1] >= merge:
+            out.append(r)
+    if len(out) > 1 and TWO_PI - out[-1] + out[0] < merge:
+        out.pop()
+    return out
 
 
 def _rotate(a: float, b: float, n: int) -> tuple[float, float]:
@@ -170,30 +238,23 @@ class PeriodicPotential:
     def _extremes(self):
         cached = self._extremes_cache
         if cached is None:
-            xs = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-            vals = self.value(xs)
-            h = TWO_PI / _GRID
-            lo = self._polish_extremum(xs[int(np.argmin(vals))], h, sign=1)
-            hi = self._polish_extremum(xs[int(np.argmax(vals))], h, sign=-1)
-            cached = (float(self.value(lo)), float(lo), float(self.value(hi)), float(hi))
+            vals = self.value(_SCAN)
+            lo = self._peak(0, -vals)
+            hi = self._peak(0, vals)
+            cached = (self.value(lo), lo, self.value(hi), hi)
             object.__setattr__(self, "_extremes_cache", cached)
         return cached
 
-    def _polish_extremum(self, x0: float, h: float, sign: int) -> float:
-        """Bisect F' on [x0-h, x0+h]; sign=+1 polishes a minimum."""
-        lo, hi = x0 - h, x0 + h
-        flo = sign * self.derivative(lo)
-        fhi = sign * self.derivative(hi)
-        if not (flo <= 0.0 <= fhi):
-            return x0  # grid node was not bracketing; fall back
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = sign * self.derivative(mid)
-            if fm < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def _peak(self, order: int, vals) -> float:
+        """Where the grid scan vals (a function of F^(order) on _SCAN) peaks,
+        polished to the root of F^(order+1) in the cells either side; the
+        grid node itself when they hold no sign change."""
+        x0 = float(_SCAN[int(np.argmax(vals))])
+        h = TWO_PI / _GRID
+        try:
+            return _root(lambda z: self.derivative(z, order + 1), x0 - h, x0 + h, _XTOL)
+        except CirclelabError:
+            return x0
 
     @property
     def min_value(self) -> float:
@@ -215,25 +276,9 @@ class PeriodicPotential:
         """Accurate sup of |F^(order)| (grid scan plus local polish)."""
         cache = self._sup_cache
         if order not in cache:
-            xs = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-            vals = np.abs(self.derivative(xs, order))
-            h = TWO_PI / _GRID
-            best = float(np.max(vals))
-            x0 = xs[int(np.argmax(vals))]
-            sign = -1 if self.derivative(x0, order) > 0 else 1
-            # polish the peak of |F^(order)| via a root of F^(order+1)
-            lo, hi = x0 - h, x0 + h
-            dlo = sign * self.derivative(lo, order + 1)
-            dhi = sign * self.derivative(hi, order + 1)
-            if dlo <= 0.0 <= dhi:
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if sign * self.derivative(mid, order + 1) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                best = max(best, abs(self.derivative(0.5 * (lo + hi), order)))
-            cache[order] = best
+            vals = np.abs(self.derivative(_SCAN, order))
+            x = self._peak(order, vals)
+            cache[order] = max(float(np.max(vals)), abs(self.derivative(x, order)))
         return cache[order]
 
     def coefficient_bound_derivative(self, order: int) -> float:

@@ -7,11 +7,14 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import circlelab
 from circlelab import (
     ConfigError,
     DiffusionState,
@@ -864,6 +867,18 @@ class TestCli:
                          "--process", "pdmp", "--lambda", "1.0",
                          "--horizon", "2.0", "--out", str(out)]) == 0
         assert (out / "events_0.csv").is_file()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; only the escape-probability
+        # oracle imports it, inside its body
+        code = ("import sys, circlelab, circlelab.control, circlelab.landscape; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(circlelab.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_console_script_is_registered(self):
         import importlib.metadata as md

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from circlelab import (
+    CirclelabError,
     ConfigError,
     DegenerateCriticalPointError,
     DegeneratePotentialError,
@@ -24,6 +26,8 @@ from circlelab import (
     find_critical_points,
     validate_assumptions,
 )
+from circlelab.control import potential_zeros
+from circlelab.potential import _root
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +37,8 @@ COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 # maxima at 0 (1.8) and pi (-0.2); trap set {pi}
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
 X_MIN_MIX = math.acos(-0.25)
+# The scan grid of PeriodicPotential's extremes and derivative sups.
+SCAN = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
 
 
 def harmonic_potentials():
@@ -114,6 +120,67 @@ class TestEvaluation:
         record = {"a0": a0, "harmonics": [[1, 1.0, 0.0], [2, a2, b2]]}
         with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
             PeriodicPotential.from_record(record)
+
+
+class TestRootFinder:
+    """`_root` is a port of scipy's brentq: same bits, same end cases."""
+
+    @settings(max_examples=60)
+    @given(harmonic_potentials(), st.floats(0.0, 1.0),
+           st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=10),
+           st.sampled_from([1e-10, 1e-14]))
+    def test_matches_brentq_bitwise(self, pot, frac, xs, xtol):
+        level = pot.min_value + frac * (pot.max_value - pot.min_value)
+
+        def f(x):
+            return pot.value_s(x) - level
+
+        # consecutive draws as brackets, either way round, plus one that
+        # always changes sign
+        brackets = list(zip(xs, xs[1:])) + [(pot.argmin, pot.argmax)]
+        for lo, hi in brackets:
+            if (f(lo) > 0.0 and f(hi) > 0.0) or (f(lo) < 0.0 and f(hi) < 0.0):
+                continue
+            assert _root(f, lo, hi, xtol) == brentq(f, lo, hi, xtol=xtol)
+
+    def test_zero_at_an_end_is_returned(self):
+        def f(x):
+            return x - 1.0
+
+        assert _root(f, 1.0, 3.0, 1e-10) == 1.0 == brentq(f, 1.0, 3.0)
+        assert _root(f, -2.0, 1.0, 1e-10) == 1.0 == brentq(f, -2.0, 1.0)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(CirclelabError, match="no sign change"):
+            _root(COSINE.value_s, 2.0, 4.0, 1e-10)
+
+
+class TestGeometryAccuracy:
+    """Extremes, derivative sups and zeros are as exact as Brent's polish
+    to 1e-14 allows, and never worse than the scan grid."""
+
+    @settings(max_examples=60)
+    @given(harmonic_potentials())
+    def test_extremes_are_critical_and_bound_the_grid(self, pot):
+        scale = max(1.0, pot.coefficient_bound_derivative(2))
+        assert abs(pot.derivative(pot.argmin)) <= 1e-12 * scale
+        assert abs(pot.derivative(pot.argmax)) <= 1e-12 * scale
+        values = pot.value(SCAN)
+        assert pot.min_value <= values.min()
+        assert pot.max_value >= values.max()
+
+    @settings(max_examples=60)
+    @given(harmonic_potentials())
+    def test_sup_abs_derivative_bounds_the_grid(self, pot):
+        for n in (1, 2):
+            assert pot.sup_abs_derivative(n) >= np.abs(pot.derivative(SCAN, n)).max()
+
+    @settings(max_examples=60)
+    @given(harmonic_potentials())
+    def test_zeros_are_zeros(self, pot):
+        scale = max(1.0, pot.coefficient_bound_derivative(1))
+        for z in potential_zeros(pot):
+            assert abs(pot.value(z)) <= 1e-12 * scale
 
 
 class TestCriticalPoints:

@@ -1,5 +1,6 @@
 """Tests for the estimators and property checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -60,11 +61,24 @@ def _flat_trajectory(x, u, n=5):
                       potential_id="test")
 
 
+_X_EDGES = np.linspace(0.0, TWO_PI, 9)
+_U_EDGES = np.linspace(-2.0, 2.0, 5)
+
+
 def _random_histogram(rng, weight):
-    x_edges = np.linspace(0.0, TWO_PI, 9)
-    u_edges = np.linspace(-2.0, 2.0, 5)
     m = rng.random((8, 6))
-    return EmpiricalHistogram(x_edges, u_edges, m / m.sum(), weight)
+    return EmpiricalHistogram(_X_EDGES, _U_EDGES, m / m.sum(), weight)
+
+
+def _histograms(n):
+    """n normalized histograms on the bins of _random_histogram, with
+    drawn masses (some cells empty) and weights."""
+    masses = st.lists(st.floats(0.0, 1.0), min_size=48, max_size=48)
+    one = st.builds(
+        lambda m, w: EmpiricalHistogram(
+            _X_EDGES, _U_EDGES, np.reshape(m, (8, 6)) / np.sum(m), w),
+        masses.filter(lambda m: sum(m) > 0.0), st.floats(1e-3, 1e3))
+    return st.lists(one, min_size=n, max_size=n)
 
 
 class TestWilson:
@@ -110,17 +124,21 @@ class TestHistogram:
         expected = 0.5 * (a.masses + b.masses)
         assert np.allclose(merged.masses, expected, atol=1e-15)
 
-    def test_merge_monoid(self):
-        rng = np.random.default_rng(1)
-        a = _random_histogram(rng, 2.0)
-        b = _random_histogram(rng, 5.0)
-        c = _random_histogram(rng, 1.0)
+    @settings(max_examples=60)
+    @given(hists=_histograms(3), order=st.permutations(range(3)))
+    def test_merge_monoid(self, hists, order):
+        # associative and order-independent up to rounding; a pairwise
+        # swap is bitwise, as floating-point addition commutes
+        a, b, c = hists
         left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert np.allclose(left.masses, right.masses, atol=1e-12)
-        assert abs(left.weight - right.weight) < 1e-12
+        for other in (a.merge(b.merge(c)),
+                      functools.reduce(EmpiricalHistogram.merge,
+                                       [hists[i] for i in order])):
+            assert np.allclose(other.masses, left.masses, rtol=0.0, atol=1e-12)
+            assert other.weight == pytest.approx(left.weight, rel=1e-12)
+            assert abs(other.total_mass - 1.0) < 1e-12
         ab, ba = a.merge(b), b.merge(a)
-        assert np.allclose(ab.masses, ba.masses, atol=1e-15)
+        assert np.array_equal(ab.masses, ba.masses) and ab.weight == ba.weight
 
     def test_bin_mismatch(self):
         a = occupation_histogram(_flat_trajectory(1.0, 0.5), x_bins=8)
