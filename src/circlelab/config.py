@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from .angles import ArcSet
+from .diffusion import level_factors
 from .errors import ConfigError
 from .potential import PeriodicPotential, load_potential
 
@@ -32,8 +33,11 @@ __all__ = [
 ]
 
 SCENARIO_KINDS = ("ergodic", "localization", "metastability",
-                  "pdmp-vs-diffusion", "drift", "doeblin", "hitting")
+                  "pdmp-vs-diffusion", "drift", "doeblin", "hitting",
+                  "refinement")
 PROCESS_KINDS = ("diffusion", "pdmp", "both")
+# The step sizes of the refinement kind, coarse to fine.
+DEFAULT_DT_LEVELS = (4e-3, 2e-3, 1e-3)
 
 # Kind-specific option keys with their parsers and defaults.  A scalar
 # default of None means "required only if the kind needs it"; all listed
@@ -105,6 +109,11 @@ _OPTION_SPECS: Dict[str, Any] = {
                     "and an arc of positive width"),
     "grid_points": _checked(_integer, _is_perfect_square,
                             "must be a perfect square >= 1"),
+    "dt_levels": _checked(_float_list,
+                          lambda ds: len(ds) >= 2 and ds[-1] > 0.0 and all(
+                              a > b for a, b in zip(ds, ds[1:])),
+                          "must be two or more step sizes > 0, "
+                          "decreasing"),
     "tolerance": _finite_float,
     "u_threshold": _finite_float,
 }
@@ -173,6 +182,15 @@ class ScenarioConfig:
             if key not in _OPTION_SPECS:
                 raise ConfigError(f"field {key!r}: unknown option")
             _parse_option(key, value)
+        if self.kind == "refinement":
+            if self.process != "diffusion":
+                raise ConfigError("field 'process': the refinement kind "
+                                  "runs the diffusion only")
+            try:
+                level_factors(self.horizon,
+                              self.option("dt_levels", DEFAULT_DT_LEVELS))
+            except ValueError as exc:
+                raise ConfigError(f"field 'dt_levels': {exc}") from exc
 
     def processes(self) -> Tuple[str, ...]:
         return ("diffusion", "pdmp") if self.process == "both" \

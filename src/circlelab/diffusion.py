@@ -28,6 +28,12 @@ Conventions shared by every simulator in this module:
   batch width either.  The vector loops draw noise per replica in
   blocks of steps and scale it by sqrt(dt) into a time-major buffer, so
   each step reads one contiguous row.
+- A wide batch wraps x with two masked corrections, which are
+  bitwise equal to the modulo while one step moves x by less than pi;
+  a guard checks that bound once per noise block and falls back to the
+  modulo for a block it does not cover (`_HarmonicWorkspace.em_step`).
+- At every noise-block boundary the loops check that each replica's
+  state is finite, and raise RunawayError naming the first bad seed.
 - Recording keeps step 0, every `record_every`-th step, and the final
   step.  With the default dt = 1e-3 and record_every = 100 a horizon of
   2000 yields 20001 samples per replica.
@@ -42,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .angles import TWO_PI, wrap
-from .errors import MonotonicityError
+from .errors import MonotonicityError, RunawayError
 from .potential import PeriodicPotential
 from .seeding import generators_from_seeds
 
@@ -63,6 +69,16 @@ __all__ = [
 # same noise and do the same float operations in the same order, so a
 # replica's path is bitwise the same whichever loop runs it.
 _SCALAR_PATH_MAX = 4
+# Batches at least this wide wrap x with two masked corrections instead
+# of np.remainder.  Measured on a 2-vCPU Xeon, ns per replica-step with
+# F = cos x + cos 2x - 0.2, remainder vs masks (median of 7 interleaved
+# runs): 256 wide 171 vs 181, 448 wide 168 vs 171, 512 wide 165 vs 156,
+# 2048 wide 154 vs 144.
+_MASKED_WRAP_MIN = 512
+# Replicas per tile when noise is transposed into the time-major block:
+# a tile's rows stay in cache, and the transposed write of 2048 x 256
+# normals took 2.8 instead of 5.7 ns per element.
+_TILE = 128
 _MONOTONE_GRID = 512
 
 
@@ -183,6 +199,13 @@ class _HarmonicWorkspace:
         self.t = np.empty(n)
         self.fv = np.empty(n)
         self.fp = np.empty(n)
+        # The masked wrap of em_step: its mask buffer (wide batches only),
+        # whether the current block may use it, and the bounds on |F| and
+        # |F'| that its guard needs.
+        self.mask = np.empty(n, dtype=bool) if n >= _MASKED_WRAP_MIN else None
+        self.masked = False
+        self.sup_f = abs(self.a0) + potential.coefficient_bound_derivative(0)
+        self.sup_fp = potential.coefficient_bound_derivative(1)
         # Per harmonic, its nonzero terms as (F source, F coefficient, F'
         # source, F' coefficient), c and s holding cos(kx) and sin(kx):
         # a_k adds c a to F and s (-k a) to F', b_k adds s b and c (k b).
@@ -222,17 +245,49 @@ class _HarmonicWorkspace:
                     np.multiply(src_d, cd, out=t)
                     fp += t
 
+    def choose_wrap(self, umax: float, sn: np.ndarray, dt: float) -> None:
+        """Let the next len(sn) em_step calls use the masked wrap if no step
+        among them can move x by pi or more.
+
+        sn holds the block's sqrt(dt)-scaled noise, one row per step, and
+        umax is max|u| at the block start.  Within the block |u| stays
+        below umax + len(sn) dt sup|F|, so one step moves x by at most
+        max|sn| + (umax + len(sn) dt sup|F|) sup|F'| dt; the sups are the
+        potential's coefficient bounds.  Batches narrower than
+        _MASKED_WRAP_MIN always keep np.remainder.
+        """
+        if self.mask is None:
+            return
+        smax = max(float(sn.max()), -float(sn.min()))
+        reach = (umax + len(sn) * dt * self.sup_f) * self.sup_fp * dt
+        self.masked = smax + reach < math.pi
+
     def em_step(self, x: np.ndarray, u: np.ndarray, sn: np.ndarray,
                 dt: float) -> None:
         """Advance every replica's (x, u) in place by one step of size dt,
-        with sn holding sqrt(dt) times one standard normal per replica."""
+        with sn holding sqrt(dt) times one standard normal per replica.
+
+        x starts in [0, 2pi].  Under the guard of choose_wrap the step
+        leaves it in (-pi, 3pi), where subtracting 2pi from x >= 2pi and
+        then adding 2pi to x < 0 gives the bits of np.remainder: x - 2pi
+        is exact there (Sterbenz's lemma), as fmod is, and below 0 both
+        forms round x + 2pi.  The one input where they differ, -0.0, does
+        not arise, since x + step is -0.0 only when x is.
+        """
         self.eval(x)
         fv, fp = self.fv, self.fp
         fp *= u
         fp *= dt
         np.subtract(sn, fp, out=fp)
         x += fp
-        np.remainder(x, TWO_PI, out=x)
+        if self.masked:
+            mask = self.mask
+            np.greater_equal(x, TWO_PI, out=mask)
+            np.subtract(x, TWO_PI, out=x, where=mask)
+            np.less(x, 0.0, out=mask)
+            np.add(x, TWO_PI, out=x, where=mask)
+        else:
+            np.remainder(x, TWO_PI, out=x)
         fv *= dt
         u += fv
 
@@ -244,7 +299,11 @@ def _noise_buffers(n_replicas: int, multiple_of: int = 1):
     A block spans at most 2048 steps, and up to 2048 replicas the two
     hold at most 1 << 20 floats (8 MB) together.  Wider batches keep a
     floor of 256 steps per block, so that one standard_normal call per
-    replica per block stays amortized.
+    replica per block stays amortized.  A block is also the unit of the
+    loops' checks: at its start they check that the state is finite and
+    let `_HarmonicWorkspace.choose_wrap` pick the wrap of its steps from
+    their noise, so the masked wrap runs only where one step moves x by
+    less than pi.
     """
     blen = max(256, min(2048, (1 << 19) // max(n_replicas, 1)))
     blen -= blen % multiple_of
@@ -278,7 +337,19 @@ def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
     return n_steps
 
 
-def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
+def _finite_umax(x: np.ndarray, u: np.ndarray, seeds, t: float) -> float:
+    """max|u| over a batch, after checking that every replica's state is
+    finite at time t; RunawayError naming the first bad replica's seed
+    otherwise."""
+    umax = float(np.max(np.abs(u)))
+    if not (math.isfinite(umax) and math.isfinite(float(np.max(np.abs(x))))):
+        bad = int(np.flatnonzero(~(np.isfinite(x) & np.isfinite(u)))[0])
+        raise RunawayError(f"diffusion replica with seed {seeds[bad]}: "
+                           f"x or u is not finite at t = {t!r}")
+    return umax
+
+
+def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
     # The order reference for every potential: F and F' are summed
     # harmonic by harmonic, zero coefficients skipped, and
     # _HarmonicWorkspace.em_step does the same float operations, so a
@@ -301,6 +372,8 @@ def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
     rec = 1
     step = 0
     while step < n_steps:
+        if not (math.isfinite(x) and math.isfinite(u)):
+            break
         m = min(4096, n_steps - step)
         noise = gen.standard_normal(m).tolist()
         for g in noise:
@@ -323,6 +396,9 @@ def _scalar_self(potential, x0, u0, dt, gen, rec_steps, out_x, out_u):
                 out_x[rec] = x
                 out_u[rec] = u
                 rec += 1
+    if not (math.isfinite(x) and math.isfinite(u)):
+        raise RunawayError(f"diffusion replica with seed {seed}: "
+                           f"x or u is not finite at t = {step * dt!r}")
 
 
 def _fill_noise(block: np.ndarray, gens, m: int) -> None:
@@ -334,7 +410,21 @@ def _fill_noise(block: np.ndarray, gens, m: int) -> None:
             block[j, :m] = gen.standard_normal(m)
 
 
-def _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u):
+def _fill_steps(block: np.ndarray, steps: np.ndarray, gens, m: int,
+                scale: float) -> None:
+    """Draw each replica's next m normals into its row of block and write
+    them, times scale, into steps[:m], one row per step.
+
+    This runs in tiles of _TILE replicas, so that a tile's rows are still
+    in cache when they are transposed.
+    """
+    for lo in range(0, len(gens), _TILE):
+        hi = lo + _TILE
+        _fill_noise(block[lo:hi], gens[lo:hi], m)
+        np.multiply(block[lo:hi, :m].T, scale, out=steps[:m, lo:hi])
+
+
+def _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x, out_u):
     n = x.size
     ws = _HarmonicWorkspace(potential, n)
     sqrt_dt = math.sqrt(dt)
@@ -347,8 +437,8 @@ def _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u):
     step = 0
     while step < n_steps:
         m = min(steps.shape[0], n_steps - step)
-        _fill_noise(block, gens, m)
-        np.multiply(block[:, :m].T, sqrt_dt, out=steps[:m])
+        _fill_steps(block, steps, gens, m, sqrt_dt)
+        ws.choose_wrap(_finite_umax(x, u, seeds, step * dt), steps[:m], dt)
         for sn in steps[:m]:
             ws.em_step(x, u, sn, dt)
             step += 1
@@ -356,6 +446,7 @@ def _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u):
                 out_x[:, rec] = x
                 out_u[:, rec] = u
                 rec += 1
+    _finite_umax(x, u, seeds, step * dt)
 
 
 def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
@@ -370,11 +461,30 @@ def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
     gens = generators_from_seeds(seeds)
     if n <= _SCALAR_PATH_MAX:
         for j in range(n):
-            _scalar_self(potential, x[j], u[j], dt, gens[j], rec_steps,
-                         out_x[j], out_u[j])
+            _scalar_self(potential, x[j], u[j], dt, gens[j], seeds[j],
+                         rec_steps, out_x[j], out_u[j])
     else:
-        _vector_self(potential, x, u, dt, gens, rec_steps, out_x, out_u)
+        _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x,
+                     out_u)
     return out_x, out_u
+
+
+def level_factors(horizon: float, dt_levels: Sequence[float]):
+    """(factors, fine steps) of nested step sizes: factors[i] is
+    dt_levels[i] over the finest level, which must be an integer, and the
+    horizon must hold a whole number of steps of every level.  Raises
+    ValueError otherwise."""
+    dt_f = min(dt_levels)
+    factors = []
+    for d in dt_levels:
+        f = int(round(d / dt_f))
+        if abs(f * dt_f - d) > 1e-12 * d:
+            raise ValueError("each dt level must be an integer multiple of the finest")
+        factors.append(f)
+    n_steps_f = _validate_grid(horizon, dt_f, 1)
+    if n_steps_f % math.lcm(*factors):
+        raise ValueError("horizon must contain a whole number of steps of every level")
+    return factors, n_steps_f
 
 
 def _seed_tuple(seeds) -> tuple:
@@ -404,7 +514,8 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     replica-vectorized loop; both consume identical noise streams in the
     same arithmetic order, so a replica's path depends only on its seed
     and start, bitwise, not on the batch it runs in.  A non-finite x0 or
-    u0 raises ValueError naming it.
+    u0 raises ValueError naming it; a state that turns non-finite during
+    the run raises RunawayError naming the replica's seed.
     """
     seeds = _seed_tuple(seeds)
     n_steps = _validate_grid(horizon, dt, record_every)
@@ -437,22 +548,17 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     by 1/sqrt(factor)), so all levels discretize the same Brownian motion.
     The common path makes the level-to-level differences of E[U_horizon]
     nearly noise-free, which is what a step-size refinement ratio needs.
-    Returns {dt: array of terminal u over replicas}.
+    A replica's values depend only on its seed and start, bitwise, so
+    seed chunks concatenate to the one-call result.  A state that turns
+    non-finite raises RunawayError naming the replica's seed.  Returns
+    {dt: array of terminal u over replicas}.
     """
     seeds = _seed_tuple(seeds)
     n = len(seeds)
     dt_levels = [float(d) for d in dt_levels]
     dt_f = min(dt_levels)
-    factors = []
-    for d in dt_levels:
-        f = int(round(d / dt_f))
-        if abs(f * dt_f - d) > 1e-12 * d:
-            raise ValueError("each dt level must be an integer multiple of the finest")
-        factors.append(f)
-    n_steps_f = _validate_grid(horizon, dt_f, 1)
+    factors, n_steps_f = level_factors(horizon, dt_levels)
     lcm = math.lcm(*factors)
-    if n_steps_f % lcm:
-        raise ValueError("horizon must contain a whole number of steps of every level")
     xs = [_as_replica_array(x0, n, "x0") for _ in dt_levels]
     for xl in xs:
         np.remainder(xl, TWO_PI, out=xl)
@@ -471,10 +577,16 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
             else:
                 coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
                 coarse *= 1.0 / math.sqrt(f)
-            np.multiply(coarse.T, math.sqrt(dt), out=steps[:m // f])
+            for lo in range(0, n, _TILE):
+                np.multiply(coarse[lo:lo + _TILE].T, math.sqrt(dt),
+                            out=steps[:m // f, lo:lo + _TILE])
+            umax = _finite_umax(xs[lvl], us[lvl], seeds, step * dt_f)
+            ws.choose_wrap(umax, steps[:m // f], dt)
             for sn in steps[:m // f]:
                 ws.em_step(xs[lvl], us[lvl], sn, dt)
         step += m
+    for lvl in range(len(dt_levels)):
+        _finite_umax(xs[lvl], us[lvl], seeds, step * dt_f)
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
 
 
@@ -524,8 +636,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     while step < max_steps and alive.size:
         m = min(blen, max_steps - step)
         na = alive.size
-        _fill_noise(block[:na], gens, m)
-        np.multiply(block[:na, :m].T, sqrt_dt, out=steps[:m, :na])
+        _fill_steps(block[:na], steps[:, :na], gens, m, sqrt_dt)
         active = np.ones(na, dtype=bool)
         for i, sn in enumerate(steps[:m, :na]):
             np.add(s, low, out=xs)

@@ -39,7 +39,8 @@ class BinMismatchError(CirclelabError, ValueError):
 
 
 class RunawayError(CirclelabError, RuntimeError):
-    """Event count exceeded the configured cap."""
+    """A simulation ran away: a velocity-jump path exceeded its event cap,
+    or a diffusion replica's x or u turned non-finite."""
 
 
 class ConfigError(CirclelabError, ValueError):

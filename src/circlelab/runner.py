@@ -4,11 +4,11 @@ A scenario is decomposed into an ordered list of tasks (replica chunks or
 parameter cells).  Tasks run either serially or on a process pool; results
 are folded in task order, so the artifacts are a pure function of
 (config, root seed) no matter how many workers ran or in what order tasks
-finished.  The drift, localization, doeblin and hitting kinds cut each
-cell into one chunk per worker, so that every worker runs one wide batch:
-the task list follows the worker count, the outputs do not, because a
-replica's seed comes from its global index and its path is bitwise the
-same at every batch width.  Metastability derives seeds from the chunk
+finished.  The drift, localization, doeblin, hitting and refinement kinds
+cut each cell into one chunk per worker, so that every worker runs one
+wide batch: the task list follows the worker count, the outputs do not,
+because a replica's seed comes from its global index and its path is
+bitwise the same at every batch width.  Metastability derives seeds from the chunk
 index, so it keeps a fixed layout of at most TASKS_TARGET chunks per
 cell.  Every run directory gets ``manifest.json`` (config echo, seed
 scheme, file hashes), ``estimates.json``, ``plotdata_<name>.csv``, and raw
@@ -30,11 +30,12 @@ import numpy as np
 
 from . import __version__
 from .angles import TWO_PI, circle_dist
-from .config import ScenarioConfig, scenario_from_dict
+from .config import DEFAULT_DT_LEVELS, ScenarioConfig, scenario_from_dict
 from .diffusion import (
     DiffusionState,
     simulate_diffusion,
     simulate_diffusion_ensemble,
+    simulate_terminal_u_coupled,
 )
 from .errors import ConfigError
 from .io import (
@@ -44,7 +45,11 @@ from .io import (
     write_json,
     write_trajectory_csv,
 )
-from .landscape import classify_landscape, compute_level_geometry
+from .landscape import (
+    classify_landscape,
+    compute_level_geometry,
+    compute_level_margin,
+)
 from .pdmp import PdmpState, simulate_pdmp
 from .seeding import derive_replica_seed
 from .stats import (
@@ -349,6 +354,16 @@ def _localization_finalize(config: ScenarioConfig, results, out_dir):
 
 
 def _metastability_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
+    """Every task carries the one level geometry, built here, so an eta
+    above the potential's level margin fails before any task runs."""
+    eta = config.option("eta", 1.0 / 3.0)
+    landscape = classify_landscape(config.potential)
+    delta = compute_level_margin(config.potential, landscape)
+    if not 0.0 < eta <= delta:
+        raise ConfigError(f"field 'eta': {eta!r} must lie in (0, delta], "
+                          f"and this potential has delta = {delta!r}")
+    geometry = compute_level_geometry(config.potential, landscape,
+                                      delta=delta, eta=eta)
     m_grid = config.option("m_grid", (4.0, 8.0, 12.0, 16.0))
     tasks = []
     counter = 0
@@ -357,7 +372,7 @@ def _metastability_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
             for lo, hi in replica_chunks(config.replicas, TASKS_TARGET):
                 tasks.append({
                     "op": "metastability", "process": process, "m": float(m),
-                    "trials": hi - lo,
+                    "trials": hi - lo, "geometry": geometry,
                     "chunk_root": derive_replica_seed(config.root_seed,
                                                       counter),
                 })
@@ -367,9 +382,8 @@ def _metastability_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
 
 def _metastability_run(config: ScenarioConfig, task: Dict[str, Any]):
     eta = config.option("eta", 1.0 / 3.0)
-    geometry = compute_level_geometry(config.potential, eta=eta)
     est = estimate_escape(
-        config.potential, geometry, task["m"], eta, task["trials"],
+        config.potential, task["geometry"], task["m"], eta, task["trials"],
         process=task["process"], lam=config.lam, dt=config.dt,
         max_time=config.option("max_time", 500.0),
         root_seed=task["chunk_root"])
@@ -683,6 +697,54 @@ def _hitting_finalize(config: ScenarioConfig, results, out_dir):
 
 
 # ---------------------------------------------------------------------------
+# scenario: refinement
+
+
+def _refinement_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
+    """One task per replica chunk; replica i gets splitmix64(root_seed, i)
+    and runs every level of dt_levels on one Brownian path."""
+    return [{"op": "refinement", "lo": lo, "hi": hi}
+            for lo, hi in _worker_chunks(config)]
+
+
+def _refinement_run(config: ScenarioConfig, task: Dict[str, Any]):
+    levels = config.option("dt_levels", DEFAULT_DT_LEVELS)
+    seeds = tuple(derive_replica_seed(config.root_seed, i)
+                  for i in range(task["lo"], task["hi"]))
+    by_dt = simulate_terminal_u_coupled(config.potential, config.x0,
+                                        config.u0, config.horizon, levels,
+                                        seeds=seeds)
+    return {"u": [by_dt[d] for d in levels]}
+
+
+def _refinement_finalize(config: ScenarioConfig, results, out_dir):
+    levels = config.option("dt_levels", DEFAULT_DT_LEVELS)
+    # terminal[k] holds every replica's U_horizon at dt_levels[k].
+    terminal = [np.concatenate([r["u"][k] for r in results])
+                for k in range(len(levels))]
+    differences = []
+    plot_rows = []
+    for k in range(len(levels) - 1):
+        d = terminal[k] - terminal[k + 1]
+        mean = float(d.mean())
+        se = float(d.std(ddof=1) / math.sqrt(d.size)) if d.size > 1 else None
+        differences.append({"dt_coarse": levels[k], "dt_fine": levels[k + 1],
+                            "mean": mean, "std_error": se})
+        plot_rows.append((levels[k], levels[k + 1], mean,
+                          "" if se is None else se))
+    # Under first-order weak error E[U(dt)] = E[U] + C dt + o(dt), the
+    # ratio of differences k and k + 1 tends to (dt_k - dt_k+1) /
+    # (dt_k+1 - dt_k+2): 2 for step halving.
+    ratios = [a["mean"] / b["mean"] if b["mean"] != 0.0 else None
+              for a, b in zip(differences, differences[1:])]
+    _write_plotdata(out_dir, "refinement",
+                    ["dt_coarse", "dt_fine", "mean_difference", "std_error"],
+                    plot_rows)
+    return {"kind": "refinement", "differences": differences,
+            "ratios": ratios}
+
+
+# ---------------------------------------------------------------------------
 # task dispatch
 
 
@@ -696,6 +758,8 @@ _BUILDERS = {
     "drift": (_drift_tasks, _drift_run, _drift_finalize),
     "doeblin": (_doeblin_tasks, _doeblin_run, _doeblin_finalize),
     "hitting": (_hitting_tasks, _hitting_run, _hitting_finalize),
+    "refinement": (_refinement_tasks, _refinement_run,
+                   _refinement_finalize),
 }
 
 

@@ -42,7 +42,6 @@ from circlelab import (
     scenario_from_dict,
     simulate_pdmp,
     simulate_pdmp_driven,
-    simulate_terminal_u_coupled,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -412,31 +411,32 @@ def test_criterion_08_steering_planners(acceptance):
     assert elapsed < 10.0
 
 
-def test_criterion_09_discretization_refinement(acceptance):
+def test_criterion_09_discretization_refinement(acceptance, tmp_path):
     t0 = time.perf_counter()
     # Contractive picket: from (pi, 60) the interaction stays above ~10
     # for the whole run, pinning the position near the well bottom, so
     # trajectories at nested step sizes remain synchronized and the
-    # first-order error in E[U_50] is measurable above the noise.
-    seeds = tuple(derive_replica_seed(20260900, i) for i in range(10_000))
-    levels = (4e-3, 2e-3, 1e-3)
-    by_dt = simulate_terminal_u_coupled(COSINE, math.pi, 60.0, 50.0, levels,
-                                        seeds=seeds)
-    coarse = np.asarray(by_dt[levels[0]])
-    middle = np.asarray(by_dt[levels[1]])
-    fine = np.asarray(by_dt[levels[2]])
-    d1 = coarse - middle
-    d2 = middle - fine
-    ratio = float(d1.mean() / d2.mean())
-    se1 = float(d1.std(ddof=1) / math.sqrt(d1.size))
-    se2 = float(d2.std(ddof=1) / math.sqrt(d2.size))
+    # first-order error in E[U_50] is measurable above the noise.  The
+    # refinement kind gives replica i the seed splitmix64(20260900, i) and
+    # runs the levels coupled on one Brownian path per replica, one
+    # replica chunk per worker.
+    cfg = scenario_from_dict({
+        "kind": "refinement", "potential": COSINE_RECORD, "horizon": 50.0,
+        "replicas": 10_000, "x0": math.pi, "u0": 60.0,
+        "root_seed": 20260900,
+        "options": {"dt_levels": [4e-3, 2e-3, 1e-3]},
+    })
+    run_scenario(cfg, out_dir=str(tmp_path / "refinement"))
+    est = read_json(str(tmp_path / "refinement" / "estimates.json"))
+    d1, d2 = est["differences"]
+    ratio = est["ratios"][0]
     elapsed = time.perf_counter() - t0
     ok = 1.5 <= ratio <= 3.0
     acceptance(9, ok,
                f"step-halving refinement of E[U_50]: differences "
-               f"{d1.mean():.5f} (se {se1:.1e}) and {d2.mean():.5f} "
-               f"(se {se2:.1e}), ratio {ratio:.2f} in [1.5, 3.0]; "
-               f"{elapsed:.0f}s")
+               f"{d1['mean']:.5f} (se {d1['std_error']:.1e}) and "
+               f"{d2['mean']:.5f} (se {d2['std_error']:.1e}), ratio "
+               f"{ratio:.2f} in [1.5, 3.0]; {elapsed:.0f}s")
     assert 1.5 <= ratio <= 3.0
 
 

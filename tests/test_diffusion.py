@@ -1,6 +1,8 @@
 """Tests for the Euler-Maruyama simulators and the exit-probability oracle."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from circlelab.angles import TWO_PI
 from circlelab.diffusion import (
+    _MASKED_WRAP_MIN,
     DiffusionState,
+    _HarmonicWorkspace,
     _noise_buffers,
     analytic_escape_probability,
     run_exit_trials,
@@ -17,7 +21,7 @@ from circlelab.diffusion import (
     simulate_diffusion_ensemble,
     simulate_terminal_u_coupled,
 )
-from circlelab.errors import MonotonicityError
+from circlelab.errors import MonotonicityError, RunawayError
 from circlelab.landscape import compute_level_geometry
 from circlelab.potential import PeriodicPotential
 from circlelab.seeding import derive_replica_seeds, generators_from_seeds
@@ -198,6 +202,137 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             simulate_diffusion_ensemble(COSINE, starts["x0"], starts["u0"],
                                         0.1, seeds=(1, 2, 3))
+
+
+@contextlib.contextmanager
+def _wrap_choices(force=None):
+    """Record, for wide batches, whether each block took the masked wrap;
+    force=True overrides the guard."""
+    choices = []
+    real = _HarmonicWorkspace.choose_wrap
+
+    def spy(self, umax, sn, dt):
+        real(self, umax, sn, dt)
+        if self.mask is not None:
+            if force is not None:
+                self.masked = force
+            choices.append(self.masked)
+
+    with mock.patch.object(_HarmonicWorkspace, "choose_wrap", spy):
+        yield choices
+
+
+def _scalar_rows(potential, x0, u0, horizon, seeds, **kw):
+    """x and u of each replica from its own one-seed (scalar loop) run."""
+    u0 = np.broadcast_to(np.asarray(u0, dtype=float), (len(seeds),))
+    runs = [simulate_diffusion(potential, DiffusionState(x0, float(u)),
+                               horizon, seed=seed, **kw)
+            for seed, u in zip(seeds, u0)]
+    return np.array([r.x for r in runs]), np.array([r.u for r in runs])
+
+
+class TestMaskedWrap:
+    """Batches at least _MASKED_WRAP_MIN wide wrap x with two masked
+    corrections in the blocks that the guard admits; every row stays
+    bitwise equal to the scalar loop, which keeps the modulo."""
+
+    WIDE = _MASKED_WRAP_MIN + 20
+
+    @staticmethod
+    def _assert_wrapped(x):
+        assert np.all((x >= 0.0) & (x <= TWO_PI))
+        assert not np.any(np.signbit(x))  # never -0.0
+
+    @settings(max_examples=4)
+    @given(root=st.integers(0, 2**63 - 1),
+           potential=st.sampled_from([COSINE, MIXTURE, SKEWED]),
+           x0=st.one_of(st.just(0.0), st.floats(0.0, TWO_PI, allow_nan=False)),
+           u0=st.floats(-5.0, 5.0, allow_nan=False))
+    def test_rows_match_the_scalar_loop_across_the_cutoff(self, root,
+                                                          potential, x0, u0):
+        # 1100 steps span two noise blocks at both widths; the narrow
+        # batch sits one replica below the cut-off and keeps np.remainder.
+        seeds = derive_replica_seeds(root, self.WIDE)
+        kw = dict(dt=1e-3, record_every=1)
+        with _wrap_choices() as choices:
+            full = simulate_diffusion_ensemble(potential, x0, u0, 1.1,
+                                               seeds=seeds, **kw)
+        assert choices == [True, True]
+        self._assert_wrapped(full.x)
+        narrow = simulate_diffusion_ensemble(
+            potential, x0, u0, 1.1, seeds=seeds[:_MASKED_WRAP_MIN - 1], **kw)
+        assert np.array_equal(narrow.x, full.x[:_MASKED_WRAP_MIN - 1])
+        assert np.array_equal(narrow.u, full.u[:_MASKED_WRAP_MIN - 1])
+        x_ref, u_ref = _scalar_rows(potential, x0, u0, 1.1, seeds, **kw)
+        assert np.array_equal(full.x, x_ref)
+        assert np.array_equal(full.u, u_ref)
+
+    def test_guard_keeps_the_modulo_when_a_step_can_pass_2pi(self):
+        # From u0 = -5000 one step moves x by about u F'(x) dt ~ 10.
+        seeds = derive_replica_seeds(5, self.WIDE)
+        kw = dict(dt=2e-3, record_every=1)
+        with _wrap_choices() as choices:
+            full = simulate_diffusion_ensemble(COSINE, 1.0, -5000.0, 0.6,
+                                               seeds=seeds, **kw)
+        assert choices == [False]
+        self._assert_wrapped(full.x)
+        x_ref, u_ref = _scalar_rows(COSINE, 1.0, -5000.0, 0.6, seeds, **kw)
+        assert np.array_equal(full.x, x_ref)
+        assert np.array_equal(full.u, u_ref)
+        # The input is sharp: without the guard x leaves [0, 2pi].
+        with _wrap_choices(force=True):
+            forced = simulate_diffusion_ensemble(COSINE, 1.0, -5000.0, 0.6,
+                                                 seeds=seeds, **kw)
+        assert forced.x.min() < 0.0 or forced.x.max() > TWO_PI
+
+    def test_coupled_levels_on_seed_chunks_equal_one_call(self):
+        seeds = derive_replica_seeds(23, self.WIDE + 80)
+        levels = (4e-3, 2e-3, 1e-3)
+        with _wrap_choices() as choices:
+            whole = simulate_terminal_u_coupled(MIXTURE, 1.0, 0.5, 2.0,
+                                                levels, seeds=seeds)
+        assert choices and all(choices)
+        cuts = (0, 3, 100, len(seeds))
+        for d in levels:
+            parts = [simulate_terminal_u_coupled(
+                MIXTURE, 1.0, 0.5, 2.0, levels, seeds=seeds[lo:hi])[d]
+                for lo, hi in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole[d]), d
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestRunaway:
+    """A replica state that turns non-finite raises RunawayError naming the
+    first bad replica's seed, in every EM loop."""
+
+    @pytest.mark.parametrize("width", [1, 8, 300, _MASKED_WRAP_MIN + 20])
+    def test_ensemble_raises_with_the_first_bad_seed(self, width):
+        seeds = derive_replica_seeds(9, width)
+        u0 = np.zeros(width)
+        bad = width // 2
+        u0[bad:] = 1e308
+        with pytest.raises(RunawayError, match=f"seed {seeds[bad]}: "):
+            simulate_diffusion_ensemble(MIXTURE, 1.0, u0, 0.01, dt=1e-3,
+                                        seeds=seeds)
+
+    def test_ensemble_raises_at_the_block_start_it_is_seen(self):
+        # The state turns non-finite in the first steps; the scalar loop
+        # sees it at the start of its second 4096-step block, the vector
+        # loop at the start of its second 2048-step block.
+        with pytest.raises(RunawayError, match=r"t = 4\.096"):
+            simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
+                                        seeds=(3,))
+        with pytest.raises(RunawayError, match=r"t = 2\.048"):
+            simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
+                                        seeds=tuple(range(3, 9)))
+
+    def test_coupled_levels_raise(self):
+        seeds = derive_replica_seeds(9, 6)
+        u0 = [0.0, 0.0, 1e308, 0.0, 1e308, 0.0]
+        with pytest.raises(RunawayError, match=f"seed {seeds[2]}: "):
+            simulate_terminal_u_coupled(MIXTURE, 1.0, u0, 0.04,
+                                        (2e-3, 1e-3), seeds=seeds)
 
 
 class TestCoupledRefinement:

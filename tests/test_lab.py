@@ -28,6 +28,7 @@ from circlelab import (
     simulate_diffusion,
     simulate_diffusion_ensemble,
     simulate_pdmp,
+    simulate_terminal_u_coupled,
 )
 import circlelab.config as config_module
 import circlelab.runner as runner_module
@@ -287,6 +288,31 @@ class TestScenarioConfig:
                                      "options": {"grid_points": points}})
         assert len(runner_module._doeblin_starts(config)) == points
 
+    @pytest.mark.parametrize("extra, needle", [
+        ({"options": {"dt_levels": [3e-3, 2e-3]}}, "integer multiple"),
+        ({"horizon": 1e-2, "options": {"dt_levels": [4e-3, 1e-3]}},
+         "whole number of steps"),
+        ({"horizon": 3e-3, "options": {"dt_levels": [2e-3, 1e-3]}},
+         "whole number of steps"),
+        ({"horizon": 1e-2}, "whole number of steps"),
+        ({"options": {"dt_levels": [1e-3, 2e-3]}}, "decreasing"),
+        ({"options": {"dt_levels": [2e-3, 2e-3]}}, "decreasing"),
+        ({"options": {"dt_levels": [1e-3]}}, "two or more"),
+        ({"options": {"dt_levels": "2e-3 -1e-3"}}, "> 0"),
+        ({"options": {"dt_levels": "2e-3 nan"}}, "must be finite"),
+    ])
+    def test_dt_levels_validated_at_parse_time(self, extra, needle):
+        data = {"kind": "refinement", "potential": COSINE_RECORD, **extra}
+        with pytest.raises(ConfigError, match="field 'dt_levels'") as err:
+            scenario_from_dict(data)
+        assert needle in str(err.value)
+
+    def test_refinement_runs_the_diffusion_only(self):
+        with pytest.raises(ConfigError, match="field 'process'"):
+            scenario_from_dict({"kind": "refinement",
+                                "potential": COSINE_RECORD,
+                                "process": "pdmp"})
+
     def test_hash_ignores_out_dir_only(self):
         a = scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
                                 "out_dir": "x"})
@@ -526,6 +552,19 @@ class TestRunScenario:
         assert len(recorded["failures"]) > 0
         assert "injected failure" in recorded["failures"][0]
 
+    def test_refinement_replays_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "2")
+        run_scenario(scenario_from_dict({
+            "kind": "refinement", "potential": COSINE_RECORD,
+            "horizon": 0.4, "replicas": 70, "u0": 1.0, "root_seed": 3,
+            "out_dir": str(tmp_path / "out")}))
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        ok, report = replay(str(tmp_path / "out" / "manifest.json"),
+                            str(tmp_path / "replayed"))
+        assert ok, report
+        assert set(report) == {"estimates.json",
+                               "plotdata_refinement.csv"}
+
     def test_replay_matches_and_detects_tamper(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
         run_scenario(_tiny_scenario(tmp_path))
@@ -661,6 +700,9 @@ class TestWorkerCountInvariance:
         ("hitting", COSINE_RECORD,
          {"process": "both", "lambda": 0.5, "horizon": 1.0,
           "options": {"record_every": 3, "eta_fractions": [0.5, 1.0]}}),
+        ("refinement", SKEWED_RECORD,
+         {"horizon": 0.8, "u0": 2.0,
+          "options": {"dt_levels": [8e-3, 4e-3, 2e-3]}}),
     ])
     def test_hash_inventory_same_at_1_2_3_workers(self, tmp_path,
                                                    monkeypatch, kind, record,
@@ -738,6 +780,45 @@ class TestScenarioEstimates:
             assert row["trials"] == 25
             assert 0.0 <= row["estimate"] <= 1.0
             assert row["bound"] > 0.0
+
+    def test_metastability_eta_above_delta_fails_before_any_task(
+            self, tmp_path, monkeypatch):
+        # delta = 0.150 for this potential, below the default eta of 1/3.
+        def fail(config, task):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setitem(runner_module._BUILDERS, "metastability", (
+            runner_module._metastability_tasks, fail,
+            runner_module._metastability_finalize))
+        config = scenario_from_dict({
+            "kind": "metastability", "potential": SKEWED_RECORD,
+            "replicas": 10, "out_dir": str(tmp_path / "meta")})
+        with pytest.raises(ConfigError,
+                           match=r"field 'eta': 0\.333.* delta = 0\.150"):
+            run_scenario(config)
+
+    def test_refinement_estimates_match_the_coupled_simulator(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "2")
+        config = scenario_from_dict({
+            "kind": "refinement", "potential": MIXTURE_RECORD,
+            "horizon": 2.0, "replicas": 150, "x0": 1.0, "u0": 3.0,
+            "root_seed": 8, "out_dir": str(tmp_path / "ref")})
+        run_scenario(config)
+        estimates = read_json(str(tmp_path / "ref" / "estimates.json"))
+        levels = (4e-3, 2e-3, 1e-3)
+        by_dt = simulate_terminal_u_coupled(
+            config.potential, 1.0, 3.0, 2.0, levels,
+            seeds=[derive_replica_seed(8, i) for i in range(150)])
+        diffs = [by_dt[a] - by_dt[b] for a, b in zip(levels, levels[1:])]
+        assert [(d["dt_coarse"], d["dt_fine"])
+                for d in estimates["differences"]] == [(4e-3, 2e-3),
+                                                       (2e-3, 1e-3)]
+        for row, d in zip(estimates["differences"], diffs):
+            assert row["mean"] == float(d.mean())
+            assert row["std_error"] == float(d.std(ddof=1) / math.sqrt(150))
+        assert estimates["ratios"] == [float(diffs[0].mean()
+                                             / diffs[1].mean())]
 
     def test_drift_estimates(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
