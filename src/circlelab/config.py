@@ -36,8 +36,6 @@ SCENARIO_KINDS = ("ergodic", "localization", "metastability",
                   "pdmp-vs-diffusion", "drift", "doeblin", "hitting",
                   "refinement")
 PROCESS_KINDS = ("diffusion", "pdmp", "both")
-# The step sizes of the refinement kind, coarse to fine.
-DEFAULT_DT_LEVELS = (4e-3, 2e-3, 1e-3)
 
 # Kind-specific option keys with their parsers and defaults.  A scalar
 # default of None means "required only if the kind needs it"; all listed
@@ -109,11 +107,6 @@ _OPTION_SPECS: Dict[str, Any] = {
                     "and an arc of positive width"),
     "grid_points": _checked(_integer, _is_perfect_square,
                             "must be a perfect square >= 1"),
-    "dt_levels": _checked(_float_list,
-                          lambda ds: len(ds) >= 2 and ds[-1] > 0.0 and all(
-                              a > b for a, b in zip(ds, ds[1:])),
-                          "must be two or more step sizes > 0, "
-                          "decreasing"),
     "tolerance": _finite_float,
     "u_threshold": _finite_float,
 }
@@ -187,10 +180,10 @@ class ScenarioConfig:
                 raise ConfigError("field 'process': the refinement kind "
                                   "runs the diffusion only")
             try:
-                level_factors(self.horizon,
-                              self.option("dt_levels", DEFAULT_DT_LEVELS))
+                level_factors(self.horizon, self.dt_levels())
             except ValueError as exc:
-                raise ConfigError(f"field 'dt_levels': {exc}") from exc
+                raise ConfigError(f"field 'horizon': {exc} (the refinement "
+                                  f"levels are 4 dt, 2 dt and dt)") from exc
 
     def processes(self) -> Tuple[str, ...]:
         return ("diffusion", "pdmp") if self.process == "both" \
@@ -198,6 +191,10 @@ class ScenarioConfig:
 
     def option(self, key: str, default):
         return self.options.get(key, default)
+
+    def dt_levels(self) -> Tuple[float, float, float]:
+        """The step sizes of the refinement kind, coarse to fine."""
+        return (4.0 * self.dt, 2.0 * self.dt, self.dt)
 
     def to_dict(self, include_out_dir: bool = True) -> Dict[str, Any]:
         d: Dict[str, Any] = {

@@ -410,18 +410,20 @@ def _fill_noise(block: np.ndarray, gens, m: int) -> None:
             block[j, :m] = gen.standard_normal(m)
 
 
+def _scaled_transpose(src: np.ndarray, dst: np.ndarray,
+                      scale: float) -> None:
+    """dst = scale * src.T, in tiles of _TILE rows of src, so that each
+    tile is written time-major while it is still in cache."""
+    for lo in range(0, src.shape[0], _TILE):
+        np.multiply(src[lo:lo + _TILE].T, scale, out=dst[:, lo:lo + _TILE])
+
+
 def _fill_steps(block: np.ndarray, steps: np.ndarray, gens, m: int,
                 scale: float) -> None:
     """Draw each replica's next m normals into its row of block and write
-    them, times scale, into steps[:m], one row per step.
-
-    This runs in tiles of _TILE replicas, so that a tile's rows are still
-    in cache when they are transposed.
-    """
-    for lo in range(0, len(gens), _TILE):
-        hi = lo + _TILE
-        _fill_noise(block[lo:hi], gens[lo:hi], m)
-        np.multiply(block[lo:hi, :m].T, scale, out=steps[:m, lo:hi])
+    them, times scale, into steps[:m], one row per step."""
+    _fill_noise(block, gens, m)
+    _scaled_transpose(block[:, :m], steps[:m], scale)
 
 
 def _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x, out_u):
@@ -470,10 +472,10 @@ def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
 
 
 def level_factors(horizon: float, dt_levels: Sequence[float]):
-    """(factors, fine steps) of nested step sizes: factors[i] is
-    dt_levels[i] over the finest level, which must be an integer, and the
-    horizon must hold a whole number of steps of every level.  Raises
-    ValueError otherwise."""
+    """(factors, fine steps, lcm of the factors) of nested step sizes:
+    factors[i] is dt_levels[i] over the finest level, which must be an
+    integer, and the horizon must hold a whole number of steps of every
+    level.  Raises ValueError otherwise."""
     dt_f = min(dt_levels)
     factors = []
     for d in dt_levels:
@@ -482,9 +484,10 @@ def level_factors(horizon: float, dt_levels: Sequence[float]):
             raise ValueError("each dt level must be an integer multiple of the finest")
         factors.append(f)
     n_steps_f = _validate_grid(horizon, dt_f, 1)
-    if n_steps_f % math.lcm(*factors):
+    lcm = math.lcm(*factors)
+    if n_steps_f % lcm:
         raise ValueError("horizon must contain a whole number of steps of every level")
-    return factors, n_steps_f
+    return factors, n_steps_f, lcm
 
 
 def _seed_tuple(seeds) -> tuple:
@@ -557,8 +560,7 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     n = len(seeds)
     dt_levels = [float(d) for d in dt_levels]
     dt_f = min(dt_levels)
-    factors, n_steps_f = level_factors(horizon, dt_levels)
-    lcm = math.lcm(*factors)
+    factors, n_steps_f, lcm = level_factors(horizon, dt_levels)
     xs = [_as_replica_array(x0, n, "x0") for _ in dt_levels]
     for xl in xs:
         np.remainder(xl, TWO_PI, out=xl)
@@ -577,9 +579,7 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
             else:
                 coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
                 coarse *= 1.0 / math.sqrt(f)
-            for lo in range(0, n, _TILE):
-                np.multiply(coarse[lo:lo + _TILE].T, math.sqrt(dt),
-                            out=steps[:m // f, lo:lo + _TILE])
+            _scaled_transpose(coarse, steps[:m // f], math.sqrt(dt))
             umax = _finite_umax(xs[lvl], us[lvl], seeds, step * dt_f)
             ws.choose_wrap(umax, steps[:m // f], dt)
             for sn in steps[:m // f]:

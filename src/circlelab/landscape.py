@@ -18,6 +18,7 @@ import numpy as np
 from .angles import TWO_PI, ArcSet, wrap
 from .errors import (
     CirclelabError,
+    ConfigError,
     DegenerateCriticalPointError,
     MonotonicityError,
     NoValidMarginError,
@@ -291,8 +292,9 @@ def compute_level_geometry(
     """Build the well/mid-level/escape geometry at margins (delta, eta).
 
     delta defaults to compute_level_margin; eta defaults to delta and must
-    lie in (0, delta]. kappa is 0.99 times the grid minimum of
-    d(min, mid-level at eta')/sqrt(eta') over 32 log-spaced eta'.
+    lie in (0, delta], else ConfigError (a ValueError). kappa is 0.99
+    times the grid minimum of d(min, mid-level at eta')/sqrt(eta') over 32
+    log-spaced eta'.
     """
     if landscape is None:
         landscape = classify_landscape(potential)
@@ -301,7 +303,7 @@ def compute_level_geometry(
     if eta is None:
         eta = delta
     if not 0.0 < eta <= delta:
-        raise ValueError(f"eta must lie in (0, delta]; got eta={eta}, delta={delta}")
+        raise ConfigError(f"eta must lie in (0, delta]; got eta={eta}, delta={delta}")
 
     wells = []
     for minimum in landscape.floor:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .angles import TWO_PI, circle_dist
-from .config import DEFAULT_DT_LEVELS, ScenarioConfig, scenario_from_dict
+from .config import ScenarioConfig, scenario_from_dict
 from .diffusion import (
     DiffusionState,
     simulate_diffusion,
@@ -45,11 +45,7 @@ from .io import (
     write_json,
     write_trajectory_csv,
 )
-from .landscape import (
-    classify_landscape,
-    compute_level_geometry,
-    compute_level_margin,
-)
+from .landscape import classify_landscape, compute_level_geometry
 from .pdmp import PdmpState, simulate_pdmp
 from .seeding import derive_replica_seed
 from .stats import (
@@ -356,14 +352,11 @@ def _localization_finalize(config: ScenarioConfig, results, out_dir):
 def _metastability_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     """Every task carries the one level geometry, built here, so an eta
     above the potential's level margin fails before any task runs."""
-    eta = config.option("eta", 1.0 / 3.0)
-    landscape = classify_landscape(config.potential)
-    delta = compute_level_margin(config.potential, landscape)
-    if not 0.0 < eta <= delta:
-        raise ConfigError(f"field 'eta': {eta!r} must lie in (0, delta], "
-                          f"and this potential has delta = {delta!r}")
-    geometry = compute_level_geometry(config.potential, landscape,
-                                      delta=delta, eta=eta)
+    try:
+        geometry = compute_level_geometry(config.potential,
+                                          eta=config.option("eta", 1.0 / 3.0))
+    except ConfigError as exc:
+        raise ConfigError(f"field 'eta': {exc}") from exc
     m_grid = config.option("m_grid", (4.0, 8.0, 12.0, 16.0))
     tasks = []
     counter = 0
@@ -702,13 +695,13 @@ def _hitting_finalize(config: ScenarioConfig, results, out_dir):
 
 def _refinement_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
     """One task per replica chunk; replica i gets splitmix64(root_seed, i)
-    and runs every level of dt_levels on one Brownian path."""
+    and runs the step sizes 4 dt, 2 dt and dt on one Brownian path."""
     return [{"op": "refinement", "lo": lo, "hi": hi}
             for lo, hi in _worker_chunks(config)]
 
 
 def _refinement_run(config: ScenarioConfig, task: Dict[str, Any]):
-    levels = config.option("dt_levels", DEFAULT_DT_LEVELS)
+    levels = config.dt_levels()
     seeds = tuple(derive_replica_seed(config.root_seed, i)
                   for i in range(task["lo"], task["hi"]))
     by_dt = simulate_terminal_u_coupled(config.potential, config.x0,
@@ -718,8 +711,8 @@ def _refinement_run(config: ScenarioConfig, task: Dict[str, Any]):
 
 
 def _refinement_finalize(config: ScenarioConfig, results, out_dir):
-    levels = config.option("dt_levels", DEFAULT_DT_LEVELS)
-    # terminal[k] holds every replica's U_horizon at dt_levels[k].
+    levels = config.dt_levels()
+    # terminal[k] holds every replica's U_horizon at levels[k].
     terminal = [np.concatenate([r["u"][k] for r in results])
                 for k in range(len(levels))]
     differences = []

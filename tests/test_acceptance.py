@@ -418,13 +418,12 @@ def test_criterion_09_discretization_refinement(acceptance, tmp_path):
     # trajectories at nested step sizes remain synchronized and the
     # first-order error in E[U_50] is measurable above the noise.  The
     # refinement kind gives replica i the seed splitmix64(20260900, i) and
-    # runs the levels coupled on one Brownian path per replica, one
-    # replica chunk per worker.
+    # runs the levels 4 dt, 2 dt and dt coupled on one Brownian path per
+    # replica, one replica chunk per worker.
     cfg = scenario_from_dict({
         "kind": "refinement", "potential": COSINE_RECORD, "horizon": 50.0,
         "replicas": 10_000, "x0": math.pi, "u0": 60.0,
-        "root_seed": 20260900,
-        "options": {"dt_levels": [4e-3, 2e-3, 1e-3]},
+        "root_seed": 20260900, "dt": 1e-3,
     })
     run_scenario(cfg, out_dir=str(tmp_path / "refinement"))
     est = read_json(str(tmp_path / "refinement" / "estimates.json"))

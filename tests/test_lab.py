@@ -288,24 +288,22 @@ class TestScenarioConfig:
                                      "options": {"grid_points": points}})
         assert len(runner_module._doeblin_starts(config)) == points
 
-    @pytest.mark.parametrize("extra, needle", [
-        ({"options": {"dt_levels": [3e-3, 2e-3]}}, "integer multiple"),
-        ({"horizon": 1e-2, "options": {"dt_levels": [4e-3, 1e-3]}},
-         "whole number of steps"),
-        ({"horizon": 3e-3, "options": {"dt_levels": [2e-3, 1e-3]}},
-         "whole number of steps"),
-        ({"horizon": 1e-2}, "whole number of steps"),
-        ({"options": {"dt_levels": [1e-3, 2e-3]}}, "decreasing"),
-        ({"options": {"dt_levels": [2e-3, 2e-3]}}, "decreasing"),
-        ({"options": {"dt_levels": [1e-3]}}, "two or more"),
-        ({"options": {"dt_levels": "2e-3 -1e-3"}}, "> 0"),
-        ({"options": {"dt_levels": "2e-3 nan"}}, "must be finite"),
+    @pytest.mark.parametrize("extra", [
+        {"horizon": 1e-2},
+        {"horizon": 6e-3},
+        {"horizon": 0.5, "dt": 5e-2},
     ])
-    def test_dt_levels_validated_at_parse_time(self, extra, needle):
+    def test_refinement_horizon_needs_whole_coarse_steps(self, extra):
         data = {"kind": "refinement", "potential": COSINE_RECORD, **extra}
-        with pytest.raises(ConfigError, match="field 'dt_levels'") as err:
+        with pytest.raises(ConfigError, match="field 'horizon'") as err:
             scenario_from_dict(data)
-        assert needle in str(err.value)
+        assert "whole number of steps" in str(err.value)
+
+    def test_refinement_levels_are_4_2_1_times_dt(self):
+        config = scenario_from_dict({"kind": "refinement",
+                                     "potential": COSINE_RECORD,
+                                     "horizon": 0.8})
+        assert config.dt_levels() == (4e-3, 2e-3, 1e-3)
 
     def test_refinement_runs_the_diffusion_only(self):
         with pytest.raises(ConfigError, match="field 'process'"):
@@ -701,8 +699,7 @@ class TestWorkerCountInvariance:
          {"process": "both", "lambda": 0.5, "horizon": 1.0,
           "options": {"record_every": 3, "eta_fractions": [0.5, 1.0]}}),
         ("refinement", SKEWED_RECORD,
-         {"horizon": 0.8, "u0": 2.0,
-          "options": {"dt_levels": [8e-3, 4e-3, 2e-3]}}),
+         {"horizon": 0.8, "u0": 2.0, "dt": 2e-3}),
     ])
     def test_hash_inventory_same_at_1_2_3_workers(self, tmp_path,
                                                    monkeypatch, kind, record,
@@ -794,7 +791,7 @@ class TestScenarioEstimates:
             "kind": "metastability", "potential": SKEWED_RECORD,
             "replicas": 10, "out_dir": str(tmp_path / "meta")})
         with pytest.raises(ConfigError,
-                           match=r"field 'eta': 0\.333.* delta = 0\.150"):
+                           match=r"field 'eta': .*eta=0\.333.*delta=0\.150"):
             run_scenario(config)
 
     def test_refinement_estimates_match_the_coupled_simulator(
