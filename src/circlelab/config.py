@@ -37,11 +37,6 @@ SCENARIO_KINDS = ("ergodic", "localization", "metastability",
                   "refinement")
 PROCESS_KINDS = ("diffusion", "pdmp", "both")
 
-# Kind-specific option keys with their parsers and defaults.  A scalar
-# default of None means "required only if the kind needs it"; all listed
-# options have working defaults so minimal configs run out of the box.
-
-
 def _finite_float(value):
     out = float(value)
     if not math.isfinite(out):
@@ -94,14 +89,14 @@ _OPTION_SPECS: Dict[str, Any] = {
     "record_every": _checked(_integer, lambda v: v >= 1, "must be >= 1"),
     "save_paths": _checked(_integer, lambda v: v >= 0, "must be >= 0"),
     "eta": _finite_float,
-    "m_grid": _float_list,
+    "m_grid": _checked(_float_list, len, "must be a nonempty list"),
     "max_time": _finite_float,
     "kappa": _checked(_finite_float, lambda v: v > 0.0, "must be > 0"),
-    "u0_grid": _float_list,
+    "u0_grid": _checked(_float_list, len, "must be a nonempty list"),
     "t_grid": _checked(_float_list, lambda ts: ts and min(ts) > 0.0,
                        "must be a nonempty list of times > 0"),
     "lambda_grid": _float_list,
-    "eta_fractions": _float_list,
+    "eta_fractions": _checked(_float_list, len, "must be a nonempty list"),
     "box": _checked(_float_list, _is_box,
                     "must be x_lo, x_hi, u_lo, u_hi with u_hi > u_lo "
                     "and an arc of positive width"),
@@ -171,10 +166,12 @@ class ScenarioConfig:
                               "velocity-jump process")
         if self.y0 not in (-1, 1):
             raise ConfigError("field 'y0': must be -1 or +1")
-        for key, value in self.options.items():
+        for key in self.options:
             if key not in _OPTION_SPECS:
                 raise ConfigError(f"field {key!r}: unknown option")
-            _parse_option(key, value)
+        object.__setattr__(self, "options", {
+            key: _parse_option(key, value)
+            for key, value in self.options.items()})
         if self.kind == "refinement":
             if self.process != "diffusion":
                 raise ConfigError("field 'process': the refinement kind "
@@ -246,13 +243,10 @@ def scenario_from_dict(data: Dict[str, Any],
         if key in _CORE_KEYS:
             core[key] = value
         elif key in _OPTION_SPECS:
-            options[key] = _parse_option(key, value)
+            options[key] = value
         else:
             raise ConfigError(f"field {key!r}: unknown key")
-    for key, value in core.get("options", {}).items():
-        if key not in _OPTION_SPECS:
-            raise ConfigError(f"field {key!r}: unknown option")
-        options[key] = _parse_option(key, value)
+    options.update(core.get("options", {}))
 
     if "kind" not in core:
         raise ConfigError("field 'kind': missing")

@@ -57,6 +57,9 @@ _COAST_GROWTH_BUDGET = 4.0
 
 _TRIVIAL_TOL = 1e-10
 
+# Sign-scan cells of potential_zeros.
+_ZERO_GRID = 4096
+
 # Diffusion segment durations are snapped to this dyadic grid so that the
 # breakpoints -> durations round trip is exact in floating point: the park
 # equilibria are exponentially unstable, and re-integrating the schedule
@@ -325,10 +328,10 @@ def plan_diffusion_control(potential: PeriodicPotential, z0: DiffusionState,
     return ControlSchedule(breakpoints, values)
 
 
-def potential_zeros(potential: PeriodicPotential, grid: int = 4096) -> List[float]:
-    """All zeros of F on [0, 2*pi): a sign scan on `grid` cells, each
+def potential_zeros(potential: PeriodicPotential) -> List[float]:
+    """All zeros of F on [0, 2*pi): a sign scan on _ZERO_GRID cells, each
     bracket polished by Brent's method to 1e-14."""
-    return _circle_roots(potential.value, grid, 1e-9)
+    return _circle_roots(potential.value, _ZERO_GRID, 1e-9)
 
 
 def integrate_velocity_schedule(potential: PeriodicPotential,

@@ -99,11 +99,12 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def hash_inventory(directory, skip=("manifest.json",)) -> Dict[str, str]:
-    """Content hashes of every artifact file in a run directory."""
+def hash_inventory(directory) -> Dict[str, str]:
+    """Content hashes of every artifact file in a run directory, the
+    manifest excepted."""
     out: Dict[str, str] = {}
     for name in sorted(os.listdir(directory)):
         full = os.path.join(directory, name)
-        if os.path.isfile(full) and name not in skip:
+        if os.path.isfile(full) and name != "manifest.json":
             out[name] = sha256_file(full)
     return out

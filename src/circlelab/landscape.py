@@ -28,6 +28,18 @@ from .potential import _XTOL, PeriodicPotential, _circle_roots, _root
 
 DEFAULT_GRID = 4096
 DEFAULT_ORDER_CAP = 8
+# A polished root of F' may leave |F'| up to this, scaled by the size of F''.
+_POLISH_TOL = 1e-12
+# The contact order of a critical point is the first derivative above this.
+_ORDER_TOL = 1e-8
+# A critical value this close to zero breaks F'(x) = 0 => F(x) != 0.
+_VALUE_TOL = 1e-9
+# compute_level_margin gives up below this margin.
+_MARGIN_FLOOR = 1e-6
+# Number of log-spaced eta' over which kappa is minimized.
+_KAPPA_GRID = 32
+# Zero threshold of validate_assumptions.
+_ASSUMPTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,27 +100,24 @@ class CriticalLandscape:
 
 def find_critical_points(
     potential: PeriodicPotential,
-    tol: float = 1e-12,
-    grid: int = DEFAULT_GRID,
     order_cap: int = DEFAULT_ORDER_CAP,
-    order_tol: float = 1e-8,
 ) -> tuple[CriticalPoint, ...]:
     """Locate and classify all sign-change roots of F' on the circle.
 
-    Roots are bracketed on a uniform grid and polished by Brent's method;
-    one left with |F'| > tol (scaled by the size of F'') raises.  A root
-    where no derivative up to order_cap exceeds order_tol raises
-    DegenerateCriticalPointError.
+    Roots are bracketed on a DEFAULT_GRID-cell grid and polished by
+    Brent's method; one left with |F'| > _POLISH_TOL (scaled by the size
+    of F'') raises.  A root where no derivative up to order_cap exceeds
+    _ORDER_TOL raises DegenerateCriticalPointError.
     """
-    roots = _circle_roots(potential.derivative, grid, 1e-7)
+    roots = _circle_roots(potential.derivative, DEFAULT_GRID, 1e-7)
     scale = max(1.0, potential.coefficient_bound_derivative(2))
     points = []
     for r in roots:
-        if abs(potential.derivative(r)) > tol * scale:
+        if abs(potential.derivative(r)) > _POLISH_TOL * scale:
             raise CirclelabError(f"root polish failed at x={r}")
         order = None
         for n in range(1, order_cap + 1):
-            if abs(potential.derivative(r, n)) > order_tol:
+            if abs(potential.derivative(r, n)) > _ORDER_TOL:
                 order = n
                 break
         if order is None:
@@ -116,7 +125,7 @@ def find_critical_points(
                 f"no derivative up to order {order_cap} separates from zero at x={r}"
             )
         # kind from the sign change of F' across the root
-        h = TWO_PI / (4 * grid)
+        h = TWO_PI / (4 * DEFAULT_GRID)
         left = potential.derivative(r - h)
         right = potential.derivative(r + h)
         if left > 0 and right < 0:
@@ -147,17 +156,16 @@ def find_critical_points(
 def classify_landscape(
     potential: PeriodicPotential,
     points: tuple[CriticalPoint, ...] | None = None,
-    value_tol: float = 1e-9,
 ) -> CriticalLandscape:
     """Partition critical points by kind and by the sign of their value.
 
-    A critical value within value_tol of zero violates the standing
+    A critical value within _VALUE_TOL of zero violates the standing
     assumption F'(x)=0 => F(x)!=0 and raises ZeroCriticalValueError.
     """
     if points is None:
         points = find_critical_points(potential)
     for p in points:
-        if abs(p.value) <= value_tol:
+        if abs(p.value) <= _VALUE_TOL:
             raise ZeroCriticalValueError(
                 f"critical value {p.value} at x={p.x} is indistinguishable from zero"
             )
@@ -186,7 +194,7 @@ def _level_crossings(potential, minimum, level, lo, hi):
     return _root(f, lo, minimum.x, _XTOL), _root(f, hi, minimum.x, _XTOL)
 
 
-def _well_interval(potential, landscape, minimum, rise, grid):
+def _well_interval(potential, landscape, minimum, rise):
     """Connected component of {F <= F(min) + rise} around a minimum, with a
     grid monotonicity check on both flanks. Returns (lo, hi) in lifted
     coordinates or None if the component is not a clean well."""
@@ -196,7 +204,7 @@ def _well_interval(potential, landscape, minimum, rise, grid):
         return None
     lo, hi = _level_crossings(potential, minimum, level, prev_x, next_x)
     for a, b, slope in ((lo, minimum.x, -1.0), (minimum.x, hi, 1.0)):
-        zs = np.linspace(a, b, max(16, grid // 8))
+        zs = np.linspace(a, b, DEFAULT_GRID // 8)
         if np.any(slope * np.diff(potential.value(zs)) < -1e-12):
             return None
     return lo, hi
@@ -205,8 +213,6 @@ def _well_interval(potential, landscape, minimum, rise, grid):
 def compute_level_margin(
     potential: PeriodicPotential,
     landscape: CriticalLandscape | None = None,
-    grid: int = DEFAULT_GRID,
-    floor: float = 1e-6,
 ) -> float:
     """Largest admissible level margin delta for the hitting/escape geometry.
 
@@ -224,14 +230,14 @@ def compute_level_margin(
     else:
         cap = (potential.max_value - potential.min_value) / 4.0
     delta = cap
-    while delta >= floor:
+    while delta >= _MARGIN_FLOOR:
         if all(
-            _well_interval(potential, landscape, m, 2.0 * delta, grid) is not None
+            _well_interval(potential, landscape, m, 2.0 * delta) is not None
             for m in landscape.floor
         ):
             return float(delta)
         delta *= 0.5
-    raise NoValidMarginError(f"no valid margin above {floor}")
+    raise NoValidMarginError(f"no valid margin above {_MARGIN_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -286,8 +292,6 @@ def compute_level_geometry(
     landscape: CriticalLandscape | None = None,
     delta: float | None = None,
     eta: float | None = None,
-    grid: int = DEFAULT_GRID,
-    kappa_grid: int = 32,
 ) -> LevelGeometry:
     """Build the well/mid-level/escape geometry at margins (delta, eta).
 
@@ -299,7 +303,7 @@ def compute_level_geometry(
     if landscape is None:
         landscape = classify_landscape(potential)
     if delta is None:
-        delta = compute_level_margin(potential, landscape, grid=grid)
+        delta = compute_level_margin(potential, landscape)
     if eta is None:
         eta = delta
     if not 0.0 < eta <= delta:
@@ -307,7 +311,7 @@ def compute_level_geometry(
 
     wells = []
     for minimum in landscape.floor:
-        outer = _well_interval(potential, landscape, minimum, 2.0 * delta, grid)
+        outer = _well_interval(potential, landscape, minimum, 2.0 * delta)
         if outer is None:
             raise MonotonicityError(
                 f"well at x={minimum.x} is not monotone at margin {delta}"
@@ -332,7 +336,7 @@ def compute_level_geometry(
         )
 
     kappa = math.inf
-    for eta_p in np.geomspace(delta * 1e-4, delta, kappa_grid):
+    for eta_p in np.geomspace(delta * 1e-4, delta, _KAPPA_GRID):
         for w in wells:
             lo, hi = w.interval
             left, right = _level_crossings(
@@ -367,18 +371,15 @@ class AssumptionReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
 
-def validate_assumptions(
-    potential: PeriodicPotential,
-    grid: int = DEFAULT_GRID,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    tol: float = 1e-8,
-) -> AssumptionReport:
+def validate_assumptions(potential: PeriodicPotential) -> AssumptionReport:
     """Verify the standing assumptions the simulators rely on.
 
     Checks: F non-constant; F takes both signs; critical values are
-    nonzero; every point has some derivative up to order_cap separated from
-    zero; critical points classify cleanly.
+    nonzero; every point of a DEFAULT_GRID-point grid has some derivative
+    up to DEFAULT_ORDER_CAP separated from zero; critical points classify
+    cleanly.  "Zero" means within _ASSUMPTION_TOL.
     """
+    grid, order_cap, tol = DEFAULT_GRID, DEFAULT_ORDER_CAP, _ASSUMPTION_TOL
     checks = []
     rng_var = potential.max_value - potential.min_value
     checks.append(
@@ -396,7 +397,7 @@ def validate_assumptions(
     points = None
     classify_ok, classify_detail = True, "all roots classified"
     try:
-        points = find_critical_points(potential, grid=grid, order_cap=order_cap)
+        points = find_critical_points(potential)
     except (DegenerateCriticalPointError, CirclelabError) as exc:
         classify_ok, classify_detail = False, str(exc)
     checks.append(CheckResult("classifiable_critical_points", classify_ok, classify_detail))

@@ -1,18 +1,30 @@
 """Scenario execution: seeded parallel ensembles with reproducible artifacts.
 
-A scenario is decomposed into an ordered list of tasks (replica chunks or
-parameter cells).  Tasks run either serially or on a process pool; results
-are folded in task order, so the artifacts are a pure function of
-(config, root seed) no matter how many workers ran or in what order tasks
-finished.  The drift, localization, doeblin, hitting and refinement kinds
-cut each cell into one chunk per worker, so that every worker runs one
-wide batch: the task list follows the worker count, the outputs do not,
-because a replica's seed comes from its global index and its path is
-bitwise the same at every batch width.  Metastability derives seeds from the chunk
-index, so it keeps a fixed layout of at most TASKS_TARGET chunks per
-cell.  Every run directory gets ``manifest.json`` (config echo, seed
-scheme, file hashes), ``estimates.json``, ``plotdata_<name>.csv``, and raw
-path files for the first few replicas of path-producing scenarios.
+A scenario kind is four functions.  ``cells(config)`` reads the kind's
+options and builds what all of a cell's chunks share (landscape, level
+geometry, start points, time windows), one dict per cell.  A chunk
+layout cuts the replica range [0, replicas) into chunks.
+``run(config, cell, task)`` simulates one chunk of one cell, and
+``finalize(config, cells, results, out_dir)`` receives the chunk results
+of cells[i], in chunk order, as results[i].  One builder makes the tasks,
+every (cell, chunk) pair in cell-major order, for every kind.
+
+One seed rule serves every kind: replica i of a cell with seed block b
+gets splitmix64(root_seed, b * replicas + i).  Metastability alone seeds
+its estimator per chunk, with splitmix64(root_seed, task index).  Tasks
+run serially or on a process pool, and results are folded in task order,
+so the artifacts are a pure function of (config, root seed) whatever the
+worker count or the order in which tasks finished.  There are three
+chunk layouts.  Drift, localization, doeblin, hitting and refinement run
+one chunk per worker, so that each worker runs one wide batch; a
+replica's seed comes from its index and its path is bitwise the same at
+every batch width, so the outputs do not follow the task list.
+Metastability keeps at most TASKS_TARGET chunks per cell on every
+machine, since its seeds follow the task index.  Ergodic and
+pdmp-vs-diffusion run one replica per task.  Every run directory gets
+``manifest.json`` (config echo, seed scheme, file hashes),
+``estimates.json``, ``plotdata_<name>.csv``, and raw path files for the
+first few replicas of path-producing scenarios.
 """
 
 from __future__ import annotations
@@ -24,7 +36,8 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -32,8 +45,8 @@ from . import __version__
 from .angles import TWO_PI, circle_dist
 from .config import ScenarioConfig, scenario_from_dict
 from .diffusion import (
-    DiffusionState,
-    simulate_diffusion,
+    Trajectory,
+    simulate_diffusion,  # noqa: F401  (profilers wrap it by name here)
     simulate_diffusion_ensemble,
     simulate_terminal_u_coupled,
 )
@@ -75,17 +88,19 @@ __all__ = [
 TASKS_TARGET = 16
 MIN_CHUNK = 64
 
-_SEED_SCHEME = ("replica seeds are splitmix64(root_seed, index) with the "
-                "index layout documented per scenario kind in this module")
+_SEED_SCHEME = ("replica i of a cell with seed block b gets "
+                "splitmix64(root_seed, b * replicas + i); metastability "
+                "seeds each task with splitmix64(root_seed, task index)")
+
+# The ergodic kind compares windows [burn, burn + f (T - burn)] with
+# windows twice as long, for each of these fractions f.
+_ERGODIC_FRACTIONS = (0.125, 0.25, 0.5)
 
 
 def replica_chunks(n: int, parts: int) -> List[Tuple[int, int]]:
     """Split replica indices [0, n) into at most `parts` contiguous chunks.
 
-    Every chunk but the last holds at least MIN_CHUNK replicas.  The kinds
-    whose seeds are per replica pass the worker count, so each worker runs
-    one wide batch per cell; metastability passes TASKS_TARGET, since its
-    seeds come from the chunk index.
+    Every chunk but the last holds at least MIN_CHUNK replicas.
     """
     if n <= 0:
         return []
@@ -95,8 +110,17 @@ def replica_chunks(n: int, parts: int) -> List[Tuple[int, int]]:
 
 def _worker_chunks(config: ScenarioConfig) -> List[Tuple[int, int]]:
     """One chunk of each cell per worker; the outputs do not depend on it,
-    since every replica's seed comes from its global index."""
+    since every replica's seed comes from its index."""
     return replica_chunks(config.replicas, worker_count(config.replicas))
+
+
+def _fixed_chunks(config: ScenarioConfig) -> List[Tuple[int, int]]:
+    """At most TASKS_TARGET chunks per cell, whatever the worker count."""
+    return replica_chunks(config.replicas, TASKS_TARGET)
+
+
+def _single_replicas(config: ScenarioConfig) -> List[Tuple[int, int]]:
+    return [(i, i + 1) for i in range(config.replicas)]
 
 
 def worker_count(n_tasks: int) -> int:
@@ -148,17 +172,35 @@ class RunManifest:
 # shared helpers
 
 
-def _simulate_path(config: ScenarioConfig, process: str, seed: int,
-                   horizon: Optional[float] = None, lam: Optional[float] = None):
+def _seeds(config: ScenarioConfig, cell, task) -> Tuple[int, ...]:
+    """Seeds of a chunk's replicas: splitmix64(root_seed, b * replicas + i)."""
+    base = cell["b"] * config.replicas
+    return tuple(derive_replica_seed(config.root_seed, base + i)
+                 for i in range(task["lo"], task["hi"]))
+
+
+def _paths(config: ScenarioConfig, cell, task,
+           horizon: Optional[float] = None, lam: Optional[float] = None):
+    """(replica, path) for each replica of a chunk.
+
+    The diffusion runs one ensemble per chunk, the velocity-jump process
+    one path per seed.  This is a generator, so only the paths a caller
+    keeps outlive their iteration.
+    """
     span = config.horizon if horizon is None else horizon
-    if process == "diffusion":
-        return simulate_diffusion(
-            config.potential, DiffusionState(config.x0, config.u0), span,
-            dt=config.dt, seed=seed,
-            record_every=config.option("record_every", 100))
-    return simulate_pdmp(
-        config.potential, config.lam if lam is None else lam,
-        PdmpState(config.x0, config.u0, config.y0), span, seed=seed)
+    seeds = _seeds(config, cell, task)
+    replicas = range(task["lo"], task["hi"])
+    if cell["process"] == "diffusion":
+        ensemble = simulate_diffusion_ensemble(
+            config.potential, config.x0, config.u0, span, dt=config.dt,
+            seeds=seeds, record_every=config.option("record_every", 100))
+        for offset, rep in enumerate(replicas):
+            yield rep, ensemble.replica(offset)
+        return
+    for rep, seed in zip(replicas, seeds):
+        yield rep, simulate_pdmp(
+            config.potential, config.lam if lam is None else lam,
+            PdmpState(config.x0, config.u0, config.y0), span, seed=seed)
 
 
 def _saved_path_count(config: ScenarioConfig) -> int:
@@ -166,8 +208,12 @@ def _saved_path_count(config: ScenarioConfig) -> int:
     return min(config.option("save_paths", 2), config.replicas)
 
 
-def _path_time_grid(config: ScenarioConfig, n: int = 41) -> np.ndarray:
-    return np.linspace(0.0, config.horizon, n)
+def _own(path):
+    """A path to keep: an ensemble row is copied so that it does not keep
+    the whole chunk alive."""
+    if isinstance(path, Trajectory):
+        return replace(path, x=np.array(path.x), u=np.array(path.u))
+    return path
 
 
 def _state_on_grid(path, grid: np.ndarray) -> np.ndarray:
@@ -180,62 +226,65 @@ def _state_on_grid(path, grid: np.ndarray) -> np.ndarray:
     return np.asarray(path.x)[idx]
 
 
+def _by_process(cells, rows) -> Dict[str, list]:
+    """rows[i] belongs to cells[i]: the rows of each process, in order."""
+    out: Dict[str, list] = {}
+    for cell, row in zip(cells, rows):
+        out.setdefault(cell["process"], []).append(row)
+    return out
+
+
+def _wilson_row(hits: int, trials: int) -> Dict[str, float]:
+    lo, hi = wilson_interval(hits, trials)
+    return {"estimate": hits / trials, "wilson_low": lo, "wilson_high": hi}
+
+
 # ---------------------------------------------------------------------------
 # scenario: ergodic
 
 
-def _ergodic_windows(config: ScenarioConfig) -> List[Tuple[str, float, float]]:
+def _ergodic_cells(config: ScenarioConfig):
     T = config.horizon
     burn = config.option("burn_in", min(500.0, 0.1 * T))
     windows = [("half1", 0.0, 0.5 * T), ("half2", 0.5 * T, T),
                ("full", burn, T)]
-    for frac in (0.125, 0.25, 0.5):
+    for frac in _ERGODIC_FRACTIONS:
         t = burn + (T - burn) * frac
         t2 = min(burn + 2.0 * (T - burn) * frac, T)
         windows.append((f"upto_{frac}", burn, t))
         windows.append((f"upto2_{frac}", burn, t2))
-    return windows
+    return [{"process": process, "b": b, "windows": windows}
+            for b, process in enumerate(config.processes())]
 
 
-def _ergodic_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    tasks = []
-    idx = 0
-    for process in config.processes():
-        for rep in range(config.replicas):
-            tasks.append({"op": "ergodic", "process": process,
-                          "replica": rep,
-                          "seed": derive_replica_seed(config.root_seed, idx)})
-            idx += 1
-    return tasks
+def _ergodic_run(config: ScenarioConfig, cell, task):
+    n_saved = _saved_path_count(config)
+    histograms, paths = [], []
+    for rep, path in _paths(config, cell, task):
+        histograms.append({label: occupation_histogram(path, burn_in=lo,
+                                                       t_max=hi)
+                           for label, lo, hi in cell["windows"]})
+        if rep < n_saved:
+            paths.append((rep, _own(path)))
+    return {"windows": histograms, "paths": paths}
 
 
-def _ergodic_run(config: ScenarioConfig, task: Dict[str, Any]):
-    path = _simulate_path(config, task["process"], task["seed"])
-    rep = task["replica"]
-    out = {"process": task["process"], "replica": rep, "windows": {},
-           "paths": [(rep, path)] if rep < _saved_path_count(config) else []}
-    for label, lo, hi in _ergodic_windows(config):
-        out["windows"][label] = occupation_histogram(path, burn_in=lo,
-                                                     t_max=hi)
-    return out
-
-
-def _ergodic_finalize(config: ScenarioConfig, results, out_dir):
+def _ergodic_finalize(config: ScenarioConfig, cells, results, out_dir):
     estimates: Dict[str, Any] = {"kind": "ergodic", "per_process": {}}
     plot_rows = []
-    for process in config.processes():
-        rows = [r for r in results if r["process"] == process]
-        halves = [tv_distance(r["windows"]["half1"], r["windows"]["half2"])
-                  for r in rows]
-        fulls = [r["windows"]["full"] for r in rows]
+    for cell, chunks in zip(cells, results):
+        process = cell["process"]
+        rows = [w for r in chunks for w in r["windows"]]
+        halves = [tv_distance(w["half1"], w["half2"]) for w in rows]
+        fulls = [w["full"] for w in rows]
         pair_tvs = [tv_distance(fulls[i], fulls[i + 1])
                     for i in range(len(fulls) - 1)]
         series = []
-        for frac in (0.125, 0.25, 0.5):
+        for frac in _ERGODIC_FRACTIONS:
             h1 = reduce(EmpiricalHistogram.merge,
-                        [r["windows"][f"upto_{frac}"] for r in rows])
+                        [w[f"upto_{frac}"] for w in rows])
             h2 = reduce(EmpiricalHistogram.merge,
-                        [r["windows"][f"upto2_{frac}"] for r in rows])
+                        [w[f"upto2_{frac}"] for w in rows])
             series.append((frac, tv_distance(h1, h2)))
             plot_rows.append((process, frac, series[-1][1]))
         estimates["per_process"][process] = {
@@ -247,6 +296,7 @@ def _ergodic_finalize(config: ScenarioConfig, results, out_dir):
         }
     _write_plotdata(out_dir, "tv_vs_window",
                     ["process", "window_fraction", "tv"], plot_rows)
+    _write_path_files(out_dir, results)
     return estimates
 
 
@@ -254,45 +304,27 @@ def _ergodic_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: localization
 
 
-def _localization_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    tasks = []
-    for p_idx, process in enumerate(config.processes()):
-        base = p_idx * config.replicas
-        for lo, hi in _worker_chunks(config):
-            tasks.append({"op": "localization", "process": process,
-                          "lo": lo, "hi": hi, "base": base})
-    return tasks
-
-
-def _localization_run(config: ScenarioConfig, task: Dict[str, Any]):
+def _localization_cells(config: ScenarioConfig):
     landscape = classify_landscape(config.potential)
-    traps = [(p.x, p.value) for p in landscape.traps]
-    tol = config.option("tolerance", 0.15)
-    window = min(config.option("burn_in", 200.0), 0.25 * config.horizon)
-    grid = _path_time_grid(config)
+    shared = {
+        "landscape": landscape,
+        "traps": [(p.x, p.value) for p in landscape.traps],
+        "tolerance": config.option("tolerance", 0.15),
+        "window": min(config.option("burn_in", 200.0),
+                      0.25 * config.horizon),
+        "grid": np.linspace(0.0, config.horizon, 41),
+    }
+    return [{"process": process, "b": b, **shared}
+            for b, process in enumerate(config.processes())]
+
+
+def _localization_run(config: ScenarioConfig, cell, task):
+    traps, tol, grid = cell["traps"], cell["tolerance"], cell["grid"]
     n_saved = _saved_path_count(config)
-    replica_range = range(task["lo"], task["hi"])
-    seeds = tuple(derive_replica_seed(config.root_seed, task["base"] + rep)
-                  for rep in replica_range)
-    ensemble = None
-    if task["process"] == "diffusion":
-        # One vectorized sweep over the whole chunk beats per-path loops.
-        ensemble = simulate_diffusion_ensemble(
-            config.potential, config.x0, config.u0, config.horizon,
-            dt=config.dt, seeds=seeds,
-            record_every=config.option("record_every", 100))
-    rows = []
-    paths = []
-    for offset, rep in enumerate(replica_range):
-        if ensemble is not None:
-            path = ensemble.replica(offset)
-        else:
-            path = _simulate_path(config, task["process"], seeds[offset])
+    rows, paths = [], []
+    for rep, path in _paths(config, cell, task):
         if rep < n_saved:
-            if ensemble is not None:
-                # Copy the row so it does not keep the whole chunk alive.
-                path = replace(path, x=np.array(path.x), u=np.array(path.u))
-            paths.append((rep, path))
+            paths.append((rep, _own(path)))
         xs = _state_on_grid(path, grid)
         if traps:
             dmin = np.min([circle_dist(xs, tx) for tx, _ in traps], axis=0)
@@ -302,39 +334,37 @@ def _localization_run(config: ScenarioConfig, task: Dict[str, Any]):
         else:
             curve = [0] * grid.size
             d_final = math.inf
-        x_star = detect_convergence(path, landscape, window, tol)
+        x_star = detect_convergence(path, cell["landscape"], cell["window"],
+                                    tol)
         trap_value = None
         if x_star is not None:
             trap_value = float(config.potential.value(x_star))
-        rows.append({"replica": rep, "process": task["process"],
-                     "d_final": d_final, "u_final": float(path.u[-1]),
+        rows.append({"d_final": d_final, "u_final": float(path.u[-1]),
                      "converged_to": x_star, "trap_value": trap_value,
                      "curve": curve})
-    return {"process": task["process"], "rows": rows, "paths": paths}
+    return {"rows": rows, "paths": paths}
 
 
-def _localization_finalize(config: ScenarioConfig, results, out_dir):
-    grid = _path_time_grid(config)
+def _localization_finalize(config: ScenarioConfig, cells, results, out_dir):
     u_threshold = config.option("u_threshold", -100.0)
-    tol = config.option("tolerance", 0.15)
     estimates: Dict[str, Any] = {"kind": "localization", "per_process": {}}
     plot_rows = []
-    for process in config.processes():
-        rows = [row for r in results for row in r["rows"]
-                if row["process"] == process]
+    for cell, chunks in zip(cells, results):
+        rows = [row for r in chunks for row in r["rows"]]
         curves = np.array([row["curve"] for row in rows], dtype=float)
         fraction_curve = curves.mean(axis=0)
-        for t, f in zip(grid, fraction_curve):
-            plot_rows.append((process, float(t), float(f)))
+        for t, f in zip(cell["grid"], fraction_curve):
+            plot_rows.append((cell["process"], float(t), float(f)))
         n_ok = 0
         for row in rows:
-            if row["converged_to"] is None or row["d_final"] >= tol:
+            if row["converged_to"] is None or \
+                    row["d_final"] >= cell["tolerance"]:
                 continue
             if row["trap_value"] < 0 and row["u_final"] < u_threshold:
                 n_ok += 1
             elif row["trap_value"] > 0 and row["u_final"] > -u_threshold:
                 n_ok += 1
-        estimates["per_process"][process] = {
+        estimates["per_process"][cell["process"]] = {
             "n_replicas": len(rows),
             "n_locked": n_ok,
             "fraction_locked": n_ok / max(1, len(rows)),
@@ -342,6 +372,7 @@ def _localization_finalize(config: ScenarioConfig, results, out_dir):
         }
     _write_plotdata(out_dir, "localization_fraction",
                     ["process", "t", "fraction_near_trap"], plot_rows)
+    _write_path_files(out_dir, results)
     return estimates
 
 
@@ -349,66 +380,47 @@ def _localization_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: metastability
 
 
-def _metastability_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    """Every task carries the one level geometry, built here, so an eta
+def _metastability_cells(config: ScenarioConfig):
+    """Every cell carries the one level geometry, built here, so an eta
     above the potential's level margin fails before any task runs."""
+    eta = config.option("eta", 1.0 / 3.0)
     try:
-        geometry = compute_level_geometry(config.potential,
-                                          eta=config.option("eta", 1.0 / 3.0))
+        geometry = compute_level_geometry(config.potential, eta=eta)
     except ConfigError as exc:
         raise ConfigError(f"field 'eta': {exc}") from exc
-    m_grid = config.option("m_grid", (4.0, 8.0, 12.0, 16.0))
-    tasks = []
-    counter = 0
-    for process in config.processes():
-        for m_idx, m in enumerate(m_grid):
-            for lo, hi in replica_chunks(config.replicas, TASKS_TARGET):
-                tasks.append({
-                    "op": "metastability", "process": process, "m": float(m),
-                    "trials": hi - lo, "geometry": geometry,
-                    "chunk_root": derive_replica_seed(config.root_seed,
-                                                      counter),
-                })
-                counter += 1
-    return tasks
+    max_time = config.option("max_time", 500.0)
+    return [{"process": process, "m": float(m), "eta": eta,
+             "geometry": geometry, "max_time": max_time}
+            for process in config.processes()
+            for m in config.option("m_grid", (4.0, 8.0, 12.0, 16.0))]
 
 
-def _metastability_run(config: ScenarioConfig, task: Dict[str, Any]):
-    eta = config.option("eta", 1.0 / 3.0)
+def _metastability_run(config: ScenarioConfig, cell, task):
     est = estimate_escape(
-        config.potential, task["geometry"], task["m"], eta, task["trials"],
-        process=task["process"], lam=config.lam, dt=config.dt,
-        max_time=config.option("max_time", 500.0),
-        root_seed=task["chunk_root"])
-    return {"process": task["process"], "m": task["m"],
-            "successes": est.successes, "trials": est.trials,
-            "censored": est.n_censored}
+        config.potential, cell["geometry"], cell["m"], cell["eta"],
+        task["hi"] - task["lo"], process=cell["process"], lam=config.lam,
+        dt=config.dt, max_time=cell["max_time"],
+        root_seed=derive_replica_seed(config.root_seed, task["index"]))
+    return est.successes, est.trials, est.n_censored
 
 
-def _metastability_finalize(config: ScenarioConfig, results, out_dir):
-    eta = config.option("eta", 1.0 / 3.0)
-    m_grid = config.option("m_grid", (4.0, 8.0, 12.0, 16.0))
-    estimates: Dict[str, Any] = {"kind": "metastability", "eta": eta,
-                                 "per_process": {}}
+def _metastability_finalize(config: ScenarioConfig, cells, results, out_dir):
+    rows = []
     plot_rows = []
-    for process in config.processes():
-        table = []
-        for m in m_grid:
-            cells = [r for r in results
-                     if r["process"] == process and r["m"] == float(m)]
-            successes = sum(c["successes"] for c in cells)
-            trials = sum(c["trials"] for c in cells)
-            censored = sum(c["censored"] for c in cells)
-            lo, hi = wilson_interval(successes, trials)
-            bound = escape_bound(process, config.potential, float(m), eta,
-                                 config.lam if process == "pdmp" else None)
-            table.append({"m": float(m), "successes": successes,
-                          "trials": trials, "censored": censored,
-                          "estimate": successes / trials,
-                          "wilson_low": lo, "wilson_high": hi,
-                          "bound": bound})
-            plot_rows.append((process, float(m), successes / trials,
-                              lo, hi, bound))
+    for cell, chunks in zip(cells, results):
+        successes, trials, censored = (sum(c) for c in zip(*chunks))
+        process, m = cell["process"], cell["m"]
+        bound = escape_bound(process, config.potential, m, cell["eta"],
+                             config.lam if process == "pdmp" else None)
+        rows.append({"m": m, "successes": successes, "trials": trials,
+                     "censored": censored, **_wilson_row(successes, trials),
+                     "bound": bound})
+        plot_rows.append((process, m, rows[-1]["estimate"],
+                          rows[-1]["wilson_low"], rows[-1]["wilson_high"],
+                          bound))
+    estimates: Dict[str, Any] = {"kind": "metastability",
+                                 "eta": cells[0]["eta"], "per_process": {}}
+    for process, table in _by_process(cells, rows).items():
         monotone = all(table[i + 1]["wilson_low"] <= table[i]["wilson_high"]
                        for i in range(len(table) - 1))
         estimates["per_process"][process] = {
@@ -423,57 +435,42 @@ def _metastability_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: pdmp-vs-diffusion
 
 
-def _limit_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    lam_grid = config.option("lambda_grid", (1.0, 10.0, 100.0))
-    tasks = []
-    idx = 0
-    for rep in range(config.replicas):
-        tasks.append({"op": "limit", "process": "diffusion", "lam": None,
-                      "replica": rep,
-                      "seed": derive_replica_seed(config.root_seed, idx)})
-        idx += 1
-    for lam in lam_grid:
-        for rep in range(config.replicas):
-            tasks.append({"op": "limit", "process": "pdmp",
-                          "lam": float(lam), "replica": rep,
-                          "seed": derive_replica_seed(config.root_seed, idx)})
-            idx += 1
-    return tasks
-
-
-def _limit_run(config: ScenarioConfig, task: Dict[str, Any]):
+def _limit_cells(config: ScenarioConfig):
+    """The diffusion in seed block 0, then the velocity-jump process at
+    lambda_grid[j] in block 1 + j."""
     burn = config.option("burn_in", 0.1 * config.horizon)
-    if task["process"] == "diffusion":
-        path = _simulate_path(config, "diffusion", task["seed"])
-        h = occupation_histogram(path, burn_in=burn)
-    else:
-        lam = task["lam"]
-        # Accelerated time: the jump process runs for lam * horizon.
-        path = _simulate_path(config, "pdmp", task["seed"],
-                              horizon=lam * config.horizon, lam=lam)
-        h = occupation_histogram(path, burn_in=lam * burn)
-    return {"process": task["process"], "lam": task["lam"],
-            "weight": h.weight, "x_marginal": h.x_marginal().tolist()}
-
-
-def _limit_finalize(config: ScenarioConfig, results, out_dir):
     lam_grid = config.option("lambda_grid", (1.0, 10.0, 100.0))
+    return [{"process": "diffusion", "b": 0, "lam": None, "burn_in": burn}] \
+        + [{"process": "pdmp", "b": 1 + j, "lam": float(lam),
+            "burn_in": burn} for j, lam in enumerate(lam_grid)]
 
-    def _merged_marginal(rows):
-        weights = np.array([r["weight"] for r in rows])
-        marginals = np.array([r["x_marginal"] for r in rows])
+
+def _limit_run(config: ScenarioConfig, cell, task):
+    # Accelerated time: the jump process runs for lam * horizon.
+    scale = 1.0 if cell["lam"] is None else cell["lam"]
+    out = []
+    for _, path in _paths(config, cell, task, horizon=scale * config.horizon,
+                          lam=cell["lam"]):
+        h = occupation_histogram(path, burn_in=scale * cell["burn_in"])
+        out.append((h.weight, h.x_marginal()))
+    return out
+
+
+def _limit_finalize(config: ScenarioConfig, cells, results, out_dir):
+    def _merged_marginal(chunks):
+        rows = [row for r in chunks for row in r]
+        weights = np.array([w for w, _ in rows])
+        marginals = np.array([m for _, m in rows])
         return (weights[:, None] * marginals).sum(axis=0) / weights.sum()
 
-    diff_marginal = _merged_marginal(
-        [r for r in results if r["process"] == "diffusion"])
+    diff_marginal = _merged_marginal(results[0])
     table = []
     plot_rows = []
-    for lam in lam_grid:
-        rows = [r for r in results
-                if r["process"] == "pdmp" and r["lam"] == float(lam)]
-        tv = 0.5 * float(np.abs(_merged_marginal(rows) - diff_marginal).sum())
-        table.append({"lambda": float(lam), "tv_x_marginal": tv})
-        plot_rows.append((float(lam), tv))
+    for cell, chunks in zip(cells[1:], results[1:]):
+        tv = 0.5 * float(np.abs(_merged_marginal(chunks)
+                                - diff_marginal).sum())
+        table.append({"lambda": cell["lam"], "tv_x_marginal": tv})
+        plot_rows.append((cell["lam"], tv))
     decreasing = all(table[i]["tv_x_marginal"] >= table[i + 1]["tv_x_marginal"]
                      for i in range(len(table) - 1))
     _write_plotdata(out_dir, "pdmp_vs_diffusion",
@@ -486,62 +483,47 @@ def _limit_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: drift
 
 
-def _drift_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    """One task per (u0 index j, replica chunk), run once to max(t_grid).
-
-    Replica i gets splitmix64(root_seed, (m * len(u0_grid) + j) * replicas
-    + i), with m the index of the first largest t: the seeds a run of the
-    (t_grid[m], u0) cell alone would use.  Shorter t read the same paths.
-    """
-    u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
-    return [{"op": "drift", "u0_index": j, "lo": lo, "hi": hi}
-            for j in range(len(u0_grid))
-            for lo, hi in _worker_chunks(config)]
-
-
-def _drift_run(config: ScenarioConfig, task: Dict[str, Any]):
+def _drift_cells(config: ScenarioConfig):
+    """One cell per u0_grid[j], run once to max(t_grid) in seed block
+    m * len(u0_grid) + j, with m the index of the first largest t: the
+    seeds a run of the (t_grid[m], u0) cell alone would use.  Shorter t
+    read the same paths."""
     kappa = config.option("kappa", 0.05)
     t_grid = config.option("t_grid", (50.0, 100.0, 200.0))
     u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
-    j = task["u0_index"]
-    pair = t_grid.index(max(t_grid)) * len(u0_grid) + j
-    base = pair * config.replicas
-    seeds = tuple(derive_replica_seed(config.root_seed, base + i)
-                  for i in range(task["lo"], task["hi"]))
-    values = drift_samples(config.potential, kappa, config.x0,
-                           float(u0_grid[j]), t_grid, dt=config.dt,
-                           seeds=seeds)
-    return {"u0_index": j, "values": values}
+    first = t_grid.index(max(t_grid)) * len(u0_grid)
+    return [{"u0": float(u0), "b": first + j, "kappa": kappa,
+             "t_grid": t_grid} for j, u0 in enumerate(u0_grid)]
 
 
-def _drift_finalize(config: ScenarioConfig, results, out_dir):
-    kappa = config.option("kappa", 0.05)
-    t_grid = config.option("t_grid", (50.0, 100.0, 200.0))
-    u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
-    # values[j][k] holds every replica of u0_grid[j] at t_grid[k].
-    values = [np.concatenate([r["values"] for r in results
-                              if r["u0_index"] == j], axis=1)
-              for j in range(len(u0_grid))]
+def _drift_run(config: ScenarioConfig, cell, task):
+    return drift_samples(config.potential, cell["kappa"], config.x0,
+                         cell["u0"], cell["t_grid"], dt=config.dt,
+                         seeds=_seeds(config, cell, task))
+
+
+def _drift_finalize(config: ScenarioConfig, cells, results, out_dir):
+    kappa, t_grid = cells[0]["kappa"], cells[0]["t_grid"]
+    # values[j][k] holds every replica of cells[j] at t_grid[k].
+    values = [np.concatenate(chunks, axis=1) for chunks in results]
     per_t = []
     plot_rows = []
     for k, t in enumerate(t_grid):
-        cells = []
-        for j, u0 in enumerate(u0_grid):
-            vals = values[j][k]
+        row = []
+        for cell, cell_values in zip(cells, values):
+            vals, u0 = cell_values[k], cell["u0"]
             est = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(vals.size))
             ratio = est / math.exp(kappa * abs(u0))
-            cells.append({"u0": float(u0), "estimate": est, "std_error": se,
-                          "ratio": ratio,
-                          "tail_flag": bool(_tail_heavy(vals))})
-            plot_rows.append((float(t), float(u0), est, se, ratio))
-        ratios = [c["ratio"] for c in cells]
-        ses = [c["std_error"] / math.exp(kappa * abs(c["u0"]))
-               for c in cells]
+            row.append({"u0": u0, "estimate": est, "std_error": se,
+                        "ratio": ratio, "tail_flag": bool(_tail_heavy(vals))})
+            plot_rows.append((float(t), u0, est, se, ratio))
+        ratios = [c["ratio"] for c in row]
+        ses = [c["std_error"] / math.exp(kappa * abs(c["u0"])) for c in row]
         nonincreasing = all(
             ratios[i + 1] <= ratios[i] + 2.0 * (ses[i] + ses[i + 1])
             for i in range(len(ratios) - 1))
-        per_t.append({"t": float(t), "cells": cells,
+        per_t.append({"t": float(t), "cells": row,
                       "passes": ratios[-1] <= 0.75,
                       "nonincreasing_to_2se": nonincreasing})
     _write_plotdata(out_dir, "drift_ratio",
@@ -554,53 +536,39 @@ def _drift_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: doeblin
 
 
-def _doeblin_starts(config: ScenarioConfig) -> List[Tuple[float, float]]:
+def _doeblin_cells(config: ScenarioConfig):
+    """A side x side grid of starts over x and u; start s is seed block s
+    for both processes."""
     side = math.isqrt(config.option("grid_points", 16))
-    xs = np.linspace(0.0, TWO_PI, side, endpoint=False)
-    us = np.linspace(-2.0, 2.0, side)
-    return [(float(x), float(u)) for x in xs for u in us]
-
-
-def _doeblin_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    starts = _doeblin_starts(config)
-    tasks = []
-    for process in config.processes():
-        for s_idx in range(len(starts)):
-            for lo, hi in _worker_chunks(config):
-                tasks.append({"op": "doeblin", "process": process,
-                              "start": s_idx, "lo": lo, "hi": hi})
-    return tasks
-
-
-def _doeblin_run(config: ScenarioConfig, task: Dict[str, Any]):
     box = config.option("box", (math.pi - 1.0, math.pi + 1.0, -2.0, 2.0))
-    x0, u0 = _doeblin_starts(config)[task["start"]]
-    base = task["start"] * config.replicas
-    seeds = tuple(derive_replica_seed(config.root_seed, base + i)
-                  for i in range(task["lo"], task["hi"]))
-    hits = doeblin_hits(config.potential, task["process"], x0, u0, box,
-                        config.horizon, seeds=seeds, lam=config.lam,
+    starts = [(float(x), float(u))
+              for x in np.linspace(0.0, TWO_PI, side, endpoint=False)
+              for u in np.linspace(-2.0, 2.0, side)]
+    return [{"process": process, "b": s, "x0": x0, "u0": u0, "box": box}
+            for process in config.processes()
+            for s, (x0, u0) in enumerate(starts)]
+
+
+def _doeblin_run(config: ScenarioConfig, cell, task):
+    hits = doeblin_hits(config.potential, cell["process"], cell["x0"],
+                        cell["u0"], cell["box"], config.horizon,
+                        seeds=_seeds(config, cell, task), lam=config.lam,
                         y0=config.y0, dt=config.dt)
-    return {"process": task["process"], "start": task["start"],
-            "hits": hits, "trials": task["hi"] - task["lo"]}
+    return hits, task["hi"] - task["lo"]
 
 
-def _doeblin_finalize(config: ScenarioConfig, results, out_dir):
-    starts = _doeblin_starts(config)
-    estimates: Dict[str, Any] = {"kind": "doeblin", "per_process": {}}
+def _doeblin_finalize(config: ScenarioConfig, cells, results, out_dir):
+    rows = []
     plot_rows = []
-    for process in config.processes():
-        table = []
-        for s_idx, (x0, u0) in enumerate(starts):
-            cells = [r for r in results
-                     if r["process"] == process and r["start"] == s_idx]
-            hits = sum(c["hits"] for c in cells)
-            trials = sum(c["trials"] for c in cells)
-            lo, hi = wilson_interval(hits, trials)
-            table.append({"x0": x0, "u0": u0, "hits": hits,
-                          "trials": trials, "estimate": hits / trials,
-                          "wilson_low": lo, "wilson_high": hi})
-            plot_rows.append((process, x0, u0, hits / trials, lo, hi))
+    for cell, chunks in zip(cells, results):
+        hits, trials = (sum(c) for c in zip(*chunks))
+        rows.append({"x0": cell["x0"], "u0": cell["u0"], "hits": hits,
+                     "trials": trials, **_wilson_row(hits, trials)})
+        plot_rows.append((cell["process"], cell["x0"], cell["u0"],
+                          rows[-1]["estimate"], rows[-1]["wilson_low"],
+                          rows[-1]["wilson_high"]))
+    estimates: Dict[str, Any] = {"kind": "doeblin", "per_process": {}}
+    for process, table in _by_process(cells, rows).items():
         min_row = min(table, key=lambda r: r["estimate"])
         estimates["per_process"][process] = {
             "table": table,
@@ -618,67 +586,55 @@ def _doeblin_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: hitting
 
 
-def _hitting_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    fractions = config.option("eta_fractions", (0.25, 0.5, 1.0))
-    tasks = []
-    cell = 0
-    for process in config.processes():
-        for frac in fractions:
-            for lo, hi in _worker_chunks(config):
-                tasks.append({"op": "hitting", "process": process,
-                              "fraction": float(frac), "cell": cell,
-                              "lo": lo, "hi": hi})
-            cell += 1
-    return tasks
+def _hitting_cells(config: ScenarioConfig):
+    """One cell per (process, eta fraction), in seed block = cell index.
+    The target is the mid-level set at eta = fraction * delta."""
+    base = compute_level_geometry(config.potential)
+    record_every = config.option("record_every", 10)
+    targets = []
+    for frac in config.option("eta_fractions", (0.25, 0.5, 1.0)):
+        eta = float(frac) * base.delta
+        try:
+            geometry = compute_level_geometry(config.potential, eta=eta)
+        except ConfigError as exc:
+            raise ConfigError(f"field 'eta_fractions': {exc}") from exc
+        targets.append((eta, geometry.mid_level_set()))
+    cells = [{"process": process, "eta": eta, "target": target,
+              "kappa": base.kappa, "record_every": record_every}
+             for process in config.processes() for eta, target in targets]
+    return [dict(cell, b=b) for b, cell in enumerate(cells)]
 
 
-def _hitting_run(config: ScenarioConfig, task: Dict[str, Any]):
+def _hitting_run(config: ScenarioConfig, cell, task):
     potential = config.potential
-    base_geometry = compute_level_geometry(potential)
-    delta = base_geometry.delta
-    eta = task["fraction"] * delta
-    geometry = compute_level_geometry(potential, eta=eta)
-    target = geometry.mid_level_set()
-    base = task["cell"] * config.replicas
-    seeds = [derive_replica_seed(config.root_seed, base + rep)
-             for rep in range(task["lo"], task["hi"])]
-    values, censored = hitting_times(
-        potential, task["process"], potential.argmin, target, config.horizon,
-        seeds=seeds, lam=config.lam, y0=config.y0, dt=config.dt,
-        record_every=config.option("record_every", 10))
-    return {"process": task["process"], "fraction": task["fraction"],
-            "eta": eta, "kappa": base_geometry.kappa,
-            "values": values, "censored": censored}
+    return hitting_times(
+        potential, cell["process"], potential.argmin, cell["target"],
+        config.horizon, seeds=_seeds(config, cell, task), lam=config.lam,
+        y0=config.y0, dt=config.dt, record_every=cell["record_every"])
 
 
-def _hitting_finalize(config: ScenarioConfig, results, out_dir):
-    fractions = config.option("eta_fractions", (0.25, 0.5, 1.0))
-    estimates: Dict[str, Any] = {"kind": "hitting", "per_process": {}}
+def _hitting_finalize(config: ScenarioConfig, cells, results, out_dir):
+    rows = []
     plot_rows = []
-    for process in config.processes():
-        table = []
-        for frac in fractions:
-            cells = [r for r in results
-                     if r["process"] == process
-                     and r["fraction"] == float(frac)]
-            values = np.concatenate([np.asarray(c["values"]) for c in cells])
-            cens = np.concatenate([np.asarray(c["censored"], dtype=bool)
-                                   for c in cells])
-            eta = cells[0]["eta"]
-            kappa = cells[0]["kappa"]
-            floor = kappa * math.sqrt(eta)
-            row = {
-                "eta": eta, "kappa_sqrt_eta": floor,
-                "min": float(values.min()),
-                "median": float(np.median(values)),
-                "n": int(values.size),
-                "n_censored": int(cens.sum()),
-            }
-            if process == "pdmp":
-                row["violations"] = int((values < floor - 1e-12).sum())
-            table.append(row)
-            plot_rows.append((process, eta, floor, row["min"],
-                              row["median"]))
+    for cell, chunks in zip(cells, results):
+        eta = cell["eta"]
+        values = np.concatenate([np.asarray(v) for v, _ in chunks])
+        cens = np.concatenate([np.asarray(c, dtype=bool) for _, c in chunks])
+        floor = cell["kappa"] * math.sqrt(eta)
+        row = {
+            "eta": eta, "kappa_sqrt_eta": floor,
+            "min": float(values.min()),
+            "median": float(np.median(values)),
+            "n": int(values.size),
+            "n_censored": int(cens.sum()),
+        }
+        if cell["process"] == "pdmp":
+            row["violations"] = int((values < floor - 1e-12).sum())
+        rows.append(row)
+        plot_rows.append((cell["process"], eta, floor, row["min"],
+                          row["median"]))
+    estimates: Dict[str, Any] = {"kind": "hitting", "per_process": {}}
+    for process, table in _by_process(cells, rows).items():
         estimates["per_process"][process] = {"table": table}
         if process == "pdmp":
             estimates["per_process"][process]["zero_violations"] = all(
@@ -693,28 +649,24 @@ def _hitting_finalize(config: ScenarioConfig, results, out_dir):
 # scenario: refinement
 
 
-def _refinement_tasks(config: ScenarioConfig) -> List[Dict[str, Any]]:
-    """One task per replica chunk; replica i gets splitmix64(root_seed, i)
-    and runs the step sizes 4 dt, 2 dt and dt on one Brownian path."""
-    return [{"op": "refinement", "lo": lo, "hi": hi}
-            for lo, hi in _worker_chunks(config)]
+def _refinement_cells(config: ScenarioConfig):
+    """One cell in seed block 0; every replica runs the step sizes 4 dt,
+    2 dt and dt on one Brownian path."""
+    return [{"b": 0, "levels": config.dt_levels()}]
 
 
-def _refinement_run(config: ScenarioConfig, task: Dict[str, Any]):
-    levels = config.dt_levels()
-    seeds = tuple(derive_replica_seed(config.root_seed, i)
-                  for i in range(task["lo"], task["hi"]))
+def _refinement_run(config: ScenarioConfig, cell, task):
+    levels = cell["levels"]
     by_dt = simulate_terminal_u_coupled(config.potential, config.x0,
                                         config.u0, config.horizon, levels,
-                                        seeds=seeds)
-    return {"u": [by_dt[d] for d in levels]}
+                                        seeds=_seeds(config, cell, task))
+    return [by_dt[d] for d in levels]
 
 
-def _refinement_finalize(config: ScenarioConfig, results, out_dir):
-    levels = config.dt_levels()
+def _refinement_finalize(config: ScenarioConfig, cells, results, out_dir):
+    levels = cells[0]["levels"]
     # terminal[k] holds every replica's U_horizon at levels[k].
-    terminal = [np.concatenate([r["u"][k] for r in results])
-                for k in range(len(levels))]
+    terminal = [np.concatenate(per_level) for per_level in zip(*results[0])]
     differences = []
     plot_rows = []
     for k in range(len(levels) - 1):
@@ -741,38 +693,42 @@ def _refinement_finalize(config: ScenarioConfig, results, out_dir):
 # task dispatch
 
 
-_BUILDERS = {
-    "ergodic": (_ergodic_tasks, _ergodic_run, _ergodic_finalize),
-    "localization": (_localization_tasks, _localization_run,
-                     _localization_finalize),
-    "metastability": (_metastability_tasks, _metastability_run,
-                      _metastability_finalize),
-    "pdmp-vs-diffusion": (_limit_tasks, _limit_run, _limit_finalize),
-    "drift": (_drift_tasks, _drift_run, _drift_finalize),
-    "doeblin": (_doeblin_tasks, _doeblin_run, _doeblin_finalize),
-    "hitting": (_hitting_tasks, _hitting_run, _hitting_finalize),
-    "refinement": (_refinement_tasks, _refinement_run,
-                   _refinement_finalize),
+class _Kind(NamedTuple):
+    cells: Callable[[ScenarioConfig], List[Dict[str, Any]]]
+    chunks: Callable[[ScenarioConfig], List[Tuple[int, int]]]
+    run: Callable
+    finalize: Callable
+
+
+_KINDS = {
+    "ergodic": _Kind(_ergodic_cells, _single_replicas, _ergodic_run,
+                     _ergodic_finalize),
+    "localization": _Kind(_localization_cells, _worker_chunks,
+                          _localization_run, _localization_finalize),
+    "metastability": _Kind(_metastability_cells, _fixed_chunks,
+                           _metastability_run, _metastability_finalize),
+    "pdmp-vs-diffusion": _Kind(_limit_cells, _single_replicas, _limit_run,
+                               _limit_finalize),
+    "drift": _Kind(_drift_cells, _worker_chunks, _drift_run,
+                   _drift_finalize),
+    "doeblin": _Kind(_doeblin_cells, _worker_chunks, _doeblin_run,
+                     _doeblin_finalize),
+    "hitting": _Kind(_hitting_cells, _worker_chunks, _hitting_run,
+                     _hitting_finalize),
+    "refinement": _Kind(_refinement_cells, _worker_chunks, _refinement_run,
+                        _refinement_finalize),
 }
 
 
-def _execute_task(payload: Tuple[Dict[str, Any], Dict[str, Any]]):
+def _execute_task(payload):
     """Worker entry point: rebuild the config and run one task."""
-    config_dict, task = payload
+    config_dict, cell, task = payload
     try:
         config = scenario_from_dict(config_dict)
-        _, run, _ = _BUILDERS[config.kind]
-        return {"ok": True, "result": run(config, task)}
+        return {"ok": True,
+                "result": _KINDS[config.kind].run(config, cell, task)}
     except Exception:
         return {"ok": False, "error": traceback.format_exc()}
-
-
-def _task_replica_count(task: Dict[str, Any]) -> int:
-    if "lo" in task and "hi" in task:
-        return task["hi"] - task["lo"]
-    if "trials" in task:
-        return task["trials"]
-    return 1
 
 
 def _write_plotdata(out_dir, name: str, header: Sequence[str], rows):
@@ -788,22 +744,23 @@ def _write_plotdata(out_dir, name: str, header: Sequence[str], rows):
 
 
 def _write_path_files(out_dir, results) -> None:
-    """Write the raw paths that the tasks returned for their saved replicas.
+    """Write the raw paths that the chunks of a path-producing kind kept.
 
-    A path-producing task returns ``paths``, the (replica, path) pairs of
-    its replicas below _saved_path_count(config); the diffusion gets
-    ``trajectory_<replica>.csv`` and the velocity-jump process
+    Each chunk result holds ``paths``, the (replica, path) pairs of its
+    replicas below _saved_path_count(config).  A diffusion trajectory
+    goes to ``trajectory_<replica>.csv`` and a velocity-jump event log to
     ``events_<replica>.csv``.  Nothing is simulated here, so a saved
     replica whose task failed gets no file.
     """
-    for r in results:
-        for rep, path in r.get("paths", ()):
-            if r["process"] == "diffusion":
-                write_trajectory_csv(
-                    os.path.join(out_dir, f"trajectory_{rep}.csv"), path)
-            else:
-                write_events_csv(
-                    os.path.join(out_dir, f"events_{rep}.csv"), path)
+    for chunks in results:
+        for r in chunks:
+            for rep, path in r["paths"]:
+                if isinstance(path, Trajectory):
+                    write_trajectory_csv(
+                        os.path.join(out_dir, f"trajectory_{rep}.csv"), path)
+                else:
+                    write_events_csv(
+                        os.path.join(out_dir, f"events_{rep}.csv"), path)
 
 
 def _check_out_dir(config: ScenarioConfig, out_dir: str) -> None:
@@ -837,10 +794,13 @@ def run_scenario(config: ScenarioConfig,
     _check_out_dir(config, out_dir)
     started = time.monotonic()
 
-    build, _, finalize = _BUILDERS[config.kind]
-    tasks = build(config)
+    kind = _KINDS[config.kind]
+    cells = kind.cells(config)
+    chunks = kind.chunks(config)
+    tasks = [(c, lo, hi) for c in range(len(cells)) for lo, hi in chunks]
     config_dict = config.to_dict()
-    payloads = [(config_dict, task) for task in tasks]
+    payloads = [(config_dict, cells[c], {"index": k, "lo": lo, "hi": hi})
+                for k, (c, lo, hi) in enumerate(tasks)]
     workers = worker_count(len(tasks))
 
     if workers == 1:
@@ -850,36 +810,32 @@ def run_scenario(config: ScenarioConfig,
             outcomes = list(pool.map(_execute_task, payloads))
 
     failures = []
-    results = []
+    results: List[list] = [[] for _ in cells]
     failed_replicas = 0
     total_replicas = 0
-    for task, outcome in zip(tasks, outcomes):
-        n_rep = _task_replica_count(task)
-        total_replicas += n_rep
+    for (c, lo, hi), outcome in zip(tasks, outcomes):
+        total_replicas += hi - lo
         if outcome["ok"]:
-            results.append(outcome["result"])
+            results[c].append(outcome["result"])
         else:
-            failed_replicas += n_rep
+            failed_replicas += hi - lo
             failures.append(outcome["error"])
 
     if failed_replicas > 0.01 * total_replicas:
-        manifest = _finish_manifest(config, out_dir, tasks, workers,
-                                    started, failures, estimates={
-                                        "kind": config.kind,
-                                        "aborted": True,
-                                    })
+        _finish_manifest(config, out_dir, len(tasks), workers, started,
+                         failures, estimates={"kind": config.kind,
+                                              "aborted": True})
         raise RuntimeError(
             f"{failed_replicas}/{total_replicas} replicas failed; "
             f"see manifest in {out_dir}\n" + "\n".join(failures[:3]))
 
-    estimates = finalize(config, results, out_dir)
+    estimates = kind.finalize(config, cells, results, out_dir)
     estimates["failures"] = len(failures)
-    _write_path_files(out_dir, results)
-    return _finish_manifest(config, out_dir, tasks, workers, started,
+    return _finish_manifest(config, out_dir, len(tasks), workers, started,
                             failures, estimates)
 
 
-def _finish_manifest(config, out_dir, tasks, workers, started, failures,
+def _finish_manifest(config, out_dir, n_tasks, workers, started, failures,
                      estimates) -> RunManifest:
     write_json(os.path.join(out_dir, "estimates.json"), estimates)
     files = hash_inventory(out_dir)
@@ -888,7 +844,7 @@ def _finish_manifest(config, out_dir, tasks, workers, started, failures,
         config_hash=config.config_hash(),
         version=__version__,
         seed_scheme=_SEED_SCHEME,
-        n_tasks=len(tasks),
+        n_tasks=n_tasks,
         workers_used=workers,
         wall_clock_seconds=time.monotonic() - started,
         files=files,

@@ -64,14 +64,14 @@ _Z95 = 1.959963984540054
 _SLICE_BLOCK = 8192
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = _Z95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion."""
     if trials < 0 or successes < 0 or successes > trials:
         raise ValueError("need 0 <= successes <= trials")
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
+    z = _Z95
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
@@ -147,15 +147,6 @@ def _check_same_bins(h1: EmpiricalHistogram, h2: EmpiricalHistogram):
         raise BinMismatchError("histograms use different bin structures")
 
 
-def _histogram_edges(x_bins, u_bins, u_range):
-    u_lo, u_hi = float(u_range[0]), float(u_range[1])
-    if u_hi <= u_lo:
-        raise ValueError("u_range must be increasing")
-    x_edges = np.linspace(0.0, TWO_PI, int(x_bins) + 1)
-    u_edges = np.linspace(u_lo, u_hi, int(u_bins) + 1)
-    return x_edges, u_edges
-
-
 def _bin_u(u, u_edges):
     """u column index with under/overflow at 0 and n_u + 1."""
     n_u = u_edges.size - 1
@@ -176,13 +167,12 @@ def _accumulate(counts, x, u, x_edges, u_edges, weights):
 
 
 def occupation_histogram(path, *, x_bins: int = DEFAULT_X_BINS,
-                         u_bins: int = DEFAULT_U_BINS,
-                         u_range=DEFAULT_U_RANGE,
-                         like: Optional[EmpiricalHistogram] = None,
                          burn_in: float = 0.0,
                          t_max: float = math.inf) -> EmpiricalHistogram:
     """Time-weighted occupation histogram of a path on (x, u).
 
+    The u axis has DEFAULT_U_BINS bins over DEFAULT_U_RANGE plus an
+    underflow and an overflow column.
     Only the time window [burn_in, t_max] contributes; a NaN bound raises
     ValueError.  Diffusion trajectories contribute their recorded samples
     with equal weights (an ensemble's replicas in order).  Event logs are
@@ -199,10 +189,8 @@ def occupation_histogram(path, *, x_bins: int = DEFAULT_X_BINS,
         raise ValueError("burn_in must not be NaN")
     if math.isnan(t_max):
         raise ValueError("t_max must not be NaN")
-    if like is not None:
-        x_edges, u_edges = like.x_edges, like.u_edges
-    else:
-        x_edges, u_edges = _histogram_edges(x_bins, u_bins, u_range)
+    x_edges = np.linspace(0.0, TWO_PI, int(x_bins) + 1)
+    u_edges = np.linspace(*DEFAULT_U_RANGE, DEFAULT_U_BINS + 1)
     counts = np.zeros((x_edges.size - 1, u_edges.size + 1))
 
     if isinstance(path, EnsembleTrajectories):

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -193,6 +194,27 @@ class TestScenarioConfig:
             ScenarioConfig(kind="ergodic", potential=COSINE,
                            options={"burn_in": math.nan})
 
+    def test_constructor_stores_parsed_options(self):
+        options = {"t_grid": "2 1", "u0_grid": "3", "save_paths": 1.0}
+        direct = ScenarioConfig(kind="drift", potential=COSINE,
+                                options=options)
+        parsed = scenario_from_dict({"kind": "drift",
+                                     "potential": COSINE_RECORD,
+                                     "options": options})
+        assert direct.options == {"t_grid": (2.0, 1.0), "u0_grid": (3.0,),
+                                  "save_paths": 1}
+        assert type(direct.options["save_paths"]) is int
+        assert direct == parsed
+        assert direct.config_hash() == parsed.config_hash()
+
+    @pytest.mark.parametrize("field", ["m_grid", "u0_grid", "eta_fractions"])
+    @pytest.mark.parametrize("value", [[], ""])
+    def test_cell_grids_must_be_nonempty(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=f"field '{field}': must be a nonempty list"):
+            scenario_from_dict({"kind": "drift", "potential": COSINE_RECORD,
+                                "options": {field: value}})
+
     @pytest.mark.parametrize("grid", ["1.0 nan", "2, -inf", [1.0, math.inf]])
     @pytest.mark.parametrize("field", ["m_grid", "u0_grid", "t_grid",
                                        "lambda_grid", "eta_fractions", "box"])
@@ -286,7 +308,8 @@ class TestScenarioConfig:
         config = scenario_from_dict({"kind": "doeblin",
                                      "potential": COSINE_RECORD,
                                      "options": {"grid_points": points}})
-        assert len(runner_module._doeblin_starts(config)) == points
+        cells = runner_module._KINDS["doeblin"].cells(config)
+        assert len({(c["x0"], c["u0"]) for c in cells}) == len(cells) == points
 
     @pytest.mark.parametrize("extra", [
         {"horizon": 1e-2},
@@ -533,15 +556,12 @@ class TestRunScenario:
 
     def test_failure_rate_above_one_percent_fails_run(self, tmp_path,
                                                       monkeypatch):
-        import circlelab.runner as runner_mod
-
-        build, run, finalize = runner_mod._BUILDERS["doeblin"]
-
-        def failing_run(config, task):
+        def failing_run(config, cell, task):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setitem(runner_mod._BUILDERS, "doeblin",
-                            (build, failing_run, finalize))
+        monkeypatch.setitem(
+            runner_module._KINDS, "doeblin",
+            runner_module._KINDS["doeblin"]._replace(run=failing_run))
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
         config = _tiny_scenario(tmp_path)
         with pytest.raises(RuntimeError, match="replicas failed"):
@@ -577,6 +597,37 @@ class TestRunScenario:
         ok2, report2 = replay(str(manifest_path), str(tmp_path / "replayed2"))
         assert not ok2
         assert not report2["estimates.json"]["match"]
+
+
+def test_benchmark_tracer_wraps_runner_names(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps names on circlelab.runner by getattr,
+    so a name the runner drops would break its traced runs.  The wrappers
+    leave the outputs as they are."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+    record = {"kind": "localization", "potential": MIXTURE_RECORD,
+              "process": "both", "horizon": 2.0, "replicas": 2, "u0": 5.0,
+              "options": {"burn_in": 0.5, "record_every": 7}}
+    run_scenario(scenario_from_dict({**record,
+                                     "out_dir": str(tmp_path / "plain")}))
+    before = dict(vars(runner_module))
+    tracer = tracing.Tracer()
+    tracing.instrument_spans(tracer)
+    try:
+        runner_module.run_scenario(scenario_from_dict(
+            {**record, "out_dir": str(tmp_path / "traced")}))
+    finally:
+        tracer.restore()
+    assert vars(runner_module) == before
+    layers = {span[3] for span in tracer.spans}
+    assert {"runner", "diffusion", "pdmp", "landscape", "stats.detect",
+            "io.write", "io.hash"} <= layers
+    assert hash_inventory(str(tmp_path / "traced")) == \
+        hash_inventory(str(tmp_path / "plain"))
 
 
 def _record_simulator_calls(monkeypatch, log_path):
@@ -629,11 +680,10 @@ class TestSavedPaths:
                       for i in range(replicas)]
         assert seeds["simulate_pdmp"] == sorted(pdmp_seeds)
         assert len([c for c in calls if c[0] == "simulate_pdmp"]) == replicas
-        # ergodic runs one diffusion per replica, localization one per chunk
-        per_replica = kind == "ergodic"
-        diffusion_call = ("simulate_diffusion" if per_replica
-                          else "simulate_diffusion_ensemble")
-        n_diffusion = (replicas if per_replica
+        # ergodic runs one one-replica ensemble per replica, localization
+        # one ensemble per chunk
+        diffusion_call = "simulate_diffusion_ensemble"
+        n_diffusion = (replicas if kind == "ergodic"
                        else len(replica_chunks(replicas, int(workers))))
         assert len([c for c in calls if c[0] == diffusion_call]) == n_diffusion
         assert seeds[diffusion_call] == sorted(diffusion_seeds)
@@ -686,6 +736,10 @@ class TestSavedPaths:
 class TestWorkerCountInvariance:
     """Chunking follows the worker count; the artifacts do not."""
 
+    # The kinds that cut each cell into one chunk per worker.
+    WORKER_CHUNKED = {"drift", "localization", "doeblin", "hitting",
+                      "refinement"}
+
     @pytest.mark.parametrize("kind, record, extra", [
         ("drift", SKEWED_RECORD,
          {"options": {"t_grid": [0.4, 0.2], "u0_grid": [-3.0, 6.0]}}),
@@ -700,12 +754,21 @@ class TestWorkerCountInvariance:
           "options": {"record_every": 3, "eta_fractions": [0.5, 1.0]}}),
         ("refinement", SKEWED_RECORD,
          {"horizon": 0.8, "u0": 2.0, "dt": 2e-3}),
+        ("ergodic", MIXTURE_RECORD,
+         {"process": "both", "horizon": 3.0, "u0": 1.0, "replicas": 3,
+          "options": {"burn_in": 0.5, "save_paths": 2}}),
+        ("pdmp-vs-diffusion", COSINE_RECORD,
+         {"horizon": 3.0, "replicas": 2, "options": {"lambda_grid": [1.0, 4.0]}}),
+        ("metastability", COSINE_RECORD,
+         {"process": "both", "replicas": 70,
+          "options": {"m_grid": [8.0, 16.0], "max_time": 10.0}}),
     ])
     def test_hash_inventory_same_at_1_2_3_workers(self, tmp_path,
                                                    monkeypatch, kind, record,
                                                    extra):
-        # 130 replicas give one chunk per cell at 1 worker, 65 + 65 at 2
-        # and 64 + 64 + 2 (the scalar loop) at 3.
+        # For the worker-chunked kinds, 130 replicas give one chunk per
+        # cell at 1 worker, 65 + 65 at 2 and 64 + 64 + 2 (the scalar loop)
+        # at 3.  The other kinds keep one task list at every worker count.
         inventories, n_tasks = [], []
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
@@ -716,7 +779,10 @@ class TestWorkerCountInvariance:
                 "out_dir": str(out), **extra})
             n_tasks.append(run_scenario(config).n_tasks)
             inventories.append(hash_inventory(str(out)))
-        assert n_tasks[0] < n_tasks[1] < n_tasks[2]
+        if kind in self.WORKER_CHUNKED:
+            assert n_tasks[0] < n_tasks[1] < n_tasks[2]
+        else:
+            assert n_tasks[0] == n_tasks[1] == n_tasks[2]
         assert inventories[1] == inventories[0]
         assert inventories[2] == inventories[0]
 
@@ -781,18 +847,47 @@ class TestScenarioEstimates:
     def test_metastability_eta_above_delta_fails_before_any_task(
             self, tmp_path, monkeypatch):
         # delta = 0.150 for this potential, below the default eta of 1/3.
-        def fail(config, task):
+        def fail(config, cell, task):
             raise AssertionError("a task ran")
 
-        monkeypatch.setitem(runner_module._BUILDERS, "metastability", (
-            runner_module._metastability_tasks, fail,
-            runner_module._metastability_finalize))
+        monkeypatch.setitem(
+            runner_module._KINDS, "metastability",
+            runner_module._KINDS["metastability"]._replace(run=fail))
         config = scenario_from_dict({
             "kind": "metastability", "potential": SKEWED_RECORD,
             "replicas": 10, "out_dir": str(tmp_path / "meta")})
         with pytest.raises(ConfigError,
                            match=r"field 'eta': .*eta=0\.333.*delta=0\.150"):
             run_scenario(config)
+
+    def test_repeated_grid_values_get_rows_of_their_own(self, tmp_path,
+                                                         monkeypatch):
+        # Each grid value is a cell with its own replicas and seed block.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        run_scenario(scenario_from_dict({
+            "kind": "metastability", "potential": COSINE_RECORD,
+            "dt": 2e-3, "replicas": 10, "out_dir": str(tmp_path / "meta"),
+            "options": {"m_grid": [8.0, 8.0], "max_time": 30.0}}))
+        table = read_json(str(tmp_path / "meta" / "estimates.json"))[
+            "per_process"]["diffusion"]["table"]
+        assert [(row["m"], row["trials"]) for row in table] == [(8.0, 10)] * 2
+
+        tables = {}
+        for name, grid in (("repeated", [1.0, 1.0, 4.0]),
+                           ("single", [1.0, 4.0])):
+            run_scenario(scenario_from_dict({
+                "kind": "pdmp-vs-diffusion", "potential": COSINE_RECORD,
+                "horizon": 10.0, "dt": 5e-3, "replicas": 2,
+                "out_dir": str(tmp_path / name),
+                "options": {"lambda_grid": grid}}))
+            tables[name] = read_json(str(tmp_path / name /
+                                         "estimates.json"))["table"]
+        repeated, single = tables["repeated"], tables["single"]
+        assert [row["lambda"] for row in repeated] == [1.0, 1.0, 4.0]
+        # The first lambda = 1 cell has seed block 1 in both runs; the
+        # second has block 2, which the single grid gives to lambda = 4.
+        assert repeated[0] == single[0]
+        assert repeated[1]["tv_x_marginal"] != repeated[0]["tv_x_marginal"]
 
     def test_refinement_estimates_match_the_coupled_simulator(
             self, tmp_path, monkeypatch):
