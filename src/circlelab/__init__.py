@@ -69,12 +69,11 @@ from .pdmp import (
 from .potential import PeriodicPotential, load_potential, parse_potential_text
 from .stats import (
     EmpiricalHistogram,
-    EscapeEstimate,
     detect_convergence,
     doeblin_hits,
     drift_samples,
     escape_bound,
-    estimate_escape,
+    escape_hits,
     hitting_times,
     occupation_histogram,
     tv_distance,

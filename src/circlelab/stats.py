@@ -2,17 +2,16 @@
 
 The estimators here turn simulation output into the quantities the rest
 of the package reasons about: occupation histograms and total-variation
-distances between them, hitting/escape probabilities with Wilson
-intervals and the explicit escape bounds, convergence detection toward
-trap points, and the per-chunk cores of the scenario estimators
-(exponential drift moments, Doeblin box hits and hitting times), each of
-which takes the seeds of its replicas explicitly.
+distances between them, Wilson intervals and the explicit escape bounds,
+convergence detection toward trap points, and the per-chunk cores of the
+scenario estimators (escape trials, exponential drift moments, Doeblin
+box hits and hitting times), each of which takes the seeds of its
+replicas explicitly.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,22 +29,20 @@ from .diffusion import (
     simulate_diffusion,
     simulate_diffusion_ensemble,
 )
-from .errors import BinMismatchError, HypothesisWarning
+from .errors import BinMismatchError
 from .landscape import CriticalLandscape, LevelGeometry
 from .pdmp import EventLog, PdmpState, segment_u, simulate_pdmp, simulate_pdmp_driven
 from .potential import PeriodicPotential
-from .seeding import derive_replica_seeds, generator_from_seed
 
 __all__ = [
     "DEFAULT_X_BINS",
     "DEFAULT_U_BINS",
     "DEFAULT_U_RANGE",
     "EmpiricalHistogram",
-    "EscapeEstimate",
     "wilson_interval",
     "occupation_histogram",
     "tv_distance",
-    "estimate_escape",
+    "escape_hits",
     "escape_bound",
     "detect_convergence",
     "drift_samples",
@@ -319,71 +316,34 @@ def escape_bound(process: str, potential: PeriodicPotential, M: float,
     raise ValueError("process must be 'diffusion' or 'pdmp'")
 
 
-@dataclass(frozen=True)
-class EscapeEstimate:
-    """Escape-probability estimate against the explicit bound."""
+def escape_hits(potential: PeriodicPotential, geometry: LevelGeometry,
+                M: float, process: str, *, seeds: Sequence[int], first: int,
+                lam: float, dt: float, max_time: float) -> Tuple[int, int]:
+    """(escapes, censored) of frozen-drive (g = M) replicas started from
+    the mid-level points of `geometry`.
 
-    successes: int
-    trials: int
-    estimate: float
-    interval: Tuple[float, float]
-    bound: float
-    M: float
-    eta: float
-    process: str
-    n_censored: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.estimate <= 1.0:
-            raise ValueError("estimate must be a probability")
-        lo, hi = self.interval
-        if not lo <= self.estimate <= hi:
-            raise ValueError("interval must contain the point estimate")
-
-
-def estimate_escape(potential: PeriodicPotential, geometry: LevelGeometry,
-                    M: float, eta: float, reps: int, *,
-                    process: str = "diffusion", lam: float = 0.25,
-                    dt: float = 5e-4, max_time: float = 500.0,
-                    root_seed: int = 0) -> EscapeEstimate:
-    """Fraction of frozen-drive (g = M) replicas reaching the escape region
-    before the floor, started from the mid-level points.
-
-    Each replica picks one mid-level point uniformly (well and side) and
-    runs until it first hits the well minimum or the escape-region
-    boundary on its side.  The velocity-jump variant starts with the
-    velocity pointing away from the minimum.  Censored replicas count as
-    non-escapes and are reported.  Warns when the M * eta > 1 hypothesis
-    of the bound fails.
+    The start configurations are the (well, side) pairs in order, left
+    side first.  The replica with index first + j and seed seeds[j] takes
+    configuration (first + j) mod their number, so a cell's replicas are
+    stratified over them and each outcome depends only on the replica's
+    index and seed.  A replica runs until it first hits the well minimum
+    or the escape-region boundary on its side; the velocity-jump variant
+    (rate lam) starts with the velocity pointing away from the minimum,
+    the diffusion uses step dt.  Censored replicas count as non-escapes.
     """
-    if reps <= 0:
-        raise ValueError("reps must be positive")
-    if abs(geometry.eta - eta) > 1e-9:
-        raise ValueError("geometry was built for a different eta")
-    if M * eta <= 1.0:
-        warnings.warn("escape bound hypothesis M * eta > 1 fails",
-                      HypothesisWarning)
-
-    # Enumerate (well, side) start configurations in lifted coordinates.
-    configs = []
-    for well in geometry.wells:
-        x_star = well.minimum.x
-        b_l, b_r = well.mid_points
-        c_l, c_r = well.inner_interval
-        configs.append(("left", x_star, b_l, c_l))
-        configs.append(("right", x_star, b_r, c_r))
-    picker = generator_from_seed(root_seed)
-    choice = picker.integers(0, len(configs), size=reps)
-    seeds = np.asarray(derive_replica_seeds(root_seed, reps), dtype=np.uint64)
-
+    configs = [(side, well.minimum.x, mid, edge) for well in geometry.wells
+               for side, mid, edge in zip((-1, 1), well.mid_points,
+                                          well.inner_interval)]
+    n = len(configs)
+    seeds = _seed_tuple(seeds)
     successes = 0
     censored = 0
     if process == "diffusion":
         for ci, (side, x_star, b, c) in enumerate(configs):
-            group = seeds[choice == ci]
-            if group.size == 0:
+            group = seeds[(ci - first) % n::n]
+            if not group:
                 continue
-            if side == "right":
+            if side == 1:
                 res = run_exit_trials(potential, M, x_star, b, c,
                                       seeds=group, dt=dt, max_time=max_time)
                 successes += res.n_upper
@@ -393,29 +353,19 @@ def estimate_escape(potential: PeriodicPotential, geometry: LevelGeometry,
                 successes += res.n_lower
             censored += res.n_censored
     elif process == "pdmp":
-        floor_set = geometry.floor_set()
-        escape_set = geometry.escape_region()
-        for ci, (side, x_star, b, c) in enumerate(configs):
-            group = seeds[choice == ci]
-            y0 = 1 if side == "right" else -1
-            for s in group:
-                log = simulate_pdmp_driven(potential, lam, float(M),
-                                           float(wrap(b)), y0, max_time,
-                                           seed=int(s),
-                                           until=[escape_set, floor_set])
-                if log.hit_time is None:
-                    censored += 1
-                elif log.hit_target == 0:
-                    successes += 1
+        until = [geometry.escape_region(), geometry.floor_set()]
+        for j, seed in enumerate(seeds):
+            side, _, b, _ = configs[(first + j) % n]
+            log = simulate_pdmp_driven(potential, lam, float(M),
+                                       float(wrap(b)), side, max_time,
+                                       seed=seed, until=until)
+            if log.hit_time is None:
+                censored += 1
+            elif log.hit_target == 0:
+                successes += 1
     else:
         raise ValueError("process must be 'diffusion' or 'pdmp'")
-
-    estimate = successes / reps
-    interval = wilson_interval(successes, reps)
-    bound = escape_bound(process, potential, M, eta,
-                         lam if process == "pdmp" else None)
-    return EscapeEstimate(successes, reps, estimate, interval, bound,
-                          float(M), float(eta), process, censored)
+    return successes, censored
 
 
 def _tail_heavy(exp_values: np.ndarray) -> bool:

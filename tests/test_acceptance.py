@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from exit_oracle import escape_probabilities
+
 from circlelab import (
     DiffusionState,
     PdmpState,
@@ -225,6 +227,16 @@ def test_criterion_04_escape_probability_bounds(acceptance, tmp_path):
             f"{process}: qhat(16)={last['estimate']:.2e} <= "
             f"{last['bound']:.2e}+3x{halfwidth:.1e}, "
             f"monotone={block['nonincreasing_up_to_overlap']}")
+    # The velocity-jump escape probability is known exactly (printed
+    # only; the verdict rests on the bounds above).
+    geometry = compute_level_geometry(COSINE, eta=eta)
+    exact = []
+    for row in est["per_process"]["pdmp"]["table"]:
+        p = np.mean(escape_probabilities(COSINE, geometry, row["m"], lam))
+        z = (row["estimate"] - p) / math.sqrt(p * (1.0 - p) / row["trials"])
+        exact.append(f"M={row['m']:g} qhat={row['estimate']:.4g} "
+                     f"exact={p:.4g} z={z:+.2f}")
+    details.append("velocity-jump vs exact: " + ", ".join(exact))
     elapsed = time.perf_counter() - t0
     acceptance(4, ok,
                "escape bounds at 1e4 trials per level: "

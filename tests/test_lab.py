@@ -19,6 +19,7 @@ import circlelab
 from circlelab import (
     ConfigError,
     DiffusionState,
+    HypothesisWarning,
     PdmpState,
     PeriodicPotential,
     ScenarioConfig,
@@ -48,7 +49,6 @@ from circlelab.io import (
 from circlelab.pdmp import EventLog
 from circlelab.runner import (
     MIN_CHUNK,
-    TASKS_TARGET,
     replay,
     replica_chunks,
     run_scenario,
@@ -449,7 +449,7 @@ class TestArtifactIO:
 # runner mechanics
 
 
-PARTS = (1, 2, 3, 8, TASKS_TARGET)
+PARTS = (1, 2, 3, 8, 16)
 
 
 class TestChunking:
@@ -475,7 +475,7 @@ class TestChunking:
     def test_one_chunk_per_worker_when_wide_enough(self):
         assert replica_chunks(4096, 2) == [(0, 2048), (2048, 4096)]
         assert replica_chunks(130, 3) == [(0, 64), (64, 128), (128, 130)]
-        assert replica_chunks(200, TASKS_TARGET) == [
+        assert replica_chunks(200, 16) == [
             (0, 64), (64, 128), (128, 192), (192, 200)]
 
     def test_worker_count_env(self, monkeypatch):
@@ -680,11 +680,9 @@ class TestSavedPaths:
                       for i in range(replicas)]
         assert seeds["simulate_pdmp"] == sorted(pdmp_seeds)
         assert len([c for c in calls if c[0] == "simulate_pdmp"]) == replicas
-        # ergodic runs one one-replica ensemble per replica, localization
-        # one ensemble per chunk
+        # both kinds run one diffusion ensemble per chunk
         diffusion_call = "simulate_diffusion_ensemble"
-        n_diffusion = (replicas if kind == "ergodic"
-                       else len(replica_chunks(replicas, int(workers))))
+        n_diffusion = len(replica_chunks(replicas, int(workers)))
         assert len([c for c in calls if c[0] == diffusion_call]) == n_diffusion
         assert seeds[diffusion_call] == sorted(diffusion_seeds)
         assert len(calls) == replicas + n_diffusion
@@ -707,6 +705,41 @@ class TestSavedPaths:
                 seed=pdmp_seeds[rep]))
             assert (out / f"events_{rep}.csv").read_bytes() == \
                 fresh.read_bytes()
+
+    @pytest.mark.parametrize("budget, vector_min, expected", [
+        (None, None, [7]), (40, None, [2, 2, 2, 1]), (96, None, [4, 3]),
+        (96, 5, [6, 1])])
+    def test_diffusion_runs_in_blocks_of_the_sample_budget(
+            self, tmp_path, monkeypatch, budget, vector_min, expected):
+        # 300 steps recorded every 20 give 16 samples per path.  A budget
+        # of 40 samples allows ensembles of 2; one of 96 allows 6, which
+        # run as 4 (the scalar loop) unless 6 reaches the vector minimum.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        record = {"kind": "ergodic", "potential": SKEWED_RECORD,
+                  "process": "diffusion", "horizon": 3.0, "dt": 1e-2,
+                  "replicas": 7, "root_seed": 8,
+                  "options": {"burn_in": 0.5, "save_paths": 3,
+                              "record_every": 20}}
+        run_scenario(scenario_from_dict({**record,
+                                         "out_dir": str(tmp_path / "ref")}))
+        widths = []
+        real = runner_module.simulate_diffusion_ensemble
+
+        def recording(*args, **kwargs):
+            widths.append(len(kwargs["seeds"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "simulate_diffusion_ensemble",
+                            recording)
+        if budget is not None:
+            monkeypatch.setattr(runner_module, "_PATH_SAMPLES", budget)
+        if vector_min is not None:
+            monkeypatch.setattr(runner_module, "_VECTOR_PATH_MIN", vector_min)
+        run_scenario(scenario_from_dict({**record,
+                                         "out_dir": str(tmp_path / "run")}))
+        assert widths == expected
+        assert hash_inventory(str(tmp_path / "run")) == \
+            hash_inventory(str(tmp_path / "ref"))
 
     def test_failed_task_leaves_no_path_file(self, tmp_path, monkeypatch):
         # One failed replica in 101 is within the 1 % the runner tolerates.
@@ -738,7 +771,7 @@ class TestWorkerCountInvariance:
 
     # The kinds that cut each cell into one chunk per worker.
     WORKER_CHUNKED = {"drift", "localization", "doeblin", "hitting",
-                      "refinement"}
+                      "refinement", "metastability"}
 
     @pytest.mark.parametrize("kind, record, extra", [
         ("drift", SKEWED_RECORD,
@@ -760,7 +793,7 @@ class TestWorkerCountInvariance:
         ("pdmp-vs-diffusion", COSINE_RECORD,
          {"horizon": 3.0, "replicas": 2, "options": {"lambda_grid": [1.0, 4.0]}}),
         ("metastability", COSINE_RECORD,
-         {"process": "both", "replicas": 70,
+         {"process": "both",
           "options": {"m_grid": [8.0, 16.0], "max_time": 10.0}}),
     ])
     def test_hash_inventory_same_at_1_2_3_workers(self, tmp_path,
@@ -768,7 +801,9 @@ class TestWorkerCountInvariance:
                                                    extra):
         # For the worker-chunked kinds, 130 replicas give one chunk per
         # cell at 1 worker, 65 + 65 at 2 and 64 + 64 + 2 (the scalar loop)
-        # at 3.  The other kinds keep one task list at every worker count.
+        # at 3.  The other kinds run their velocity-jump cells one replica
+        # per task and here have too few replicas to cut a diffusion cell,
+        # so they keep one task list at every worker count.
         inventories, n_tasks = [], []
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
@@ -859,6 +894,22 @@ class TestScenarioEstimates:
         with pytest.raises(ConfigError,
                            match=r"field 'eta': .*eta=0\.333.*delta=0\.150"):
             run_scenario(config)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_hypothesis_warning_reaches_the_caller(self, tmp_path,
+                                                   monkeypatch, workers):
+        # One warning per cell whose M * eta <= 1 (M = 2 for each
+        # process), raised in the calling process at every worker count.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
+        config = scenario_from_dict({
+            "kind": "metastability", "potential": COSINE_RECORD,
+            "process": "both", "dt": 2e-3, "replicas": 200,
+            "out_dir": str(tmp_path / "meta"),
+            "options": {"m_grid": [2.0, 8.0], "max_time": 5.0}})
+        with pytest.warns(HypothesisWarning) as caught:
+            run_scenario(config)
+        assert len([w for w in caught
+                    if issubclass(w.category, HypothesisWarning)]) == 2
 
     def test_repeated_grid_values_get_rows_of_their_own(self, tmp_path,
                                                          monkeypatch):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from circlelab.angles import TWO_PI, ArcSet, circle_dist, wrap
@@ -305,6 +307,29 @@ class TestSimulate:
                     float(log.x[i + 1]))
                 assert rate > -1e-9
         assert log.n_jumps > 10
+
+    @settings(max_examples=25)
+    @given(a0=st.floats(-0.5, 0.5),
+           coefs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                          min_size=3, max_size=3).filter(
+                              lambda c: any(a or b for a, b in c)),
+           x0=st.floats(0.0, TWO_PI, exclude_max=True),
+           u0=st.floats(0.0, 10.0), u_sign=st.sampled_from([-1.0, 1.0]),
+           y0=st.sampled_from([-1, 1]), seed=st.integers(0, 2**63 - 1))
+    @example(a0=0.0, coefs=[(1.0, 0.5), (0.0, 0.0), (0.3, -0.4)], x0=1.0,
+             u0=8.0, u_sign=-1.0, y0=-1, seed=7)
+    def test_u_column_is_segment_u_row_by_row(self, a0, coefs, x0, u0,
+                                               u_sign, y0, seed):
+        # Harmonics k = 1, 2, 3 with drawn cosine and sine coefficients.
+        potential = PeriodicPotential(
+            a0, tuple((k, a, b) for k, (a, b) in enumerate(coefs, 1)))
+        log = simulate_pdmp(potential, 1.0, PdmpState(x0, u_sign * u0, y0),
+                            5.0, seed=seed)
+        for i in range(len(log) - 1):
+            u_i = float(log.u[i])
+            expected = segment_u(potential, float(log.x[i]), int(log.y[i]),
+                                 float(log.times[i + 1] - log.times[i]), u_i)
+            assert abs(float(log.u[i + 1]) - expected) <= 1e-9 * (1 + abs(u_i))
 
     def test_state_lookup_interpolates_the_flow(self):
         log = simulate_pdmp(COSINE, 2.0, PdmpState(1.0, -0.5, -1), 20.0,

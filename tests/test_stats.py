@@ -15,7 +15,7 @@ from circlelab.diffusion import (
     simulate_diffusion,
     simulate_diffusion_ensemble,
 )
-from circlelab.errors import BinMismatchError, HypothesisWarning
+from circlelab.errors import BinMismatchError
 from circlelab.landscape import classify_landscape, compute_level_geometry
 from circlelab.pdmp import (
     CAUSE_CONSTANT,
@@ -35,7 +35,7 @@ from circlelab.stats import (
     doeblin_hits,
     drift_samples,
     escape_bound,
-    estimate_escape,
+    escape_hits,
     hitting_times,
     occupation_histogram,
     tv_distance,
@@ -419,6 +419,7 @@ class TestHittingTime:
 
 class TestEscape:
     GEO = compute_level_geometry(COSINE, eta=1.0 / 3.0)
+    KW = dict(lam=0.25, dt=5e-4, max_time=500.0)
 
     def test_bound_formulas(self):
         b_diff = escape_bound("diffusion", COSINE, 16.0, 1.0 / 3.0)
@@ -429,37 +430,50 @@ class TestEscape:
         assert b_pdmp == pytest.approx(math.exp(math.pi / 2 - 16 / 3),
                                        rel=1e-12)
 
+    def _below_bound(self, process):
+        seeds = derive_replica_seeds(11, 400)
+        successes, censored = escape_hits(COSINE, self.GEO, 16.0, process,
+                                          seeds=seeds, first=0, **self.KW)
+        assert 0 <= censored <= 400 - successes
+        lo, hi = wilson_interval(successes, 400)
+        bound = escape_bound(process, COSINE, 16.0, 1.0 / 3.0, lam=0.25)
+        assert successes / 400 <= bound + 1.5 * (hi - lo)
+
     def test_diffusion_estimate_below_bound(self):
-        est = estimate_escape(COSINE, self.GEO, 16.0, 1.0 / 3.0, 400,
-                              process="diffusion", root_seed=11)
-        hw = 0.5 * (est.interval[1] - est.interval[0])
-        assert est.estimate <= est.bound + 3 * hw
-        assert est.interval[0] <= est.estimate <= est.interval[1]
-        assert est.trials == 400
+        self._below_bound("diffusion")
 
     def test_pdmp_estimate_below_bound(self):
-        est = estimate_escape(COSINE, self.GEO, 16.0, 1.0 / 3.0, 400,
-                              process="pdmp", lam=0.25, root_seed=11)
-        hw = 0.5 * (est.interval[1] - est.interval[0])
-        assert est.estimate <= est.bound + 3 * hw
+        self._below_bound("pdmp")
 
     def test_monotone_in_drive(self):
-        ests = [estimate_escape(COSINE, self.GEO, M, 1.0 / 3.0, 600,
-                                process="diffusion", root_seed=5)
+        seeds = derive_replica_seeds(5, 600)
+        hits = [escape_hits(COSINE, self.GEO, M, "diffusion", seeds=seeds,
+                            first=0, **self.KW)[0]
                 for M in (4.0, 8.0, 12.0, 16.0)]
-        for lo_est, hi_est in zip(ests[1:], ests[:-1]):
+        for lo_hits, hi_hits in zip(hits[1:], hits[:-1]):
             # Nonincreasing up to interval overlap.
-            assert lo_est.interval[0] <= hi_est.interval[1]
-            assert lo_est.estimate <= hi_est.estimate + 1e-12
+            assert wilson_interval(lo_hits, 600)[0] <= \
+                wilson_interval(hi_hits, 600)[1]
+            assert lo_hits <= hi_hits
 
-    def test_hypothesis_warning(self):
-        with pytest.warns(HypothesisWarning):
-            estimate_escape(COSINE, self.GEO, 2.0, 1.0 / 3.0, 4,
-                            process="diffusion", root_seed=1, max_time=5.0)
+    @pytest.mark.parametrize("process", ["diffusion", "pdmp"])
+    def test_outcomes_do_not_follow_the_chunking(self, process):
+        # Replica first + j takes start configuration (first + j) mod 2,
+        # so any cut of a seed range gives the same totals.
+        seeds = derive_replica_seeds(3, 30)
+        kw = dict(self.KW, max_time=20.0)
+        whole = escape_hits(COSINE, self.GEO, 4.0, process, seeds=seeds,
+                            first=0, **kw)
+        parts = [escape_hits(COSINE, self.GEO, 4.0, process,
+                             seeds=seeds[lo:hi], first=lo, **kw)
+                 for lo, hi in ((0, 7), (7, 8), (8, 30))]
+        assert whole == tuple(map(sum, zip(*parts)))
+        assert whole[0] > 0
 
-    def test_eta_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_escape(COSINE, self.GEO, 16.0, 0.2, 4)
+    def test_unknown_process_rejected(self):
+        with pytest.raises(ValueError, match="process"):
+            escape_hits(COSINE, self.GEO, 8.0, "jump", seeds=[1], first=0,
+                        **self.KW)
 
 
 class TestTailFlag:
