@@ -80,13 +80,13 @@ def environment():
             "platform": f"{platform.system()}-{platform.machine()}"}
 
 
-def run_digests(workers=None):
-    """hash_inventory of every record in RUNS, by name."""
+def run_digests(workers):
+    """hash_inventory of every record in RUNS, by name, run on `workers`
+    workers."""
     from circlelab import hash_inventory, run_scenario, scenario_from_dict
 
     saved = os.environ.get("CIRCLELAB_WORKERS")
-    if workers is not None:
-        os.environ["CIRCLELAB_WORKERS"] = str(workers)
+    os.environ["CIRCLELAB_WORKERS"] = str(workers)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             digests = {}
@@ -96,11 +96,10 @@ def run_digests(workers=None):
                 digests[name] = hash_inventory(out)
             return digests
     finally:
-        if workers is not None:
-            if saved is None:
-                del os.environ["CIRCLELAB_WORKERS"]
-            else:
-                os.environ["CIRCLELAB_WORKERS"] = saved
+        if saved is None:
+            del os.environ["CIRCLELAB_WORKERS"]
+        else:
+            os.environ["CIRCLELAB_WORKERS"] = saved
 
 
 def read_recorded():
