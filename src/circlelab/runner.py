@@ -2,29 +2,27 @@
 
 A scenario kind is four functions.  ``cells(config)`` reads the kind's
 options and builds what all of a cell's chunks share (landscape, level
-geometry, start points, time windows), one dict per cell.  The chunk
-layout ``chunks(config, cell)`` cuts the cell's replica range
-[0, replicas) into chunks.  ``run(config, cell, task)`` simulates one
-chunk of one cell, and ``finalize(config, cells, results, out_dir)``
-receives the chunk results of cells[i], in chunk order, as results[i].  One builder makes the tasks,
+geometry, start points, time windows), one dict per cell.  A chunk
+layout cuts the replica range [0, replicas) into chunks.
+``run(config, cell, task)`` simulates one chunk of one cell, and
+``finalize(config, cells, results, out_dir)`` receives the chunk results
+of cells[i], in chunk order, as results[i].  One builder makes the tasks,
 every (cell, chunk) pair in cell-major order, for every kind.
 
 One seed rule serves every kind: replica i of a cell with seed block b
 gets splitmix64(root_seed, b * replicas + i).  Tasks run serially or on
 a process pool, and results are folded in task order, so the artifacts
 are a pure function of (config, root seed) whatever the worker count or
-the order in which tasks finished.  The chunk layout follows the cell,
-and there are two.  Every cell of drift, localization, doeblin,
-hitting, refinement and metastability, and the diffusion cells of
-ergodic and pdmp-vs-diffusion, run one chunk per worker, so that each
-worker runs one wide batch; a replica's seed comes from its index and
-its outcome is bitwise the same at every batch width, so the outputs do
-not follow the task list.  The velocity-jump cells of ergodic and
-pdmp-vs-diffusion, a few long paths each, run one replica per task so
-that they spread over the workers.  Every run directory gets
-``manifest.json`` (config echo, seed scheme, file hashes),
-``estimates.json``, ``plotdata_<name>.csv``, and raw path files for the
-first few replicas of path-producing scenarios.
+the order in which tasks finished.  There are two chunk layouts.
+Drift, localization, doeblin, hitting, refinement and metastability run
+one chunk per worker, so that each worker runs one wide batch; a
+replica's seed comes from its index and its outcome is bitwise the same
+at every batch width, so the outputs do not follow the task list.
+Ergodic and pdmp-vs-diffusion, a few long paths per cell, run one
+replica per task so that the paths spread over the workers.  Every run
+directory gets ``manifest.json`` (config echo, seed scheme, file
+hashes), ``estimates.json``, ``plotdata_<name>.csv``, and raw path files
+for the first few replicas of path-producing scenarios.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from . import __version__
 from .angles import TWO_PI, circle_dist
 from .config import ScenarioConfig, scenario_from_dict
 from .diffusion import (
-    _SCALAR_PATH_MAX,
     Trajectory,
     simulate_diffusion,  # noqa: F401  (profilers wrap it by name here)
     simulate_diffusion_ensemble,
@@ -91,16 +88,6 @@ MIN_CHUNK = 64
 _SEED_SCHEME = ("replica i of a cell with seed block b gets "
                 "splitmix64(root_seed, b * replicas + i)")
 
-# A chunk's diffusion paths run as consecutive ensembles of at most this
-# many recorded samples per array (32 MB of float64), which bounds the
-# memory of a wide chunk of long paths.  Where that allows fewer than
-# _VECTOR_PATH_MIN replicas, an ensemble holds _SCALAR_PATH_MAX: the
-# vector EM loop is no faster than the scalar one below 16 wide (cosine F
-# on a 2-vCPU Xeon, ns per replica-step: 491 at 4 wide, which runs the
-# scalar loop, 1,038 at 8 and 493 at 16).
-_PATH_SAMPLES = 1 << 22
-_VECTOR_PATH_MIN = 16
-
 # The ergodic kind compares windows [burn, burn + f (T - burn)] with
 # windows twice as long, for each of these fractions f.
 _ERGODIC_FRACTIONS = (0.125, 0.25, 0.5)
@@ -117,18 +104,13 @@ def replica_chunks(n: int, parts: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _worker_chunks(config: ScenarioConfig, cell) -> List[Tuple[int, int]]:
-    """One chunk of the cell per worker; the outputs do not depend on it,
+def _worker_chunks(config: ScenarioConfig) -> List[Tuple[int, int]]:
+    """One chunk of each cell per worker; the outputs do not depend on it,
     since every replica's seed comes from its index."""
     return replica_chunks(config.replicas, worker_count(config.replicas))
 
 
-def _path_chunks(config: ScenarioConfig, cell) -> List[Tuple[int, int]]:
-    """Worker chunks for a diffusion cell; one replica per task for a
-    velocity-jump cell, whose few long paths would otherwise all run on
-    one worker."""
-    if cell["process"] == "diffusion":
-        return _worker_chunks(config, cell)
+def _single_replicas(config: ScenarioConfig) -> List[Tuple[int, int]]:
     return [(i, i + 1) for i in range(config.replicas)]
 
 
@@ -192,26 +174,19 @@ def _paths(config: ScenarioConfig, cell, task,
            horizon: Optional[float] = None, lam: Optional[float] = None):
     """(replica, path) for each replica of a chunk.
 
-    The diffusion runs as consecutive ensembles of at most _PATH_SAMPLES
-    recorded samples per array, the velocity-jump process one path per
-    seed.  This is a generator, so only the paths a caller keeps outlive
-    their iteration.
+    The diffusion runs one ensemble per chunk, the velocity-jump process
+    one path per seed.  This is a generator, so only the paths a caller
+    keeps outlive their iteration.
     """
     span = config.horizon if horizon is None else horizon
     seeds = _seeds(config, cell, task)
     replicas = range(task["lo"], task["hi"])
     if cell["process"] == "diffusion":
-        record_every = config.option("record_every", 100)
-        samples = -(-int(round(span / config.dt)) // record_every) + 1
-        width = _PATH_SAMPLES // samples
-        if width < _VECTOR_PATH_MIN:
-            width = max(1, min(width, _SCALAR_PATH_MAX))
-        for lo in range(0, len(seeds), width):
-            ensemble = simulate_diffusion_ensemble(
-                config.potential, config.x0, config.u0, span, dt=config.dt,
-                seeds=seeds[lo:lo + width], record_every=record_every)
-            for offset, rep in enumerate(replicas[lo:lo + width]):
-                yield rep, ensemble.replica(offset)
+        ensemble = simulate_diffusion_ensemble(
+            config.potential, config.x0, config.u0, span, dt=config.dt,
+            seeds=seeds, record_every=config.option("record_every", 100))
+        for offset, rep in enumerate(replicas):
+            yield rep, ensemble.replica(offset)
         return
     for rep, seed in zip(replicas, seeds):
         yield rep, simulate_pdmp(
@@ -415,8 +390,9 @@ def _metastability_cells(config: ScenarioConfig):
     for b, cell in enumerate(cells):
         cell["b"] = b
         if cell["m"] * eta <= 1.0:
-            warnings.warn(f"escape bound hypothesis M * eta > 1 fails at "
-                          f"M = {cell['m']}", HypothesisWarning)
+            warnings.warn(f"escape bound hypothesis M * eta > 1 fails for "
+                          f"{cell['process']} at M = {cell['m']}",
+                          HypothesisWarning)
     return cells
 
 
@@ -720,20 +696,19 @@ def _refinement_finalize(config: ScenarioConfig, cells, results, out_dir):
 
 class _Kind(NamedTuple):
     cells: Callable[[ScenarioConfig], List[Dict[str, Any]]]
-    chunks: Callable[[ScenarioConfig, Dict[str, Any]],
-                     List[Tuple[int, int]]]
+    chunks: Callable[[ScenarioConfig], List[Tuple[int, int]]]
     run: Callable
     finalize: Callable
 
 
 _KINDS = {
-    "ergodic": _Kind(_ergodic_cells, _path_chunks, _ergodic_run,
+    "ergodic": _Kind(_ergodic_cells, _single_replicas, _ergodic_run,
                      _ergodic_finalize),
     "localization": _Kind(_localization_cells, _worker_chunks,
                           _localization_run, _localization_finalize),
     "metastability": _Kind(_metastability_cells, _worker_chunks,
                            _metastability_run, _metastability_finalize),
-    "pdmp-vs-diffusion": _Kind(_limit_cells, _path_chunks, _limit_run,
+    "pdmp-vs-diffusion": _Kind(_limit_cells, _single_replicas, _limit_run,
                                _limit_finalize),
     "drift": _Kind(_drift_cells, _worker_chunks, _drift_run,
                    _drift_finalize),
@@ -822,8 +797,8 @@ def run_scenario(config: ScenarioConfig,
 
     kind = _KINDS[config.kind]
     cells = kind.cells(config)
-    tasks = [(c, lo, hi) for c, cell in enumerate(cells)
-             for lo, hi in kind.chunks(config, cell)]
+    chunks = kind.chunks(config)
+    tasks = [(c, lo, hi) for c in range(len(cells)) for lo, hi in chunks]
     config_dict = config.to_dict()
     payloads = [(config_dict, cells[c], {"lo": lo, "hi": hi})
                 for c, lo, hi in tasks]

@@ -680,9 +680,11 @@ class TestSavedPaths:
                       for i in range(replicas)]
         assert seeds["simulate_pdmp"] == sorted(pdmp_seeds)
         assert len([c for c in calls if c[0] == "simulate_pdmp"]) == replicas
-        # both kinds run one diffusion ensemble per chunk
+        # ergodic runs one one-replica ensemble per replica, localization
+        # one ensemble per chunk
         diffusion_call = "simulate_diffusion_ensemble"
-        n_diffusion = len(replica_chunks(replicas, int(workers)))
+        n_diffusion = (replicas if kind == "ergodic"
+                       else len(replica_chunks(replicas, int(workers))))
         assert len([c for c in calls if c[0] == diffusion_call]) == n_diffusion
         assert seeds[diffusion_call] == sorted(diffusion_seeds)
         assert len(calls) == replicas + n_diffusion
@@ -705,41 +707,6 @@ class TestSavedPaths:
                 seed=pdmp_seeds[rep]))
             assert (out / f"events_{rep}.csv").read_bytes() == \
                 fresh.read_bytes()
-
-    @pytest.mark.parametrize("budget, vector_min, expected", [
-        (None, None, [7]), (40, None, [2, 2, 2, 1]), (96, None, [4, 3]),
-        (96, 5, [6, 1])])
-    def test_diffusion_runs_in_blocks_of_the_sample_budget(
-            self, tmp_path, monkeypatch, budget, vector_min, expected):
-        # 300 steps recorded every 20 give 16 samples per path.  A budget
-        # of 40 samples allows ensembles of 2; one of 96 allows 6, which
-        # run as 4 (the scalar loop) unless 6 reaches the vector minimum.
-        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
-        record = {"kind": "ergodic", "potential": SKEWED_RECORD,
-                  "process": "diffusion", "horizon": 3.0, "dt": 1e-2,
-                  "replicas": 7, "root_seed": 8,
-                  "options": {"burn_in": 0.5, "save_paths": 3,
-                              "record_every": 20}}
-        run_scenario(scenario_from_dict({**record,
-                                         "out_dir": str(tmp_path / "ref")}))
-        widths = []
-        real = runner_module.simulate_diffusion_ensemble
-
-        def recording(*args, **kwargs):
-            widths.append(len(kwargs["seeds"]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "simulate_diffusion_ensemble",
-                            recording)
-        if budget is not None:
-            monkeypatch.setattr(runner_module, "_PATH_SAMPLES", budget)
-        if vector_min is not None:
-            monkeypatch.setattr(runner_module, "_VECTOR_PATH_MIN", vector_min)
-        run_scenario(scenario_from_dict({**record,
-                                         "out_dir": str(tmp_path / "run")}))
-        assert widths == expected
-        assert hash_inventory(str(tmp_path / "run")) == \
-            hash_inventory(str(tmp_path / "ref"))
 
     def test_failed_task_leaves_no_path_file(self, tmp_path, monkeypatch):
         # One failed replica in 101 is within the 1 % the runner tolerates.
@@ -801,9 +768,7 @@ class TestWorkerCountInvariance:
                                                    extra):
         # For the worker-chunked kinds, 130 replicas give one chunk per
         # cell at 1 worker, 65 + 65 at 2 and 64 + 64 + 2 (the scalar loop)
-        # at 3.  The other kinds run their velocity-jump cells one replica
-        # per task and here have too few replicas to cut a diffusion cell,
-        # so they keep one task list at every worker count.
+        # at 3.  The other kinds keep one task list at every worker count.
         inventories, n_tasks = [], []
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
@@ -900,6 +865,8 @@ class TestScenarioEstimates:
                                                    monkeypatch, workers):
         # One warning per cell whose M * eta <= 1 (M = 2 for each
         # process), raised in the calling process at every worker count.
+        # Each names its process, so the default filter, which shows a
+        # repeated message from one line once, shows both.
         monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
         config = scenario_from_dict({
             "kind": "metastability", "potential": COSINE_RECORD,
@@ -908,8 +875,10 @@ class TestScenarioEstimates:
             "options": {"m_grid": [2.0, 8.0], "max_time": 5.0}})
         with pytest.warns(HypothesisWarning) as caught:
             run_scenario(config)
-        assert len([w for w in caught
-                    if issubclass(w.category, HypothesisWarning)]) == 2
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, HypothesisWarning)]
+        assert len(set(messages)) == len(messages) == 2
+        assert "diffusion" in messages[0] and "pdmp" in messages[1]
 
     def test_repeated_grid_values_get_rows_of_their_own(self, tmp_path,
                                                          monkeypatch):
