@@ -24,7 +24,6 @@ from .diffusion import (
     EnsembleTrajectories,
     ExitEnsemble,
     Trajectory,
-    analytic_escape_probability,
     run_exit_trials,
     simulate_diffusion,
     simulate_diffusion_ensemble,
@@ -59,7 +58,6 @@ from .landscape import (
 from .pdmp import (
     EventLog,
     PdmpState,
-    jump_time_cdf_oracle,
     sample_landscape_time,
     sample_next_event,
     segment_u,

@@ -9,8 +9,7 @@ path; the drift -U F' pushes X toward minima of F while U > 0 and toward
 maxima while U < 0.  The frozen-drive variant replaces U_t by a
 constant level M, making X alone a time-homogeneous diffusion,
 dX = dB - M F'(X) dt; `run_exit_trials` simulates it between two
-absorbing points for the escape-probability experiments, whose analytic
-counterpart is the scale-function oracle `analytic_escape_probability`.
+absorbing points for the escape-probability experiments.
 
 Conventions shared by every simulator in this module:
 
@@ -21,8 +20,9 @@ Conventions shared by every simulator in this module:
   consumed only by that replica.  A replica's noise sequence is therefore
   a pure function of its seed, independent of batch grouping.
 - A replica's path is bitwise the same at every batch width.  Up to 4
-  replicas run a per-replica scalar loop, the order reference; wider
-  batches run one vector step, `_HarmonicWorkspace.em_step`, with the
+  replicas run a per-replica scalar loop and wider batches one vector
+  step, `_HarmonicWorkspace.em_step`; both start from wrap(x0) and sum F
+  and F' in the order of the potential's coefficient tables, with the
   same float operations.  `run_exit_trials` evaluates F' with the same
   `_HarmonicWorkspace.eval`, so an exit outcome does not depend on the
   batch width either.  The vector loops draw noise per replica in
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .angles import TWO_PI, wrap
-from .errors import MonotonicityError, RunawayError
+from .errors import RunawayError
 from .potential import PeriodicPotential
 from .seeding import generators_from_seeds
 
@@ -61,7 +61,6 @@ __all__ = [
     "simulate_diffusion_ensemble",
     "simulate_terminal_u_coupled",
     "run_exit_trials",
-    "analytic_escape_probability",
 ]
 
 # Ensembles at most this large run the per-replica scalar loop, which is
@@ -79,7 +78,6 @@ _MASKED_WRAP_MIN = 512
 # a tile's rows stay in cache, and the transposed write of 2048 x 256
 # normals took 2.8 instead of 5.7 ns per element.
 _TILE = 128
-_MONOTONE_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -206,34 +204,25 @@ class _HarmonicWorkspace:
         self.masked = False
         self.sup_f = abs(self.a0) + potential.coefficient_bound_derivative(0)
         self.sup_fp = potential.coefficient_bound_derivative(1)
-        # Per harmonic, its nonzero terms as (F source, F coefficient, F'
-        # source, F' coefficient), c and s holding cos(kx) and sin(kx):
-        # a_k adds c a to F and s (-k a) to F', b_k adds s b and c (k b).
-        self.step_terms = []
-        for k, a, b in potential.harmonics:
-            k, a, b = float(k), float(a), float(b)
-            parts = []
-            if a != 0.0:
-                parts.append((self.c, a, self.s, -k * a))
-            if b != 0.0:
-                parts.append((self.s, b, self.c, k * b))
-            if parts:
-                self.step_terms.append((k, parts))
+        self.rows = potential._f_fp_rows
 
     def eval(self, x: np.ndarray) -> None:
         """Write F(x) into fv and F'(x) into fp.
 
-        F and F' are summed term by term in the order of `_scalar_self`;
-        the first term is written straight into fv and fp (fv then adds
-        a0), which gives the same sums as starting from a0 and 0.
+        F and F' are summed term by term in the order of the potential's
+        tables, zero terms skipped.  The first term is written straight
+        into fv and fp (fv then adds a0), which gives the same sums as
+        starting from a0 and -0.0.
         """
-        t, fv, fp = self.t, self.fv, self.fp
+        c, s, t, fv, fp = self.c, self.s, self.t, self.fv, self.fp
         fresh = True
-        for k, parts in self.step_terms:
+        for (k, a, b), (_, da, db) in self.rows:
             ph = x if k == 1.0 else np.multiply(x, k, out=self.ph)
-            np.cos(ph, out=self.c)
-            np.sin(ph, out=self.s)
-            for src_f, cf, src_d, cd in parts:
+            np.cos(ph, out=c)
+            np.sin(ph, out=s)
+            for src_f, cf, src_d, cd in ((c, a, s, da), (s, b, c, db)):
+                if not cf:
+                    continue
                 if fresh:
                     np.multiply(src_f, cf, out=fv)
                     fv += self.a0
@@ -350,20 +339,17 @@ def _finite_umax(x: np.ndarray, u: np.ndarray, seeds, t: float) -> float:
 
 
 def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
-    # The order reference for every potential: F and F' are summed
-    # harmonic by harmonic, zero coefficients skipped, and
-    # _HarmonicWorkspace.em_step does the same float operations, so a
-    # replica's path is bitwise the same here as in a vector batch of any
-    # width.
-    a0 = float(potential.a0)
-    terms = [(float(k), float(a), float(k) * float(a), float(b),
-              float(k) * float(b)) for k, a, b in potential.harmonics]
+    # The potential's coefficient tables are the order reference: F and F'
+    # are summed in their order, zero terms skipped, here and in
+    # _HarmonicWorkspace.em_step, so a replica's path is bitwise the same
+    # as in a vector batch of any width.  The sum is inlined: calling
+    # value_derivative_s once per step cost 30-50 % more (2-vCPU Xeon).
+    a0 = potential.a0
+    rows = potential._f_fp_rows
     sqrt_dt = math.sqrt(dt)
     cos = math.cos
     sin = math.sin
-    x = float(x0) % TWO_PI
-    if x == TWO_PI:
-        x = 0.0
+    x = float(x0)
     u = float(u0)
     out_x[0] = x
     out_u[0] = u
@@ -378,17 +364,17 @@ def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
         noise = gen.standard_normal(m).tolist()
         for g in noise:
             fv = a0
-            fp = 0.0
-            for k, a, ka, b, kb in terms:
+            fp = -0.0
+            for (k, a, b), (_, da, db) in rows:
                 ph = k * x
                 c = cos(ph)
                 s = sin(ph)
-                if a != 0.0:
-                    fv += c * a
-                    fp -= s * ka
-                if b != 0.0:
-                    fv += s * b
-                    fp += c * kb
+                if a:
+                    fv += a * c
+                    fp += da * s
+                if b:
+                    fv += b * s
+                    fp += db * c
             x = (x + (sqrt_dt * g - (u * fp) * dt)) % TWO_PI
             u = u + fv * dt
             step += 1
@@ -455,8 +441,7 @@ def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
     """(x, u) of every replica at each step count in rec_steps, an
     increasing int64 array starting at 0; both of shape (n, len(rec_steps))."""
     n = len(seeds)
-    x = _as_replica_array(x0, n, "x0")
-    np.remainder(x, TWO_PI, out=x)
+    x = wrap(_as_replica_array(x0, n, "x0"))
     u = _as_replica_array(u0, n, "u0")
     out_x = np.empty((n, rec_steps.size))
     out_u = np.empty((n, rec_steps.size))
@@ -561,9 +546,7 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     dt_levels = [float(d) for d in dt_levels]
     dt_f = min(dt_levels)
     factors, n_steps_f, lcm = level_factors(horizon, dt_levels)
-    xs = [_as_replica_array(x0, n, "x0") for _ in dt_levels]
-    for xl in xs:
-        np.remainder(xl, TWO_PI, out=xl)
+    xs = [wrap(_as_replica_array(x0, n, "x0")) for _ in dt_levels]
     us = [_as_replica_array(u0, n, "u0") for _ in dt_levels]
     gens = generators_from_seeds(seeds)
     ws = _HarmonicWorkspace(potential, n)
@@ -670,58 +653,3 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
                         low=float(low), high=float(high),
                         x_start=float(x_start), drive=drv, dt=dt,
                         max_time=max_steps * dt, seeds=seeds)
-
-
-# ---------------------------------------------------------------------------
-# scale-function oracle
-
-
-def analytic_escape_probability(potential: PeriodicPotential, drive: float,
-                                x0: float, x: float, x1: float,
-                                orientation: str = "printed") -> float:
-    """Exit probability of dX = dB - drive * F'(X) dt between x0 and x1.
-
-    The arc runs from x0 to x1 in the positive direction and F must be
-    monotone on it (checked on a grid).  The scale density is
-    exp(2 * drive * F); with p the scale function, the "printed"
-    orientation returns (p(x1) - p(x)) / (p(x1) - p(x0)), which is the
-    probability of reaching x0 before x1 (it is 1 at x = x0 and 0 at
-    x = x1).  orientation="escape" returns the complement, the
-    probability of reaching x1 first.  Quadrature is adaptive with
-    relative tolerance 1e-10 on the integrand shifted by the arc maximum
-    of F, so the exponentials never overflow.  It needs scipy, which
-    only the tests install.
-    """
-    from scipy.integrate import quad
-
-    if orientation not in ("printed", "escape"):
-        raise ValueError("orientation must be 'printed' or 'escape'")
-    if drive < 0.0:
-        raise ValueError("drive must be nonnegative")
-    arc = float(wrap(x1 - x0))
-    if arc == 0.0:
-        raise ValueError("x0 and x1 must be distinct")
-    sx = float(wrap(x - x0))
-    if sx > arc:
-        raise ValueError("x must lie on the arc from x0 to x1")
-    grid = np.linspace(0.0, arc, _MONOTONE_GRID + 1)
-    vals = potential.value(x0 + grid)
-    diffs = np.diff(vals)
-    tol = 1e-10 * max(1.0, potential.coefficient_bound_derivative(1))
-    if not (np.all(diffs >= -tol) or np.all(diffs <= tol)):
-        raise MonotonicityError(
-            "potential is not monotone on the arc from x0 to x1")
-    if sx == 0.0:
-        return 1.0 if orientation == "printed" else 0.0
-    if sx == arc:
-        return 0.0 if orientation == "printed" else 1.0
-    shift = float(np.max(vals))
-    two_m = 2.0 * float(drive)
-
-    def integrand(s):
-        return math.exp(two_m * (potential.value_s(x0 + s) - shift))
-
-    i_low, _ = quad(integrand, 0.0, sx, epsabs=0.0, epsrel=1e-10, limit=200)
-    i_high, _ = quad(integrand, sx, arc, epsabs=0.0, epsrel=1e-10, limit=200)
-    printed = i_high / (i_low + i_high)
-    return printed if orientation == "printed" else 1.0 - printed

@@ -59,7 +59,6 @@ __all__ = [
     "sample_next_event",
     "simulate_pdmp",
     "simulate_pdmp_driven",
-    "jump_time_cdf_oracle",
 ]
 
 CAUSE_INIT = "init"
@@ -398,62 +397,3 @@ def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: float,
     _require_finite("g", float(g))
     return _simulate_core(potential, lam, x0, y0, horizon, max_events, until,
                           None, float(g), seed)
-
-
-def jump_time_cdf_oracle(potential: PeriodicPotential, lam: float, x0: float,
-                         y: int, u0: Optional[float], grid, *,
-                         g: Optional[float] = None,
-                         subintervals: int = 10_000) -> np.ndarray:
-    """Brute-force CDF of the first jump time on the given time grid.
-
-    Integrates the total rate lambda + (y * u(s) * F'(x0 + y s))_+ by
-    composite Simpson quadrature with `subintervals` subintervals per grid
-    cell and returns 1 - exp(-Lambda) at the grid points.  u(s) is the
-    closed-form interaction from u0, or the constant frozen drive g if
-    given.  lam = 0 is allowed here (pure landscape clock), unlike the
-    samplers.
-    """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    if y not in (-1, 1):
-        raise ValueError("velocity y must be -1 or +1")
-    if (u0 is None) == (g is None):
-        raise ValueError("provide exactly one of u0 or g")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing and nonnegative")
-    if subintervals < 2 or subintervals % 2:
-        raise ValueError("subintervals must be even and at least 2")
-
-    if g is None:
-        g0 = potential.antiderivative_s(x0)
-
-        def interaction(s):
-            return u0 + y * (potential.antiderivative(x0 + y * s) - g0)
-
-    else:
-        gv = float(g)
-
-        def interaction(s):
-            return np.full(np.shape(s), gv)
-
-    def total_rate(s):
-        r = y * np.asarray(interaction(s)) * potential.derivative(x0 + y * s)
-        return lam + np.maximum(r, 0.0)
-
-    edges = np.concatenate([[0.0], grid]) if grid[0] > 0.0 else grid
-    lam_cum = np.zeros(edges.size)
-    for i in range(edges.size - 1):
-        a, b = edges[i], edges[i + 1]
-        pts = np.linspace(a, b, subintervals + 1)
-        vals = total_rate(pts)
-        h = (b - a) / subintervals
-        integral = (h / 3.0) * (vals[0] + vals[-1]
-                                + 4.0 * vals[1:-1:2].sum()
-                                + 2.0 * vals[2:-1:2].sum())
-        lam_cum[i + 1] = lam_cum[i] + integral
-    if grid[0] > 0.0:
-        lam_cum = lam_cum[1:]
-    return 1.0 - np.exp(-lam_cum)

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
@@ -92,17 +93,22 @@ def _circle_roots(f, grid: int, merge: float) -> list[float]:
     return out
 
 
-def _rotate(a: float, b: float, n: int) -> tuple[float, float]:
-    """Coefficients of the n-th derivative of a*cos(kx)+b*sin(kx), without
-    the k^n factor. One rotation maps (a, b) to (b, -a)."""
-    n %= 4
-    if n == 0:
-        return a, b
-    if n == 1:
-        return b, -a
-    if n == 2:
-        return -a, -b
-    return -b, a
+def _scalar_sum(order: int, first, second, doc: str):
+    """A method that sums the table of `order` at a float x as
+    `PeriodicPotential._array_sum` does at an array, bitwise equal to it,
+    with (first, second) the math functions (T, T') of that order."""
+    def evaluate(self, x: float) -> float:
+        out = self.a0 * x if order < 0 else self.a0 if order == 0 else -0.0
+        for k, p, q in self._tables[order]:
+            kx = k * x
+            if p:
+                out += p * first(kx)
+            if q:
+                out += q * second(kx)
+        return out
+
+    evaluate.__doc__ = doc
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -145,93 +151,89 @@ class PeriodicPotential:
             raise DegeneratePotentialError("potential has no nonzero harmonic coefficient")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "harmonics", tuple(terms))
-        object.__setattr__(self, "_deriv_cache", {})
+        object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_extremes_cache", None)
         object.__setattr__(self, "_sup_cache", {})
         object.__setattr__(self, "_bound_cache", {})
-        object.__setattr__(self, "_value_deriv_terms", tuple(
-            (k, a, b, da, db) for (k, a, b), (_, da, db)
-            in zip(self.harmonics, self._terms_for_order(1))))
+        self.coefficients(-1)
+        # The rows of F and F' paired by harmonic: the loop of
+        # value_derivative_s and of both EM loops in diffusion.py.
+        object.__setattr__(self, "_f_fp_rows", tuple(
+            zip(self.coefficients(0), self.coefficients(1))))
 
     # ----- evaluation ---------------------------------------------------
 
-    def _terms_for_order(self, order: int) -> tuple[tuple[int, float, float], ...]:
-        cache = self._deriv_cache
-        if order not in cache:
-            rot = []
+    def coefficients(self, order: int) -> tuple[tuple[float, float, float], ...]:
+        """The table of F^(order), or of G without its a0*x for order -1,
+        which every evaluator sums.
+
+        One row (k, p, q) per harmonic with a nonzero coefficient, by k.
+        The sum adds p*T(kx), from a_k, and then q*T'(kx), from b_k, each
+        on its own and skipped if zero; (T, T') is (cos, sin) for even
+        orders and (sin, cos) for odd ones.  It starts from a0 (F), a0*x
+        (G) or -0.0, the additive identity (F^(n), n >= 1).
+        """
+        table = self._tables.get(order)
+        if table is None:
+            if order < -1:
+                raise ValueError("order must be >= -1")
+            sign_p, sign_q = ((1, 1), (-1, 1), (-1, -1), (1, -1))[order % 4]
+            rows = []
             for k, a, b in self.harmonics:
-                ra, rb = _rotate(a, b, order)
+                # G divides by k: a_k / k rounds once, a_k * k**-1 twice.
                 scale = float(k) ** order
-                rot.append((k, ra * scale, rb * scale))
-            cache[order] = tuple(rot)
-        return cache[order]
+                p, q = (a / k, b / k) if order < 0 else (a * scale, b * scale)
+                if p or q:
+                    rows.append((float(k), sign_p * p, sign_q * q))
+            table = self._tables[order] = tuple(rows)
+        return table
+
+    def _array_sum(self, x, order: int):
+        x = np.asarray(x, dtype=float)
+        out = self.a0 * x if order < 0 else np.full(x.shape, self.a0 if order == 0 else -0.0)
+        first, second = (np.cos, np.sin) if order % 2 == 0 else (np.sin, np.cos)
+        for k, p, q in self.coefficients(order):
+            kx = k * x
+            if p:
+                out += p * first(kx)
+            if q:
+                out += q * second(kx)
+        return out if out.shape else float(out)
 
     def value(self, x):
         """F(x) for a scalar or array of angles."""
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.a0)
-        for k, a, b in self.harmonics:
-            kx = k * x
-            out += a * np.cos(kx) + b * np.sin(kx)
-        return out if out.shape else float(out)
+        return self._array_sum(x, 0)
 
     def derivative(self, x, order: int = 1):
         """Exact derivative F^(order)(x); order >= 1."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for k, a, b in self._terms_for_order(order):
-            kx = k * x
-            if a != 0.0:
-                out += a * np.cos(kx)
-            if b != 0.0:
-                out += b * np.sin(kx)
-        return out if out.shape else float(out)
+        return self._array_sum(x, order)
 
     def antiderivative(self, x):
         """G(x) with G' = F and G(0) = -sum_k b_k / k (no normalization)."""
-        x = np.asarray(x, dtype=float)
-        out = self.a0 * x
-        for k, a, b in self.harmonics:
-            kx = k * x
-            out += (a * np.sin(kx) - b * np.cos(kx)) / k
-        return out if out.shape else float(out)
+        return self._array_sum(x, -1)
 
-    def value_s(self, x: float) -> float:
-        """Scalar fast path for event loops."""
-        out = self.a0
-        for k, a, b in self.harmonics:
-            kx = k * x
-            out += a * math.cos(kx) + b * math.sin(kx)
-        return out
-
-    def derivative_s(self, x: float) -> float:
-        out = 0.0
-        for k, a, b in self._terms_for_order(1):
-            kx = k * x
-            out += a * math.cos(kx) + b * math.sin(kx)
-        return out
+    value_s = _scalar_sum(0, cos, sin, "F(x) at a float x, for event loops.")
+    derivative_s = _scalar_sum(1, sin, cos, "F'(x) at a float x.")
+    antiderivative_s = _scalar_sum(-1, sin, cos, "G(x) at a float x.")
 
     def value_derivative_s(self, x: float) -> tuple[float, float]:
         """(F(x), F'(x)) from one cos/sin pair per harmonic; each is
         bitwise equal to value_s(x) and derivative_s(x)."""
         f = self.a0
-        fp = 0.0
-        for k, a, b, da, db in self._value_deriv_terms:
+        fp = -0.0
+        for (k, a, b), (_, da, db) in self._f_fp_rows:
             kx = k * x
-            c = math.cos(kx)
-            s = math.sin(kx)
-            f += a * c + b * s
-            fp += da * c + db * s
+            c = cos(kx)
+            s = sin(kx)
+            if a:
+                f += a * c
+                fp += da * s
+            if b:
+                f += b * s
+                fp += db * c
         return f, fp
-
-    def antiderivative_s(self, x: float) -> float:
-        out = self.a0 * x
-        for k, a, b in self.harmonics:
-            kx = k * x
-            out += (a * math.sin(kx) - b * math.cos(kx)) / k
-        return out
 
     # ----- global extremes and norms ------------------------------------
 

@@ -428,8 +428,6 @@ def drift_samples(potential: PeriodicPotential, kappa: float, x0: float,
     return np.exp(kappa * np.abs(u_t))
 
 
-
-
 def doeblin_hits(potential: PeriodicPotential, process: str, x0: float,
                  u0: float, box, t: float, *, seeds: Sequence[int],
                  lam: float, y0: int, dt: float) -> int:

@@ -18,6 +18,7 @@ import pytest
 from scipy import stats as sps
 
 from exit_oracle import escape_probabilities
+from oracles import jump_time_cdf_oracle
 
 from circlelab import (
     DiffusionState,
@@ -33,7 +34,6 @@ from circlelab import (
     generator_from_seed,
     integrate_diffusion_control,
     integrate_velocity_schedule,
-    jump_time_cdf_oracle,
     plan_diffusion_control,
     plan_pdmp_velocity_schedule,
     read_json,

@@ -15,7 +15,6 @@ from circlelab.diffusion import (
     DiffusionState,
     _HarmonicWorkspace,
     _noise_buffers,
-    analytic_escape_probability,
     run_exit_trials,
     simulate_diffusion,
     simulate_diffusion_ensemble,
@@ -25,6 +24,7 @@ from circlelab.errors import MonotonicityError, RunawayError
 from circlelab.landscape import compute_level_geometry
 from circlelab.potential import PeriodicPotential
 from circlelab.seeding import derive_replica_seeds, generators_from_seeds
+from oracles import analytic_escape_probability
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
@@ -82,6 +82,26 @@ class TestSimulate:
         b = simulate_diffusion(COSINE, DiffusionState(0.5 + TWO_PI, 1.0), 0.5, seed=7)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.u, b.u)
+
+    def test_start_just_below_zero_is_the_same_at_every_width(self):
+        # np.remainder(-1e-17, 2 pi) rounds up to 2 pi.  Every loop starts
+        # from wrap(x0), which folds that endpoint to 0.0.
+        seeds = derive_replica_seeds(5, 6)
+        kw = dict(dt=1e-3, record_every=10)
+        wide = simulate_diffusion_ensemble(MIXTURE, -1e-17, 0.5, 0.2,
+                                           seeds=seeds, **kw)
+        narrow = simulate_diffusion_ensemble(MIXTURE, -1e-17, 0.5, 0.2,
+                                             seeds=seeds[:1], **kw)
+        assert wide.x[0, 0] == 0.0
+        assert np.array_equal(narrow.x, wide.x[:1])
+        assert np.array_equal(narrow.u, wide.u[:1])
+        levels = (2e-3, 1e-3)
+        below = simulate_terminal_u_coupled(MIXTURE, -1e-17, 0.5, 0.2, levels,
+                                            seeds=seeds)
+        zero = simulate_terminal_u_coupled(MIXTURE, 0.0, 0.5, 0.2, levels,
+                                           seeds=seeds)
+        for d in levels:
+            assert np.array_equal(below[d], zero[d]), d
 
     def test_u_increment_support_bound(self):
         traj = simulate_diffusion(MIXTURE, DiffusionState(1.0, 0.3), 5.0, seed=2)

@@ -1062,8 +1062,14 @@ class TestCli:
         assert (out / "events_0.csv").is_file()
 
     def test_import_loads_no_scipy(self):
-        # scipy is a test-only dependency; only the escape-probability
-        # oracle imports it, inside its body
+        # scipy is a test-only dependency: no source file names it, and
+        # importing the package loads none of it
+        pkg = os.path.dirname(os.path.abspath(circlelab.__file__))
+        for root, _, files in os.walk(pkg):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name), encoding="utf-8") as fh:
+                        assert "scipy" not in fh.read(), name
         code = ("import sys, circlelab, circlelab.control, circlelab.landscape; "
                 "print(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')))")

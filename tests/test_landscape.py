@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -27,6 +27,7 @@ from circlelab import (
     validate_assumptions,
 )
 from circlelab.control import potential_zeros
+from circlelab.diffusion import _HarmonicWorkspace
 from circlelab.potential import _root
 
 TWO_PI = 2.0 * math.pi
@@ -59,6 +60,49 @@ def harmonic_potentials():
     )
 
 
+# A sine term (b_k != 0) and a harmonic k = 3, which is not a power of two.
+SKEWED = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+
+
+def sparse_potentials():
+    """Random non-constant potentials with k up to 5 whose a_k and b_k are
+    often exactly zero."""
+    coef = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    return (
+        st.lists(st.tuples(st.integers(1, 5), coef, coef), min_size=1,
+                 max_size=4, unique_by=lambda t: t[0])
+        .filter(lambda hs: any(a != 0.0 or b != 0.0 for _, a, b in hs))
+        .flatmap(lambda hs: st.one_of(st.just(0.0), st.floats(-0.5, 0.5))
+                 .map(lambda a0: PeriodicPotential(a0, tuple(hs))))
+    )
+
+
+def evaluation_points():
+    """Angles with 0.0 first, then negatives, the circle and |x| near 1e3."""
+    far = st.floats(990.0, 1010.0)
+    point = st.one_of(st.floats(-20.0, 20.0), far, far.map(lambda x: -x))
+    return st.lists(point, min_size=1, max_size=8).map(lambda xs: [0.0] + xs)
+
+
+def pot_reference(pot, order, x):
+    """F^(order)(x) by the textbook formula, independent of the library's
+    tables: sum_k k^n (a_k cos(kx + n pi/2) + b_k sin(kx + n pi/2)), plus
+    a0 for F and a0 x for G (order -1)."""
+    k = np.array([h[0] for h in pot.harmonics], dtype=float)
+    a = np.array([h[1] for h in pot.harmonics])
+    b = np.array([h[2] for h in pot.harmonics])
+    phase = k * x + order * math.pi / 2
+    total = np.sum(k ** order * (a * np.cos(phase) + b * np.sin(phase)))
+    return total + {0: pot.a0, -1: pot.a0 * x}.get(order, 0.0)
+
+
+def assert_bitwise(got, want):
+    """Exact equality, sign of zero included."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
+
 class TestEvaluation:
     def test_cosine_values(self):
         assert COSINE.value(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -75,13 +119,38 @@ class TestEvaluation:
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(0, TWO_PI, 17)
-        np.testing.assert_allclose(
-            MIXTURE.value(xs), [MIXTURE.value_s(float(x)) for x in xs], rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            MIXTURE.derivative(xs), [MIXTURE.derivative_s(float(x)) for x in xs],
-            rtol=1e-14, atol=1e-14,
-        )
+        assert_bitwise(MIXTURE.value(xs), [MIXTURE.value_s(float(x)) for x in xs])
+        assert_bitwise(MIXTURE.derivative(xs),
+                       [MIXTURE.derivative_s(float(x)) for x in xs])
+
+    @settings(max_examples=80)
+    @given(sparse_potentials(), evaluation_points())
+    @example(SKEWED, [0.0, -0.0, -2.5, 1e3, -1e3 + 0.1])
+    def test_every_evaluator_sums_the_same_table(self, pot, xs):
+        xs = np.array(xs)
+        scalars = {
+            0: (pot.value(xs), pot.value_s),
+            1: (pot.derivative(xs), pot.derivative_s),
+            2: (pot.derivative(xs, 2), lambda z: pot.derivative(z, 2)),
+            -1: (pot.antiderivative(xs), pot.antiderivative_s),
+        }
+        for order, (array, scalar) in scalars.items():
+            assert_bitwise(array, [scalar(float(x)) for x in xs])
+            np.testing.assert_allclose(
+                array, [pot_reference(pot, order, x) for x in xs], rtol=0.0,
+                atol=1e-12 * (1.0 + pot.coefficient_bound_derivative(order)))
+        joint = [pot.value_derivative_s(float(x)) for x in xs]
+        assert_bitwise([f for f, _ in joint], scalars[0][0])
+        assert_bitwise([fp for _, fp in joint], scalars[1][0])
+        one = _HarmonicWorkspace(pot, 1)
+        for x, (f, fp) in zip(xs, joint):
+            one.eval(np.array([x]))
+            assert_bitwise([one.fv[0], one.fp[0]], [f, fp])
+        rows = np.resize(xs, 7)
+        seven = _HarmonicWorkspace(pot, 7)
+        seven.eval(rows)
+        assert_bitwise(seven.fv, np.resize([f for f, _ in joint], 7))
+        assert_bitwise(seven.fp, np.resize([fp for _, fp in joint], 7))
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))

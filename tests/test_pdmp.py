@@ -17,7 +17,6 @@ from circlelab.pdmp import (
     CAUSE_INIT,
     CAUSE_LANDSCAPE,
     PdmpState,
-    jump_time_cdf_oracle,
     sample_landscape_time,
     sample_next_event,
     segment_u,
@@ -26,6 +25,7 @@ from circlelab.pdmp import (
 )
 from circlelab.potential import PeriodicPotential
 from circlelab.seeding import generator_from_seed
+from oracles import jump_time_cdf_oracle
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
