@@ -8,6 +8,9 @@ files of both processes (ergodic and localization).
 ``bit_identity.json`` holds the ``hash_inventory`` of each run, with
 the numpy version and the platform it was recorded on: the digests
 depend on numpy's PCG64 and ziggurat code and on the platform's libm.
+Its ``control`` record holds one digest per fixed steering plan in
+``PLANS``, for both processes: the bytes of the schedule's breakpoints
+and values and the landing state of its integration.
 
 ``tests/test_bit_identity.py`` reruns the records and compares.  A change
 that moves bits on purpose regenerates the file from the repository
@@ -25,6 +28,8 @@ import os
 import platform
 import sys
 import tempfile
+
+import hashlib
 
 import numpy as np
 
@@ -74,6 +79,46 @@ RUNS = {
 }
 
 
+# Steering targets at criterion 8's epsilon and switch rate, by potential:
+# (x0, u0, x1, t, c), with u1 = u0 + t * c * (max F if c >= 0 else -min F).
+PLANS = {
+    "cosine": (COSINE, (1.0, 0.5, 4.0, 12.0, -0.3)),
+    "mixture": (MIXTURE, (1.0, 0.5, 4.0, 12.0, 0.2)),
+    "skewed": (SKEWED, (1.0, 0.5, 4.0, 12.0, 0.2)),
+}
+
+
+def control_digests():
+    """sha256 of each plan in PLANS, by process and potential."""
+    from circlelab import DiffusionState, PdmpState, PeriodicPotential
+    from circlelab.control import (
+        integrate_diffusion_control,
+        integrate_velocity_schedule,
+        plan_diffusion_control,
+        plan_pdmp_velocity_schedule,
+    )
+
+    digests = {}
+    for name, (record, (x0, u0, x1, t, c)) in PLANS.items():
+        pot = PeriodicPotential.from_record(record)
+        u1 = u0 + t * c * (pot.max_value if c >= 0.0 else -pot.min_value)
+        z0 = DiffusionState(x0, u0)
+        sched = plan_diffusion_control(pot, z0, DiffusionState(x1, u1), t,
+                                       epsilon=0.01)
+        end = integrate_diffusion_control(pot, sched, z0)
+        plans = {"diffusion": (sched, (end.x, end.u))}
+        z0 = PdmpState(x0, u0, 1)
+        sched = plan_pdmp_velocity_schedule(pot, z0, PdmpState(x1, u1, -1), t,
+                                            switch_rate=1000.0)
+        end = integrate_velocity_schedule(pot, sched, z0)
+        plans["pdmp"] = (sched, (end.x, end.u, end.y))
+        for process, (sched, landing) in plans.items():
+            blob = (sched.breakpoints.tobytes() + sched.values.tobytes()
+                    + repr(landing).encode())
+            digests[f"{process}-{name}"] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
 def environment():
     """What the digests depend on besides the code."""
     return {"numpy": np.__version__,
@@ -82,7 +127,7 @@ def environment():
 
 def run_digests(workers):
     """hash_inventory of every record in RUNS, by name, run on `workers`
-    workers."""
+    workers, and the control record."""
     from circlelab import hash_inventory, run_scenario, scenario_from_dict
 
     saved = os.environ.get("CIRCLELAB_WORKERS")
@@ -94,6 +139,7 @@ def run_digests(workers):
                 out = os.path.join(tmp, name)
                 run_scenario(scenario_from_dict({**record, "out_dir": out}))
                 digests[name] = hash_inventory(out)
+            digests["control"] = control_digests()
             return digests
     finally:
         if saved is None:
