@@ -33,7 +33,7 @@ import numpy as np
 from .angles import TWO_PI, circle_dist, wrap
 from .diffusion import DiffusionState
 from .errors import PlanningError, UnreachableTargetError
-from .pdmp import PdmpState, segment_u
+from .pdmp import PdmpState, _require_finite, segment_u
 from .potential import PeriodicPotential, _circle_roots, _root
 
 __all__ = [
@@ -85,6 +85,9 @@ class ControlSchedule:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size == 0 or bp.shape != vals.shape:
             raise ValueError("breakpoints and values must be matching 1-d arrays")
+        for name, arr in (("breakpoints", bp), ("values", vals)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if bp[0] <= 0.0 or np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be positive and strictly increasing")
         bp.flags.writeable = False
@@ -115,10 +118,55 @@ class ControlSchedule:
             t0 = float(b)
 
 
+def _require_state(name: str, z, velocity: bool = False) -> None:
+    """ValueError naming the field unless z.x and z.u are finite and,
+    with velocity, z.y is -1 or +1."""
+    _require_finite(f"{name}.x", z.x)
+    _require_finite(f"{name}.u", z.u)
+    if velocity and z.y not in (-1, 1):
+        raise ValueError(f"{name}.y must be -1 or +1, got {z.y!r}")
+
+
 def _nearest_lift(target: float, ref: float) -> float:
     """Representative of target (mod 2*pi) closest to the lifted ref."""
     d = math.remainder(target - ref, TWO_PI)
     return ref + d
+
+
+def _rk4_loop(potential: PeriodicPotential):
+    """loop(x, u, v, n, h): n RK4 steps of size h for `_rk4_span`, with
+    the potential's (F, F') block inlined at each of the four stages.
+
+    Generated on first use and cached on the instance, so a step makes
+    no call and tests no zero term; every float operation is the one
+    `value_s` and `derivative_s` would make, in their order.
+    """
+    loop = potential.__dict__.get("_rk4_loop")
+    if loop is None:
+        def stage(x, f):
+            return "".join(f"\n        {line}"
+                           for line in potential._f_fp_block(x, f, "d"))
+
+        source = f"""def loop(x, u, v, n, h):
+    half = 0.5 * h
+    sixth = h / 6.0
+    for _ in range(n):{stage("x", "k1u")}
+        k1x = v - u * d
+        x2 = x + half * k1x{stage("x2", "k2u")}
+        k2x = v - (u + half * k1u) * d
+        x3 = x + half * k2x{stage("x3", "k3u")}
+        k3x = v - (u + half * k2u) * d
+        x4 = x + h * k3x{stage("x4", "k4u")}
+        k4x = v - (u + h * k3u) * d
+        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+    return x, u
+"""
+        namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf}
+        exec(compile(source, "<generated RK4 loop>", "exec"), namespace)
+        loop = namespace["loop"]
+        object.__setattr__(potential, "_rk4_loop", loop)
+    return loop
 
 
 def _rk4_span(potential: PeriodicPotential, x: float, u: float, v: float,
@@ -130,27 +178,9 @@ def _rk4_span(potential: PeriodicPotential, x: float, u: float, v: float,
     """
     if duration <= 0.0:
         return x, u
-    fd = potential.value_derivative_s
     dt_target = min(_RK_DT, _RK_SWEEP / (1.0 + abs(v)))
     n = max(_RK_MIN_STEPS, int(math.ceil(duration / dt_target)))
-    h = duration / n
-    half = 0.5 * h
-    sixth = h / 6.0
-    for _ in range(n):
-        k1u, d = fd(x)
-        k1x = v - u * d
-        x2 = x + half * k1x
-        k2u, d = fd(x2)
-        k2x = v - (u + half * k1u) * d
-        x3 = x + half * k2x
-        k3u, d = fd(x3)
-        k3x = v - (u + half * k2u) * d
-        x4 = x + h * k3x
-        k4u, d = fd(x4)
-        k4x = v - (u + h * k3u) * d
-        x += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-        u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-    return x, u
+    return _rk4_loop(potential)(x, u, v, n, duration / n)
 
 
 def integrate_diffusion_control(potential: PeriodicPotential,
@@ -164,20 +194,22 @@ def integrate_diffusion_control(potential: PeriodicPotential,
 
 
 def _shoot_window(potential, x, u, epsilon, target_lift, drift_bound):
-    """Constant v on a window of width epsilon landing x exactly on target.
+    """Constant v on a window of width epsilon landing x exactly on target,
+    as (v, x_end, u_end): the state the window integrates to at that v.
 
     x(epsilon; v) is strictly increasing in v, so the root is bracketed by
     the naive transport speed plus the drift bound and found by `_root`.
-    Gaps are memoized, so `_root` reuses the two bracketing integrations.
+    End states are memoized, so `_root` reuses the two bracketing
+    integrations, and the v it returns, always one it evaluated, comes
+    with its end state.
     """
-    gaps = {}
+    ends = {}
 
     def landing_gap(v):
-        gap = gaps.get(v)
-        if gap is None:
-            xe, _ = _rk4_span(potential, x, u, v, epsilon)
-            gap = gaps[v] = xe - target_lift
-        return gap
+        end = ends.get(v)
+        if end is None:
+            end = ends[v] = _rk4_span(potential, x, u, v, epsilon)
+        return end[0] - target_lift
 
     v0 = (target_lift - x) / epsilon
     r = drift_bound + 1.0
@@ -189,7 +221,8 @@ def _shoot_window(potential, x, u, epsilon, target_lift, drift_bound):
         lo, hi = v0 - r, v0 + r
     else:
         raise PlanningError("could not bracket the steering speed")
-    return _root(landing_gap, lo, hi, 1e-10)
+    v = _root(landing_gap, lo, hi, 1e-10)
+    return (v,) + ends[v]
 
 
 def _coast_chunks(duration: float, u_peak: float, lipschitz_fpp: float) -> int:
@@ -218,9 +251,8 @@ def _build_diffusion_schedule(potential, x0, u0, x1, t, d_min, d_max,
     def steer(target, duration):
         nonlocal x, u, acc
         tgt = _nearest_lift(target, x)
-        v = _shoot_window(potential, x, u, duration, tgt, drift_bound)
+        v, x, u = _shoot_window(potential, x, u, duration, tgt, drift_bound)
         segs.append((duration, v))
-        x, u = _rk4_span(potential, x, u, v, duration)
         acc += duration
 
     def coast(park, total, chunks):
@@ -259,8 +291,13 @@ def plan_diffusion_control(potential: PeriodicPotential, z0: DiffusionState,
     Raises UnreachableTargetError when u1 - u0 lies outside the open
     support interval ((min F) t, (max F) t), and PlanningError when the
     construction cannot fit the horizon (target too close to the support
-    boundary for this epsilon).
+    boundary for this epsilon).  A non-finite x, u, t or epsilon raises
+    ValueError naming the field, before any integration.
     """
+    _require_state("z0", z0)
+    _require_state("z1", z1)
+    _require_finite("t", t)
+    _require_finite("epsilon", epsilon)
     if t <= 0.0:
         raise ValueError("t must be positive")
     if not 0.0 < epsilon < t / 4.0:
@@ -345,6 +382,10 @@ def integrate_velocity_schedule(potential: PeriodicPotential,
     """
     x, u = float(z0.x), float(z0.u)
     y_last = int(z0.y)
+    antiderivative = potential.antiderivative_s
+    # G at the current x, carried across breakpoints: a moving segment
+    # then costs one G evaluation, with the bits of segment_u.
+    g0 = antiderivative(x)
     for t0, t1, v in schedule.segments():
         dur = t1 - t0
         yv = int(round(v))
@@ -353,8 +394,10 @@ def integrate_velocity_schedule(potential: PeriodicPotential,
         if yv == 0:
             u += potential.value_s(x) * dur
         else:
-            u = segment_u(potential, x, yv, dur, u)
             x += yv * dur
+            g1 = antiderivative(x)
+            u = u + yv * (g1 - g0)
+            g0 = g1
             y_last = yv
     return PdmpState(float(wrap(x)), u, y_last)
 
@@ -386,7 +429,13 @@ def plan_pdmp_velocity_schedule(potential: PeriodicPotential, z0: PdmpState,
     Raises UnreachableTargetError when u1 - u0 lies outside the open
     interval ((min F) t, (max F) t), and PlanningError when no candidate
     fits the horizon (t too short for the required travels and dwells).
+    A non-finite x, u, t or switch_rate, or a y other than -1 or +1,
+    raises ValueError naming the field, before any integration.
     """
+    _require_state("z0", z0, velocity=True)
+    _require_state("z1", z1, velocity=True)
+    _require_finite("t", t)
+    _require_finite("switch_rate", switch_rate)
     if t <= 0.0:
         raise ValueError("t must be positive")
     if switch_rate <= 0.0:

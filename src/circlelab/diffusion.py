@@ -342,8 +342,8 @@ def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
     # The potential's coefficient tables are the order reference: F and F'
     # are summed in their order, zero terms skipped, here and in
     # _HarmonicWorkspace.em_step, so a replica's path is bitwise the same
-    # as in a vector batch of any width.  The sum is inlined: calling
-    # value_derivative_s once per step cost 30-50 % more (2-vCPU Xeon).
+    # as in a vector batch of any width.  The sum is inlined: calling a
+    # joint (F, F') method once per step cost 30-50 % more (2-vCPU Xeon).
     a0 = potential.a0
     rows = potential._f_fp_rows
     sqrt_dt = math.sqrt(dt)

@@ -156,8 +156,8 @@ class PeriodicPotential:
         object.__setattr__(self, "_sup_cache", {})
         object.__setattr__(self, "_bound_cache", {})
         self.coefficients(-1)
-        # The rows of F and F' paired by harmonic: the loop of
-        # value_derivative_s and of both EM loops in diffusion.py.
+        # The rows of F and F' paired by harmonic: the loop of both EM
+        # loops in diffusion.py and of _f_fp_block.
         object.__setattr__(self, "_f_fp_rows", tuple(
             zip(self.coefficients(0), self.coefficients(1))))
 
@@ -218,22 +218,37 @@ class PeriodicPotential:
     derivative_s = _scalar_sum(1, sin, cos, "F'(x) at a float x.")
     antiderivative_s = _scalar_sum(-1, sin, cos, "G(x) at a float x.")
 
-    def value_derivative_s(self, x: float) -> tuple[float, float]:
-        """(F(x), F'(x)) from one cos/sin pair per harmonic; each is
-        bitwise equal to value_s(x) and derivative_s(x)."""
-        f = self.a0
-        fp = -0.0
-        for (k, a, b), (_, da, db) in self._f_fp_rows:
-            kx = k * x
-            c = cos(kx)
-            s = sin(kx)
+    def _f_fp_block(self, x: str, f: str, fp: str) -> list[str]:
+        """Straight-line Python statements that set the names f = F(x) and
+        fp = F'(x) from the float named x, bitwise equal to value_s(x) and
+        derivative_s(x), with no call, loop or zero test of their own.
+
+        The sums are the tables' (see `coefficients`) with the zero terms
+        left out; -0.0 + y is y bitwise, so F' starts at its first term.
+        Coefficients are written as repr() of the table's floats, which
+        reads back exactly; a finite a_k times k can overflow to inf, so
+        the statements read the names cos, sin and inf (math's), and
+        assign kx<i>, c<i> and s<i> for the i-th row.
+        """
+        lines, f_terms, fp_terms = [], [repr(self.a0)], []
+        for i, ((k, a, b), (_, da, db)) in enumerate(self._f_fp_rows):
+            kx = x if k == 1.0 else f"kx{i}"  # 1.0 * x is x bitwise
+            if k != 1.0:
+                lines.append(f"{kx} = {k!r} * {x}")
+            lines += [f"c{i} = cos({kx})", f"s{i} = sin({kx})"]
             if a:
-                f += a * c
-                fp += da * s
+                f_terms.append(f"{a!r} * c{i}")
+                fp_terms.append(f"{da!r} * s{i}")
             if b:
-                f += b * s
-                fp += db * c
-        return f, fp
+                f_terms.append(f"{b!r} * s{i}")
+                fp_terms.append(f"{db!r} * c{i}")
+        return lines + [f"{f} = {' + '.join(f_terms)}",
+                        f"{fp} = {' + '.join(fp_terms)}"]
+
+    def __getstate__(self):
+        # control._rk4_loop caches a generated function on the instance;
+        # it does not pickle, and a copy generates its own on first use.
+        return {k: v for k, v in self.__dict__.items() if k != "_rk4_loop"}
 
     # ----- global extremes and norms ------------------------------------
 

@@ -96,6 +96,15 @@ def pot_reference(pot, order, x):
     return total + {0: pot.a0, -1: pot.a0 * x}.get(order, 0.0)
 
 
+def f_fp_block(pot):
+    """The potential's generated straight-line (F, F') statements, made
+    into a function of x."""
+    body = "".join(f"\n    {line}" for line in pot._f_fp_block("x", "f", "fp"))
+    namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf}
+    exec(f"def f_fp(x):{body}\n    return f, fp\n", namespace)
+    return namespace["f_fp"]
+
+
 def assert_bitwise(got, want):
     """Exact equality, sign of zero included."""
     got = np.asarray(got, dtype=float)
@@ -139,7 +148,8 @@ class TestEvaluation:
             np.testing.assert_allclose(
                 array, [pot_reference(pot, order, x) for x in xs], rtol=0.0,
                 atol=1e-12 * (1.0 + pot.coefficient_bound_derivative(order)))
-        joint = [pot.value_derivative_s(float(x)) for x in xs]
+        f_fp = f_fp_block(pot)
+        joint = [f_fp(float(x)) for x in xs]
         assert_bitwise([f for f, _ in joint], scalars[0][0])
         assert_bitwise([fp for _, fp in joint], scalars[1][0])
         one = _HarmonicWorkspace(pot, 1)
@@ -155,7 +165,7 @@ class TestEvaluation:
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
     def test_joint_scalar_evaluator_is_bitwise(self, pot, x):
-        assert pot.value_derivative_s(x) == (pot.value_s(x), pot.derivative_s(x))
+        assert_bitwise(f_fp_block(pot)(x), (pot.value_s(x), pot.derivative_s(x)))
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(0.0, TWO_PI, allow_nan=False), st.integers(1, 4))
