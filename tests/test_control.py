@@ -1,6 +1,7 @@
 """Tests for the piecewise-constant steering planners."""
 
 import math
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -295,6 +296,13 @@ class TestGeneratedRk4:
         v, xe, ue = _shoot_window(pot, x, u, epsilon, target, 10.0)
         assert_bitwise((xe, ue), _rk4_span(pot, x, u, v, epsilon))
         assert abs(xe - target) < 1e-9
+
+    def test_potential_pickles_after_planning(self):
+        pot = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+        want = _rk4_span(pot, 1.0, 0.5, 2.0, 0.3)
+        copy = pickle.loads(pickle.dumps(pot))
+        assert copy == pot
+        assert_bitwise(_rk4_span(copy, 1.0, 0.5, 2.0, 0.3), want)
 
 
 def segment_u_integration(potential, schedule, z0):
