@@ -19,11 +19,11 @@ Conventions shared by every simulator in this module:
 - One PCG64 stream per replica, derived from that replica's seed and
   consumed only by that replica.  A replica's noise sequence is therefore
   a pure function of its seed, independent of batch grouping.
-- A replica's path is bitwise the same at every batch width.  Up to 4
-  replicas run a per-replica scalar loop and wider batches one vector
-  step, `_HarmonicWorkspace.em_step`; both start from wrap(x0) and sum F
-  and F' in the order of the potential's coefficient tables, with the
-  same float operations.  `run_exit_trials` evaluates F' with the same
+- A replica's path is bitwise the same at every batch width.  Up to
+  _SCALAR_PATH_MAX replicas run a per-replica scalar loop and wider
+  batches one vector step, `_HarmonicWorkspace.em_step`; both start from
+  wrap(x0) and sum F and F' in the order of the potential's coefficient
+  tables, with the same float operations.  `run_exit_trials` evaluates F' with the same
   `_HarmonicWorkspace.eval`, so an exit outcome does not depend on the
   batch width either.  The vector loops draw noise per replica in
   blocks of steps and scale it by sqrt(dt) into a time-major buffer, so
@@ -63,11 +63,14 @@ __all__ = [
     "run_exit_trials",
 ]
 
-# Ensembles at most this large run the per-replica scalar loop, which is
-# much faster than numpy vector ops on tiny arrays.  Both loops draw the
-# same noise and do the same float operations in the same order, so a
-# replica's path is bitwise the same whichever loop runs it.
-_SCALAR_PATH_MAX = 4
+# Ensembles at most this large run the per-replica scalar loop: the widest
+# batch at which it beat the vector loop on both cosine and mixture F
+# (2-vCPU Xeon, horizon 20, dt 1e-3, best of 7 interleaved runs, ns per
+# replica-step, scalar vs vector: cosine 392 vs 436 at 21 wide, 417 vs 409
+# at 22; mixture 574 vs 650 at 21).  Both loops draw the same noise and do
+# the same float operations in the same order, so a replica's path is
+# bitwise the same whichever loop runs it.
+_SCALAR_PATH_MAX = 21
 # Batches at least this wide wrap x with two masked corrections instead
 # of np.remainder.  Measured on a 2-vCPU Xeon, ns per replica-step with
 # F = cos x + cos 2x - 0.2, remainder vs masks (median of 7 interleaved
@@ -388,12 +391,8 @@ def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
 
 
 def _fill_noise(block: np.ndarray, gens, m: int) -> None:
-    if m == block.shape[1]:
-        for j, gen in enumerate(gens):
-            gen.standard_normal(out=block[j])
-    else:
-        for j, gen in enumerate(gens):
-            block[j, :m] = gen.standard_normal(m)
+    for j, gen in enumerate(gens):
+        gen.standard_normal(out=block[j, :m])
 
 
 def _scaled_transpose(src: np.ndarray, dst: np.ndarray,
@@ -498,8 +497,8 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     """Simulate independent replicas of the self-interacting pair (X, U).
 
     x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
-    to 4 replicas run a per-replica scalar loop and larger ensembles a
-    replica-vectorized loop; both consume identical noise streams in the
+    to _SCALAR_PATH_MAX (21) replicas run a per-replica scalar loop and
+    larger ensembles a replica-vectorized loop; both consume identical noise streams in the
     same arithmetic order, so a replica's path depends only on its seed
     and start, bitwise, not on the batch it runs in.  A non-finite x0 or
     u0 raises ValueError naming it; a state that turns non-finite during

@@ -1,28 +1,26 @@
 """Scenario execution: seeded parallel ensembles with reproducible artifacts.
 
-A scenario kind is four functions.  ``cells(config)`` reads the kind's
+A scenario kind is three functions.  ``cells(config)`` reads the kind's
 options and builds what all of a cell's chunks share (landscape, level
-geometry, start points, time windows), one dict per cell.  A chunk
-layout cuts the replica range [0, replicas) into chunks.
+geometry, start points, time windows), one dict per cell.
 ``run(config, cell, task)`` simulates one chunk of one cell, and
 ``finalize(config, cells, results, out_dir)`` receives the chunk results
 of cells[i], in chunk order, as results[i].  One builder makes the tasks,
 every (cell, chunk) pair in cell-major order, for every kind.
 
 One seed rule serves every kind: replica i of a cell with seed block b
-gets splitmix64(root_seed, b * replicas + i).  Tasks run serially or on
-a process pool, and results are folded in task order, so the artifacts
+gets splitmix64(root_seed, b * replicas + i).  One chunk layout serves
+every kind too: each cell is cut into one contiguous chunk per worker,
+so that each worker runs one wide batch.  A replica's seed comes from
+its index and its outcome is bitwise the same at every batch width, so
+the outputs do not follow the task list.  Tasks run serially or on a
+process pool, and results are folded in task order, so the artifacts
 are a pure function of (config, root seed) whatever the worker count or
-the order in which tasks finished.  There are two chunk layouts.
-Drift, localization, doeblin, hitting, refinement and metastability run
-one chunk per worker, so that each worker runs one wide batch; a
-replica's seed comes from its index and its outcome is bitwise the same
-at every batch width, so the outputs do not follow the task list.
-Ergodic and pdmp-vs-diffusion, a few long paths per cell, run one
-replica per task so that the paths spread over the workers.  Every run
-directory gets ``manifest.json`` (config echo, seed scheme, file
-hashes), ``estimates.json``, ``plotdata_<name>.csv``, and raw path files
-for the first few replicas of path-producing scenarios.
+the order in which tasks finished.  A task is the unit of failure: a
+replica that raises fails its whole chunk.  Every run directory gets
+``manifest.json`` (config echo, seed scheme, file hashes),
+``estimates.json``, ``plotdata_<name>.csv``, and raw path files for the
+first few replicas of path-producing scenarios.
 """
 
 from __future__ import annotations
@@ -75,15 +73,12 @@ from .stats import (
 )
 
 __all__ = [
-    "MIN_CHUNK",
     "RunManifest",
     "replica_chunks",
     "worker_count",
     "run_scenario",
     "replay",
 ]
-
-MIN_CHUNK = 64
 
 _SEED_SCHEME = ("replica i of a cell with seed block b gets "
                 "splitmix64(root_seed, b * replicas + i)")
@@ -94,24 +89,10 @@ _ERGODIC_FRACTIONS = (0.125, 0.25, 0.5)
 
 
 def replica_chunks(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Split replica indices [0, n) into at most `parts` contiguous chunks.
-
-    Every chunk but the last holds at least MIN_CHUNK replicas.
-    """
-    if n <= 0:
-        return []
-    size = max(MIN_CHUNK, math.ceil(n / parts))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _worker_chunks(config: ScenarioConfig) -> List[Tuple[int, int]]:
-    """One chunk of each cell per worker; the outputs do not depend on it,
-    since every replica's seed comes from its index."""
-    return replica_chunks(config.replicas, worker_count(config.replicas))
-
-
-def _single_replicas(config: ScenarioConfig) -> List[Tuple[int, int]]:
-    return [(i, i + 1) for i in range(config.replicas)]
+    """Split replica indices [0, n) into min(n, parts) contiguous chunks
+    whose sizes differ by at most one."""
+    p = min(n, parts)
+    return [(n * i // p, n * (i + 1) // p) for i in range(p)]
 
 
 def worker_count(n_tasks: int) -> int:
@@ -696,27 +677,21 @@ def _refinement_finalize(config: ScenarioConfig, cells, results, out_dir):
 
 class _Kind(NamedTuple):
     cells: Callable[[ScenarioConfig], List[Dict[str, Any]]]
-    chunks: Callable[[ScenarioConfig], List[Tuple[int, int]]]
     run: Callable
     finalize: Callable
 
 
 _KINDS = {
-    "ergodic": _Kind(_ergodic_cells, _single_replicas, _ergodic_run,
-                     _ergodic_finalize),
-    "localization": _Kind(_localization_cells, _worker_chunks,
-                          _localization_run, _localization_finalize),
-    "metastability": _Kind(_metastability_cells, _worker_chunks,
-                           _metastability_run, _metastability_finalize),
-    "pdmp-vs-diffusion": _Kind(_limit_cells, _single_replicas, _limit_run,
-                               _limit_finalize),
-    "drift": _Kind(_drift_cells, _worker_chunks, _drift_run,
-                   _drift_finalize),
-    "doeblin": _Kind(_doeblin_cells, _worker_chunks, _doeblin_run,
-                     _doeblin_finalize),
-    "hitting": _Kind(_hitting_cells, _worker_chunks, _hitting_run,
-                     _hitting_finalize),
-    "refinement": _Kind(_refinement_cells, _worker_chunks, _refinement_run,
+    "ergodic": _Kind(_ergodic_cells, _ergodic_run, _ergodic_finalize),
+    "localization": _Kind(_localization_cells, _localization_run,
+                          _localization_finalize),
+    "metastability": _Kind(_metastability_cells, _metastability_run,
+                           _metastability_finalize),
+    "pdmp-vs-diffusion": _Kind(_limit_cells, _limit_run, _limit_finalize),
+    "drift": _Kind(_drift_cells, _drift_run, _drift_finalize),
+    "doeblin": _Kind(_doeblin_cells, _doeblin_run, _doeblin_finalize),
+    "hitting": _Kind(_hitting_cells, _hitting_run, _hitting_finalize),
+    "refinement": _Kind(_refinement_cells, _refinement_run,
                         _refinement_finalize),
 }
 
@@ -797,7 +772,7 @@ def run_scenario(config: ScenarioConfig,
 
     kind = _KINDS[config.kind]
     cells = kind.cells(config)
-    chunks = kind.chunks(config)
+    chunks = replica_chunks(config.replicas, worker_count(config.replicas))
     tasks = [(c, lo, hi) for c in range(len(cells)) for lo, hi in chunks]
     config_dict = config.to_dict()
     payloads = [(config_dict, cells[c], {"lo": lo, "hi": hi})

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from circlelab.angles import TWO_PI
 from circlelab.diffusion import (
     _MASKED_WRAP_MIN,
+    _SCALAR_PATH_MAX,
     DiffusionState,
     _HarmonicWorkspace,
     _noise_buffers,
@@ -86,7 +87,7 @@ class TestSimulate:
     def test_start_just_below_zero_is_the_same_at_every_width(self):
         # np.remainder(-1e-17, 2 pi) rounds up to 2 pi.  Every loop starts
         # from wrap(x0), which folds that endpoint to 0.0.
-        seeds = derive_replica_seeds(5, 6)
+        seeds = derive_replica_seeds(5, _SCALAR_PATH_MAX + 2)
         kw = dict(dt=1e-3, record_every=10)
         wide = simulate_diffusion_ensemble(MIXTURE, -1e-17, 0.5, 0.2,
                                            seeds=seeds, **kw)
@@ -139,9 +140,9 @@ class TestSimulate:
         assert np.array_equal(rep.u, single.u)
 
     def test_scalar_and_vector_engines_agree(self):
-        # Six replicas run the vector loop; each single-seed run takes the
-        # scalar loop on the same noise stream.
-        seeds = derive_replica_seeds(77, 6)
+        # One replica above the cutoff runs the vector loop; each
+        # single-seed run takes the scalar loop on the same noise stream.
+        seeds = derive_replica_seeds(77, _SCALAR_PATH_MAX + 1)
         ens = simulate_diffusion_ensemble(MIXTURE, 1.0, 0.5, 1.0, dt=1e-3,
                                           seeds=seeds, record_every=50)
         for i, seed in enumerate(seeds):
@@ -157,17 +158,19 @@ class TestSimulate:
            u0=st.floats(-5.0, 5.0, allow_nan=False))
     def test_replica_path_is_bitwise_the_same_at_every_width(
             self, root, potential, x0, u0):
-        # Widths 1-4 take the scalar loop and 5-8 the vector loop; the last
-        # w seeds of an 8-wide batch must give the same rows at width w.
-        seeds = derive_replica_seeds(root, 8)
+        # Widths up to _SCALAR_PATH_MAX take the scalar loop and wider ones
+        # the vector loop; the last w seeds of the widest batch must give
+        # the same rows at width w.
+        n = _SCALAR_PATH_MAX + 2
+        seeds = derive_replica_seeds(root, n)
         kw = dict(dt=1e-3, record_every=40)
         full = simulate_diffusion_ensemble(potential, x0, u0, 1.0,
                                            seeds=seeds, **kw)
-        for w in range(1, 8):
+        for w in range(1, n):
             ens = simulate_diffusion_ensemble(potential, x0, u0, 1.0,
-                                              seeds=seeds[8 - w:], **kw)
-            assert np.array_equal(ens.x, full.x[8 - w:]), w
-            assert np.array_equal(ens.u, full.u[8 - w:]), w
+                                              seeds=seeds[n - w:], **kw)
+            assert np.array_equal(ens.x, full.x[n - w:]), w
+            assert np.array_equal(ens.u, full.u[n - w:]), w
 
     @settings(max_examples=8)
     @given(root=st.integers(0, 2**63 - 1),
@@ -345,7 +348,7 @@ class TestRunaway:
                                         seeds=(3,))
         with pytest.raises(RunawayError, match=r"t = 2\.048"):
             simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
-                                        seeds=tuple(range(3, 9)))
+                                        seeds=range(3, _SCALAR_PATH_MAX + 4))
 
     def test_coupled_levels_raise(self):
         seeds = derive_replica_seeds(9, 6)

@@ -35,7 +35,7 @@ from circlelab import (
 import circlelab.config as config_module
 import circlelab.runner as runner_module
 from circlelab.cli import main as cli_main
-from circlelab.diffusion import Trajectory
+from circlelab.diffusion import _SCALAR_PATH_MAX, Trajectory
 from circlelab.io import (
     hash_inventory,
     read_events_rows,
@@ -48,7 +48,6 @@ from circlelab.io import (
 )
 from circlelab.pdmp import EventLog
 from circlelab.runner import (
-    MIN_CHUNK,
     replay,
     replica_chunks,
     run_scenario,
@@ -453,30 +452,25 @@ PARTS = (1, 2, 3, 8, 16)
 
 
 class TestChunking:
-    def test_small_counts_get_one_chunk(self):
-        for parts in PARTS:
-            assert replica_chunks(1, parts) == [(0, 1)]
-            assert replica_chunks(MIN_CHUNK, parts) == [(0, MIN_CHUNK)]
-
     def test_zero_replicas(self):
         for parts in PARTS:
             assert replica_chunks(0, parts) == []
 
-    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 200, 1000, 10000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 200, 1000, 10000])
     def test_chunks_partition_range(self, n):
+        # min(n, parts) contiguous chunks whose sizes differ by at most one.
         for parts in PARTS:
             chunks = replica_chunks(n, parts)
             covered = [i for lo, hi in chunks for i in range(lo, hi)]
             assert covered == list(range(n))
-            assert len(chunks) <= parts
-            for lo, hi in chunks[:-1]:
-                assert hi - lo >= MIN_CHUNK or n < MIN_CHUNK
+            assert len(chunks) == min(n, parts)
+            sizes = [hi - lo for lo, hi in chunks]
+            assert max(sizes) - min(sizes) <= 1
 
-    def test_one_chunk_per_worker_when_wide_enough(self):
+    def test_one_chunk_per_worker(self):
         assert replica_chunks(4096, 2) == [(0, 2048), (2048, 4096)]
-        assert replica_chunks(130, 3) == [(0, 64), (64, 128), (128, 130)]
-        assert replica_chunks(200, 16) == [
-            (0, 64), (64, 128), (128, 192), (192, 200)]
+        assert replica_chunks(130, 3) == [(0, 43), (43, 86), (86, 130)]
+        assert replica_chunks(3, 8) == [(0, 1), (1, 2), (2, 3)]
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "3")
@@ -680,11 +674,9 @@ class TestSavedPaths:
                       for i in range(replicas)]
         assert seeds["simulate_pdmp"] == sorted(pdmp_seeds)
         assert len([c for c in calls if c[0] == "simulate_pdmp"]) == replicas
-        # ergodic runs one one-replica ensemble per replica, localization
-        # one ensemble per chunk
+        # one diffusion ensemble per chunk
         diffusion_call = "simulate_diffusion_ensemble"
-        n_diffusion = (replicas if kind == "ergodic"
-                       else len(replica_chunks(replicas, int(workers))))
+        n_diffusion = len(replica_chunks(replicas, int(workers)))
         assert len([c for c in calls if c[0] == diffusion_call]) == n_diffusion
         assert seeds[diffusion_call] == sorted(diffusion_seeds)
         assert len(calls) == replicas + n_diffusion
@@ -709,8 +701,11 @@ class TestSavedPaths:
                 fresh.read_bytes()
 
     def test_failed_task_leaves_no_path_file(self, tmp_path, monkeypatch):
-        # One failed replica in 101 is within the 1 % the runner tolerates.
+        # A task fails as a whole, so one-replica tasks make one failed
+        # replica in 101, within the 1 % the runner tolerates.
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        monkeypatch.setattr(runner_module, "replica_chunks",
+                            lambda n, parts: [(i, i + 1) for i in range(n)])
         bad_seed = derive_replica_seed(5, 1)
         real = runner_module.simulate_pdmp
 
@@ -735,10 +730,6 @@ class TestSavedPaths:
 
 class TestWorkerCountInvariance:
     """Chunking follows the worker count; the artifacts do not."""
-
-    # The kinds that cut each cell into one chunk per worker.
-    WORKER_CHUNKED = {"drift", "localization", "doeblin", "hitting",
-                      "refinement", "metastability"}
 
     @pytest.mark.parametrize("kind, record, extra", [
         ("drift", SKEWED_RECORD,
@@ -766,10 +757,10 @@ class TestWorkerCountInvariance:
     def test_hash_inventory_same_at_1_2_3_workers(self, tmp_path,
                                                    monkeypatch, kind, record,
                                                    extra):
-        # For the worker-chunked kinds, 130 replicas give one chunk per
-        # cell at 1 worker, 65 + 65 at 2 and 64 + 64 + 2 (the scalar loop)
-        # at 3.  The other kinds keep one task list at every worker count.
-        inventories, n_tasks = [], []
+        # Every kind cuts each cell into min(workers, replicas) chunks:
+        # 130 replicas give one chunk at 1 worker, 65 + 65 at 2 and
+        # 43 + 43 + 44 at 3; 3 replicas give 1, 1 + 2 and 1 + 1 + 1.
+        inventories = []
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
             out = tmp_path / workers
@@ -777,12 +768,10 @@ class TestWorkerCountInvariance:
                 "kind": kind, "potential": record, "dt": 2e-3,
                 "replicas": 130, "x0": 0.0, "root_seed": 41,
                 "out_dir": str(out), **extra})
-            n_tasks.append(run_scenario(config).n_tasks)
+            n_cells = len(runner_module._KINDS[kind].cells(config))
+            assert run_scenario(config).n_tasks == \
+                n_cells * min(int(workers), config.replicas)
             inventories.append(hash_inventory(str(out)))
-        if kind in self.WORKER_CHUNKED:
-            assert n_tasks[0] < n_tasks[1] < n_tasks[2]
-        else:
-            assert n_tasks[0] == n_tasks[1] == n_tasks[2]
         assert inventories[1] == inventories[0]
         assert inventories[2] == inventories[0]
 
@@ -949,10 +938,11 @@ class TestScenarioEstimates:
             assert c["std_error"] >= 0.0
 
     def test_drift_runs_each_u0_once_to_max_t(self, tmp_path, monkeypatch):
-        # 130 replicas on 3 workers make chunks of 64, 64 and 2, so both EM
-        # loops run.
+        # On 3 workers the chunks are _SCALAR_PATH_MAX, then twice one
+        # wider, so both EM loops run.
         monkeypatch.setenv("CIRCLELAB_WORKERS", "3")
-        t_grid, u0_grid, n = [0.6, 1.0, 0.3], [0.0, 8.0], 130
+        t_grid, u0_grid = [0.6, 1.0, 0.3], [0.0, 8.0]
+        n = 3 * _SCALAR_PATH_MAX + 2
         config = scenario_from_dict({
             "kind": "drift", "potential": COSINE_RECORD, "dt": 2e-2,
             "replicas": n, "root_seed": 11, "x0": 1.0,
