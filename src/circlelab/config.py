@@ -85,24 +85,25 @@ def _is_box(box) -> bool:
 
 
 _OPTION_SPECS: Dict[str, Any] = {
-    "burn_in": _finite_float,
+    "burn_in": _checked(_finite_float, lambda v: v >= 0.0, "must be >= 0"),
     "record_every": _checked(_integer, lambda v: v >= 1, "must be >= 1"),
     "save_paths": _checked(_integer, lambda v: v >= 0, "must be >= 0"),
     "eta": _finite_float,
     "m_grid": _checked(_float_list, len, "must be a nonempty list"),
-    "max_time": _finite_float,
+    "max_time": _checked(_finite_float, lambda v: v > 0.0, "must be > 0"),
     "kappa": _checked(_finite_float, lambda v: v > 0.0, "must be > 0"),
     "u0_grid": _checked(_float_list, len, "must be a nonempty list"),
     "t_grid": _checked(_float_list, lambda ts: ts and min(ts) > 0.0,
                        "must be a nonempty list of times > 0"),
-    "lambda_grid": _float_list,
+    "lambda_grid": _checked(_float_list, lambda v: v and min(v) > 0.0,
+                            "must be a nonempty list of values > 0"),
     "eta_fractions": _checked(_float_list, len, "must be a nonempty list"),
     "box": _checked(_float_list, _is_box,
                     "must be x_lo, x_hi, u_lo, u_hi with u_hi > u_lo "
                     "and an arc of positive width"),
     "grid_points": _checked(_integer, _is_perfect_square,
                             "must be a perfect square >= 1"),
-    "tolerance": _finite_float,
+    "tolerance": _checked(_finite_float, lambda v: v > 0.0, "must be > 0"),
     "u_threshold": _finite_float,
 }
 

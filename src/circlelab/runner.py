@@ -211,13 +211,23 @@ def _wilson_row(hits: int, trials: int) -> Dict[str, float]:
     return {"estimate": hits / trials, "wilson_low": lo, "wilson_high": hi}
 
 
+def _burn_in(config: ScenarioConfig, default: float) -> float:
+    """The burn_in option; a burn-in that reaches the horizon leaves the
+    occupation histograms empty, so it is refused before any task runs."""
+    burn = config.option("burn_in", default)
+    if burn >= config.horizon:
+        raise ConfigError(f"field 'burn_in': must be < the horizon "
+                          f"{config.horizon!r}, got {burn!r}")
+    return burn
+
+
 # ---------------------------------------------------------------------------
 # scenario: ergodic
 
 
 def _ergodic_cells(config: ScenarioConfig):
     T = config.horizon
-    burn = config.option("burn_in", min(500.0, 0.1 * T))
+    burn = _burn_in(config, min(500.0, 0.1 * T))
     windows = [("half1", 0.0, 0.5 * T), ("half2", 0.5 * T, T),
                ("full", burn, T)]
     for frac in _ERGODIC_FRACTIONS:
@@ -277,6 +287,9 @@ def _ergodic_finalize(config: ScenarioConfig, cells, results, out_dir):
 
 
 def _localization_cells(config: ScenarioConfig):
+    if config.option("burn_in", 200.0) <= 0.0:
+        raise ConfigError("field 'burn_in': must be > 0, the convergence "
+                          "window of the localization kind")
     landscape = classify_landscape(config.potential)
     shared = {
         "landscape": landscape,
@@ -420,7 +433,7 @@ def _metastability_finalize(config: ScenarioConfig, cells, results, out_dir):
 def _limit_cells(config: ScenarioConfig):
     """The diffusion in seed block 0, then the velocity-jump process at
     lambda_grid[j] in block 1 + j."""
-    burn = config.option("burn_in", 0.1 * config.horizon)
+    burn = _burn_in(config, 0.1 * config.horizon)
     lam_grid = config.option("lambda_grid", (1.0, 10.0, 100.0))
     return [{"process": "diffusion", "b": 0, "lam": None, "burn_in": burn}] \
         + [{"process": "pdmp", "b": 1 + j, "lam": float(lam),
@@ -473,6 +486,9 @@ def _drift_cells(config: ScenarioConfig):
     kappa = config.option("kappa", 0.05)
     t_grid = config.option("t_grid", (50.0, 100.0, 200.0))
     u0_grid = config.option("u0_grid", (20.0, 40.0, 60.0))
+    if min(t_grid) < config.dt:
+        raise ConfigError(f"field 't_grid': every time must be >= dt "
+                          f"{config.dt!r}, got {min(t_grid)!r}")
     first = t_grid.index(max(t_grid)) * len(u0_grid)
     return [{"u0": float(u0), "b": first + j, "kappa": kappa,
              "t_grid": t_grid} for j, u0 in enumerate(u0_grid)]

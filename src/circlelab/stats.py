@@ -190,17 +190,12 @@ def occupation_histogram(path, *, x_bins: int = DEFAULT_X_BINS,
     u_edges = np.linspace(*DEFAULT_U_RANGE, DEFAULT_U_BINS + 1)
     counts = np.zeros((x_edges.size - 1, u_edges.size + 1))
 
-    if isinstance(path, EnsembleTrajectories):
+    if isinstance(path, (Trajectory, EnsembleTrajectories)):
         keep = (path.times >= burn_in) & (path.times <= t_max)
         if not np.any(keep):
             raise ValueError("no samples in [burn_in, t_max]")
-        _accumulate(counts, path.x[:, keep], path.u[:, keep],
+        _accumulate(counts, path.x[..., keep], path.u[..., keep],
                     x_edges, u_edges, 1.0)
-    elif isinstance(path, Trajectory):
-        keep = (path.times >= burn_in) & (path.times <= t_max)
-        if not np.any(keep):
-            raise ValueError("no samples in [burn_in, t_max]")
-        _accumulate(counts, path.x[keep], path.u[keep], x_edges, u_edges, 1.0)
     elif isinstance(path, EventLog):
         _accumulate_event_log(counts, path, x_edges, u_edges, burn_in, t_max)
     else:

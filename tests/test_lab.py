@@ -849,6 +849,40 @@ class TestScenarioEstimates:
                            match=r"field 'eta': .*eta=0\.333.*delta=0\.150"):
             run_scenario(config)
 
+    @pytest.mark.parametrize("kind, field, extra", [
+        ("ergodic", "burn_in", {"options": {"burn_in": 50.0}}),
+        ("ergodic", "burn_in", {"options": {"burn_in": 20.0}}),
+        ("ergodic", "burn_in", {"options": {"burn_in": -5.0}}),
+        ("pdmp-vs-diffusion", "burn_in", {"options": {"burn_in": 20.0}}),
+        ("pdmp-vs-diffusion", "burn_in", {"options": {"burn_in": 25.0}}),
+        ("pdmp-vs-diffusion", "lambda_grid",
+         {"options": {"lambda_grid": [1.0, 0.0]}}),
+        ("pdmp-vs-diffusion", "lambda_grid",
+         {"options": {"lambda_grid": [-1.0]}}),
+        ("metastability", "max_time", {"options": {"max_time": 0.0}}),
+        ("metastability", "max_time", {"options": {"max_time": -1.0}}),
+        ("localization", "burn_in",
+         {"potential": MIXTURE_RECORD, "options": {"burn_in": 0.0}}),
+        ("localization", "burn_in",
+         {"potential": MIXTURE_RECORD, "options": {"burn_in": -1.0}}),
+        ("localization", "tolerance", {"options": {"tolerance": 0.0}}),
+        ("localization", "tolerance", {"options": {"tolerance": -0.1}}),
+        ("drift", "t_grid",
+         {"dt": 1e-2, "options": {"t_grid": [1.0, 5e-3]}}),
+    ])
+    def test_bad_option_fails_before_any_task(self, tmp_path, monkeypatch,
+                                              kind, field, extra):
+        def fail(payload):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        monkeypatch.setattr(runner_module, "_execute_task", fail)
+        data = {"kind": kind, "potential": COSINE_RECORD, "horizon": 20.0,
+                "replicas": 2, "out_dir": str(tmp_path / "run")}
+        data.update(extra)
+        with pytest.raises(ConfigError, match=f"field '{field}': "):
+            run_scenario(scenario_from_dict(data))
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_hypothesis_warning_reaches_the_caller(self, tmp_path,
                                                    monkeypatch, workers):
