@@ -23,11 +23,11 @@ Conventions shared by every simulator in this module:
   _SCALAR_PATH_MAX replicas run a per-replica scalar loop and wider
   batches one vector step, `_HarmonicWorkspace.em_step`; both start from
   wrap(x0) and sum F and F' in the order of the potential's coefficient
-  tables, with the same float operations.  `run_exit_trials` evaluates F' with the same
-  `_HarmonicWorkspace.eval`, so an exit outcome does not depend on the
-  batch width either.  The vector loops draw noise per replica in
-  blocks of steps and scale it by sqrt(dt) into a time-major buffer, so
-  each step reads one contiguous row.
+  tables, with the same float operations.  `run_exit_trials` evaluates
+  F' with the same `_HarmonicWorkspace.eval`, so an exit outcome does
+  not depend on the batch width either.  The vector loops draw noise
+  per replica in blocks of steps and scale it by sqrt(dt) into a
+  time-major buffer, so each step reads one contiguous row.
 - A wide batch wraps x with two masked corrections, which are
   bitwise equal to the modulo while one step moves x by less than pi;
   a guard checks that bound once per noise block and falls back to the
@@ -498,11 +498,12 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
 
     x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
     to _SCALAR_PATH_MAX (21) replicas run a per-replica scalar loop and
-    larger ensembles a replica-vectorized loop; both consume identical noise streams in the
-    same arithmetic order, so a replica's path depends only on its seed
-    and start, bitwise, not on the batch it runs in.  A non-finite x0 or
-    u0 raises ValueError naming it; a state that turns non-finite during
-    the run raises RunawayError naming the replica's seed.
+    larger ensembles a replica-vectorized loop; both consume identical
+    noise streams in the same arithmetic order, so a replica's path
+    depends only on its seed and start, bitwise, not on the batch it runs
+    in.  A non-finite x0 or u0 raises ValueError naming it; a state that
+    turns non-finite during the run raises RunawayError naming the
+    replica's seed.
     """
     seeds = _seed_tuple(seeds)
     n_steps = _validate_grid(horizon, dt, record_every)

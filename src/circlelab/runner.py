@@ -287,7 +287,8 @@ def _ergodic_finalize(config: ScenarioConfig, cells, results, out_dir):
 
 
 def _localization_cells(config: ScenarioConfig):
-    if config.option("burn_in", 200.0) <= 0.0:
+    burn = config.option("burn_in", 200.0)
+    if burn <= 0.0:
         raise ConfigError("field 'burn_in': must be > 0, the convergence "
                           "window of the localization kind")
     landscape = classify_landscape(config.potential)
@@ -295,8 +296,7 @@ def _localization_cells(config: ScenarioConfig):
         "landscape": landscape,
         "traps": [(p.x, p.value) for p in landscape.traps],
         "tolerance": config.option("tolerance", 0.15),
-        "window": min(config.option("burn_in", 200.0),
-                      0.25 * config.horizon),
+        "window": min(burn, 0.25 * config.horizon),
         "grid": np.linspace(0.0, config.horizon, 41),
     }
     return [{"process": process, "b": b, **shared}
