@@ -329,6 +329,15 @@ def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
     return n_steps
 
 
+def _record_steps(horizon: float, dt: float, record_every: int) -> np.ndarray:
+    """Step counts that `simulate_diffusion_ensemble` records: 0, every
+    record_every-th step and the last, round(horizon / dt).  Raises
+    ValueError for a grid it would refuse."""
+    n_steps = _validate_grid(horizon, dt, record_every)
+    return np.append(np.arange(0, n_steps, record_every, dtype=np.int64),
+                     n_steps)
+
+
 def _finite_umax(x: np.ndarray, u: np.ndarray, seeds, t: float) -> float:
     """max|u| over a batch, after checking that every replica's state is
     finite at time t; RunawayError naming the first bad replica's seed
@@ -506,9 +515,7 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     replica's seed.
     """
     seeds = _seed_tuple(seeds)
-    n_steps = _validate_grid(horizon, dt, record_every)
-    rec_steps = np.append(np.arange(0, n_steps, record_every, dtype=np.int64),
-                          n_steps)
+    rec_steps = _record_steps(horizon, dt, record_every)
     times = rec_steps.astype(float) * dt
     out_x, out_u = _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds)
     _freeze(times, out_x, out_u)

@@ -43,6 +43,7 @@ from .angles import TWO_PI, circle_dist
 from .config import ScenarioConfig, scenario_from_dict
 from .diffusion import (
     Trajectory,
+    _record_steps,
     simulate_diffusion,  # noqa: F401  (profilers wrap it by name here)
     simulate_diffusion_ensemble,
     simulate_terminal_u_coupled,
@@ -152,27 +153,35 @@ def _seeds(config: ScenarioConfig, cell, task) -> Tuple[int, ...]:
 
 
 def _paths(config: ScenarioConfig, cell, task,
-           horizon: Optional[float] = None, lam: Optional[float] = None):
-    """(replica, path) for each replica of a chunk.
+           horizon: Optional[float] = None, lam: Optional[float] = None,
+           x0: Optional[float] = None, u0: Optional[float] = None,
+           record_every: Optional[int] = None, until=None):
+    """The path of each replica of a chunk, in replica order.
 
-    The diffusion runs one ensemble per chunk, the velocity-jump process
-    one path per seed.  This is a generator, so only the paths a caller
-    keeps outlive their iteration.
+    Every argument left None takes the config's value: the horizon, the
+    velocity-jump rate, the start (x0, u0) and the record_every option
+    (default 100).  The diffusion runs one ensemble per chunk, recorded
+    every record_every steps.  The velocity-jump process runs one path
+    per seed from velocity y0, stopped at its first entry into a set of
+    `until` when that is given.  This is a generator, so only the paths
+    a caller keeps outlive their iteration.
     """
     span = config.horizon if horizon is None else horizon
+    x0 = config.x0 if x0 is None else x0
+    u0 = config.u0 if u0 is None else u0
     seeds = _seeds(config, cell, task)
-    replicas = range(task["lo"], task["hi"])
     if cell["process"] == "diffusion":
+        if record_every is None:
+            record_every = config.option("record_every", 100)
         ensemble = simulate_diffusion_ensemble(
-            config.potential, config.x0, config.u0, span, dt=config.dt,
-            seeds=seeds, record_every=config.option("record_every", 100))
-        for offset, rep in enumerate(replicas):
-            yield rep, ensemble.replica(offset)
+            config.potential, x0, u0, span, dt=config.dt, seeds=seeds,
+            record_every=record_every)
+        yield from map(ensemble.replica, range(len(seeds)))
         return
-    for rep, seed in zip(replicas, seeds):
-        yield rep, simulate_pdmp(
+    for seed in seeds:
+        yield simulate_pdmp(
             config.potential, config.lam if lam is None else lam,
-            PdmpState(config.x0, config.u0, config.y0), span, seed=seed)
+            PdmpState(x0, u0, config.y0), span, seed=seed, until=until)
 
 
 def _saved_path_count(config: ScenarioConfig) -> int:
@@ -211,13 +220,27 @@ def _wilson_row(hits: int, trials: int) -> Dict[str, float]:
     return {"estimate": hits / trials, "wilson_low": lo, "wilson_high": hi}
 
 
-def _burn_in(config: ScenarioConfig, default: float) -> float:
-    """The burn_in option; a burn-in that reaches the horizon leaves the
-    occupation histograms empty, so it is refused before any task runs."""
+def _burn_in(config: ScenarioConfig, default: float, fraction: float,
+             diffusion: bool) -> float:
+    """The burn_in option, refused before any task runs when it leaves
+    the occupation window [burn, burn + fraction (T - burn)] empty: when
+    it reaches the horizon T, or, if `diffusion`, when the diffusion's
+    ensembles (see `_paths`) record no sample in the window."""
     burn = config.option("burn_in", default)
     if burn >= config.horizon:
         raise ConfigError(f"field 'burn_in': must be < the horizon "
                           f"{config.horizon!r}, got {burn!r}")
+    if diffusion:
+        try:
+            times = config.dt * _record_steps(
+                config.horizon, config.dt, config.option("record_every", 100))
+        except ValueError as exc:
+            raise ConfigError(f"field 'dt': {exc}") from exc
+        end = burn + (config.horizon - burn) * fraction
+        if not np.any((times >= burn) & (times <= end)):
+            raise ConfigError(f"field 'burn_in': the diffusion records no "
+                              f"sample in [{burn!r}, {end!r}]; its last "
+                              f"is at t = {float(times[-1])!r}")
     return burn
 
 
@@ -227,7 +250,8 @@ def _burn_in(config: ScenarioConfig, default: float) -> float:
 
 def _ergodic_cells(config: ScenarioConfig):
     T = config.horizon
-    burn = _burn_in(config, min(500.0, 0.1 * T))
+    burn = _burn_in(config, min(500.0, 0.1 * T), min(_ERGODIC_FRACTIONS),
+                    "diffusion" in config.processes())
     windows = [("half1", 0.0, 0.5 * T), ("half2", 0.5 * T, T),
                ("full", burn, T)]
     for frac in _ERGODIC_FRACTIONS:
@@ -242,7 +266,7 @@ def _ergodic_cells(config: ScenarioConfig):
 def _ergodic_run(config: ScenarioConfig, cell, task):
     n_saved = _saved_path_count(config)
     histograms, paths = [], []
-    for rep, path in _paths(config, cell, task):
+    for rep, path in enumerate(_paths(config, cell, task), task["lo"]):
         histograms.append({label: occupation_histogram(path, burn_in=lo,
                                                        t_max=hi)
                            for label, lo, hi in cell["windows"]})
@@ -307,7 +331,7 @@ def _localization_run(config: ScenarioConfig, cell, task):
     traps, tol, grid = cell["traps"], cell["tolerance"], cell["grid"]
     n_saved = _saved_path_count(config)
     rows, paths = [], []
-    for rep, path in _paths(config, cell, task):
+    for rep, path in enumerate(_paths(config, cell, task), task["lo"]):
         if rep < n_saved:
             paths.append((rep, _own(path)))
         xs = _state_on_grid(path, grid)
@@ -433,7 +457,7 @@ def _metastability_finalize(config: ScenarioConfig, cells, results, out_dir):
 def _limit_cells(config: ScenarioConfig):
     """The diffusion in seed block 0, then the velocity-jump process at
     lambda_grid[j] in block 1 + j."""
-    burn = _burn_in(config, 0.1 * config.horizon)
+    burn = _burn_in(config, 0.1 * config.horizon, math.inf, True)
     lam_grid = config.option("lambda_grid", (1.0, 10.0, 100.0))
     return [{"process": "diffusion", "b": 0, "lam": None, "burn_in": burn}] \
         + [{"process": "pdmp", "b": 1 + j, "lam": float(lam),
@@ -444,8 +468,8 @@ def _limit_run(config: ScenarioConfig, cell, task):
     # Accelerated time: the jump process runs for lam * horizon.
     scale = 1.0 if cell["lam"] is None else cell["lam"]
     out = []
-    for _, path in _paths(config, cell, task, horizon=scale * config.horizon,
-                          lam=cell["lam"]):
+    for path in _paths(config, cell, task, horizon=scale * config.horizon,
+                       lam=cell["lam"]):
         h = occupation_histogram(path, burn_in=scale * cell["burn_in"])
         out.append((h.weight, h.x_marginal()))
     return out
@@ -548,11 +572,12 @@ def _doeblin_cells(config: ScenarioConfig):
 
 
 def _doeblin_run(config: ScenarioConfig, cell, task):
-    hits = doeblin_hits(config.potential, cell["process"], cell["x0"],
-                        cell["u0"], cell["box"], config.horizon,
-                        seeds=_seeds(config, cell, task), lam=config.lam,
-                        y0=config.y0, dt=config.dt)
-    return hits, task["hi"] - task["lo"]
+    # A diffusion replica records its start and its end only; dt is
+    # unchecked, and may be <= 0, when only the velocity-jump process runs.
+    every = round(config.horizon / config.dt) if config.dt > 0.0 else None
+    paths = _paths(config, cell, task, x0=cell["x0"], u0=cell["u0"],
+                   record_every=every)
+    return doeblin_hits(paths, cell["box"]), task["hi"] - task["lo"]
 
 
 def _doeblin_finalize(config: ScenarioConfig, cells, results, out_dir):
@@ -604,11 +629,9 @@ def _hitting_cells(config: ScenarioConfig):
 
 
 def _hitting_run(config: ScenarioConfig, cell, task):
-    potential = config.potential
-    return hitting_times(
-        potential, cell["process"], potential.argmin, cell["target"],
-        config.horizon, seeds=_seeds(config, cell, task), lam=config.lam,
-        y0=config.y0, dt=config.dt, record_every=cell["record_every"])
+    paths = _paths(config, cell, task, x0=config.potential.argmin, u0=0.0,
+                   record_every=cell["record_every"], until=[cell["target"]])
+    return hitting_times(paths, cell["target"], config.horizon)
 
 
 def _hitting_finalize(config: ScenarioConfig, cells, results, out_dir):

@@ -4,9 +4,11 @@ The estimators here turn simulation output into the quantities the rest
 of the package reasons about: occupation histograms and total-variation
 distances between them, Wilson intervals and the explicit escape bounds,
 convergence detection toward trap points, and the per-chunk cores of the
-scenario estimators (escape trials, exponential drift moments, Doeblin
-box hits and hitting times), each of which takes the seeds of its
-replicas explicitly.
+scenario estimators.  Doeblin box hits and hitting times are counted over
+paths the caller simulated, one per replica.  Escape trials and
+exponential drift moments run simulators of their own (frozen-drive
+exits, and one recording per drift mark), so they take the seeds of
+their replicas explicitly.
 """
 
 from __future__ import annotations
@@ -19,19 +21,16 @@ import numpy as np
 
 from .angles import TWO_PI, ArcSet, circle_dist, wrap
 from .diffusion import (
-    DiffusionState,
     EnsembleTrajectories,
     Trajectory,
     _seed_tuple,
     _simulate_recorded,
     _validate_grid,
     run_exit_trials,
-    simulate_diffusion,
-    simulate_diffusion_ensemble,
 )
 from .errors import BinMismatchError
 from .landscape import CriticalLandscape, LevelGeometry
-from .pdmp import EventLog, PdmpState, segment_u, simulate_pdmp, simulate_pdmp_driven
+from .pdmp import EventLog, segment_u, simulate_pdmp_driven
 from .potential import PeriodicPotential
 
 __all__ = [
@@ -423,68 +422,37 @@ def drift_samples(potential: PeriodicPotential, kappa: float, x0: float,
     return np.exp(kappa * np.abs(u_t))
 
 
-def doeblin_hits(potential: PeriodicPotential, process: str, x0: float,
-                 u0: float, box, t: float, *, seeds: Sequence[int],
-                 lam: float, y0: int, dt: float) -> int:
-    """How many replicas started at (x0, u0) are in the box at time t.
+def doeblin_hits(paths, box) -> int:
+    """How many of the paths end in the box.
 
     `box` is (x_lo, x_hi, u_lo, u_hi), the x part read as a circular
-    arc.  The diffusion runs all seeds as one ensemble of step dt; the
-    velocity-jump process runs one path per seed from velocity y0 at
-    rate lam.
+    arc.  A path is a diffusion trajectory or a velocity-jump event log;
+    its last row is its state at the horizon.
     """
     x_lo, x_hi, u_lo, u_hi = box
     arc = ArcSet.from_endpoints([(x_lo, x_hi)])
-    if process == "diffusion":
-        n_steps = int(round(t / dt))
-        ens = simulate_diffusion_ensemble(
-            potential, x0, u0, t, dt=dt, seeds=seeds, record_every=n_steps)
-        in_box = arc.indicator(ens.x[:, -1]) \
-            & (ens.u[:, -1] >= u_lo) & (ens.u[:, -1] <= u_hi)
-        return int(in_box.sum())
-    hits = 0
-    for s in seeds:
-        log = simulate_pdmp(potential, lam, PdmpState(x0, u0, y0), t,
-                            seed=int(s))
-        term = log.terminal_state
-        if arc.contains(term.x) and u_lo <= term.u <= u_hi:
-            hits += 1
-    return hits
+    return sum(1 for path in paths
+               if arc.contains(path.x[-1]) and u_lo <= path.u[-1] <= u_hi)
 
 
-def hitting_times(potential: PeriodicPotential, process: str, x_start: float,
-                  target: ArcSet, cap: float, *, seeds: Sequence[int],
-                  lam: float, y0: int, dt: float, record_every: int
+def hitting_times(paths, target: ArcSet, cap: float
                   ) -> Tuple[List[float], List[bool]]:
-    """First entry time into target of each replica started at (x_start, 0).
+    """First entry time into target of each path.
 
-    Returns (values, censored), one entry per seed: a replica that has not
-    entered by cap gets the value cap and censored True.  The
-    velocity-jump entry (rate lam, velocity y0) is exact; the diffusion's
-    is the first recorded row inside the target, every `record_every`
-    steps of size dt.
+    Returns (values, censored), one entry per path: a path that has not
+    entered by cap gets the value cap and censored True.  A velocity-jump
+    event log, run with until=[target], carries its exact entry time; a
+    diffusion trajectory's is the time of its first recorded row inside
+    the target.
     """
     values = []
     censored = []
-    for seed in seeds:
-        if process == "pdmp":
-            log = simulate_pdmp(potential, lam, PdmpState(x_start, 0.0, y0),
-                                cap, seed=seed, until=[target])
-            if log.hit_time is None:
-                values.append(cap)
-                censored.append(True)
-            else:
-                values.append(float(log.hit_time))
-                censored.append(False)
+    for path in paths:
+        if isinstance(path, EventLog):
+            hit = path.hit_time
         else:
-            traj = simulate_diffusion(
-                potential, DiffusionState(x_start, 0.0), cap, dt=dt,
-                seed=seed, record_every=record_every)
-            hits = np.flatnonzero(target.indicator(traj.x))
-            if hits.size == 0:
-                values.append(cap)
-                censored.append(True)
-            else:
-                values.append(float(traj.times[hits[0]]))
-                censored.append(False)
+            rows = np.flatnonzero(target.indicator(path.x))
+            hit = path.times[rows[0]] if rows.size else None
+        values.append(cap if hit is None else float(hit))
+        censored.append(hit is None)
     return values, censored

@@ -3,7 +3,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circlelab.angles import ArcSet
 from circlelab.landscape import compute_level_geometry
@@ -67,3 +70,48 @@ def test_escape_trials_match_the_mean_over_start_configurations():
         p = sum(escape_probabilities(COSINE, geometry, M, 0.25)) / 2.0
         assert censored == 0
         assert abs(successes / n - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def _tenths(lo, hi):
+    return st.integers(lo, hi).map(lambda i: i / 10.0)
+
+
+# Coefficients of a k <= 3 potential; zero terms are drawn often, so the
+# evaluators' skipped terms are covered.
+_COEFFICIENT = st.one_of(st.just(0.0), _tenths(-10, 10))
+_N_TRIALS = 2000
+# 15 examples at |z| < 4.5: a correct sampler fails one with chance below
+# 15 * 6.8e-6 (Bonferroni over the two-sided normal tail).
+_Z = 4.5
+
+
+@settings(max_examples=15, derandomize=True)
+@given(a0=_tenths(-5, 5),
+       harmonics=st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT),
+                          min_size=3, max_size=3).filter(
+                              lambda h: any(c for row in h for c in row)),
+       lam=_tenths(2, 10), depth=_tenths(-30, 30),
+       a=st.floats(-math.pi, math.pi), length=st.floats(0.5, 4.0),
+       frac=st.floats(0.1, 0.9), y=st.sampled_from([-1, 1]))
+def test_simulated_exits_match_over_drawn_cases(a0, harmonics, lam, depth, a,
+                                                length, frac, y):
+    potential = PeriodicPotential(a0, tuple(
+        (k, ck, sk) for k, (ck, sk) in enumerate(harmonics, 1)))
+    b, x = a + length, a + frac * length
+    # The drive g scales F's range on [a, b] to |depth|: wells the
+    # process leaves in a few hundred time units, and a drive that moves
+    # the exit law for every drawn potential.
+    f = potential.value(np.linspace(a, b, 257))
+    g = depth / max(float(f.max() - f.min()), 1e-3)
+    p = exit_upper_probability(potential, lam, g, a, b, x, y)
+    # The normal bound needs both exits to be common enough.
+    assume(_N_TRIALS * p * (1.0 - p) >= 25.0)
+    until = [ArcSet.points([b]), ArcSet.points([a])]
+    upper = 0
+    for seed in derive_replica_seeds(29, _N_TRIALS):
+        log = simulate_pdmp_driven(potential, lam, g, x, y, 1e3, seed=seed,
+                                   until=until)
+        assert log.hit_time is not None
+        upper += log.hit_target == 0
+    assert abs(upper / _N_TRIALS - p) < \
+        _Z * math.sqrt(p * (1.0 - p) / _N_TRIALS)

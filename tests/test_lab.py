@@ -728,6 +728,41 @@ class TestSavedPaths:
             == ["events_0.csv", "events_2.csv"]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kind, options", [
+    ("doeblin", {"grid_points": 4}),
+    ("hitting", {"eta_fractions": [0.5, 1.0], "record_every": 3}),
+])
+def test_doeblin_and_hitting_chunks_run_one_simulator_call(
+        tmp_path, monkeypatch, kind, options, workers):
+    """One ensemble per diffusion chunk, one velocity-jump path per
+    replica, and no one-replica diffusion runs."""
+    monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
+    calls_path = tmp_path / "calls.txt"
+    calls_path.write_text("")
+    _record_simulator_calls(monkeypatch, calls_path)
+    config = scenario_from_dict({
+        "kind": kind, "potential": COSINE_RECORD, "process": "both",
+        "horizon": 0.5, "dt": 5e-3, "replicas": 5, "root_seed": 23,
+        "out_dir": str(tmp_path / "run"), "options": options})
+    run_scenario(config)
+
+    calls = [line.split() for line in calls_path.read_text().splitlines()]
+    cells = runner_module._KINDS[kind].cells(config)
+    n_chunks = len(replica_chunks(config.replicas, int(workers)))
+    for name, process, per_cell in (
+            ("simulate_diffusion_ensemble", "diffusion", n_chunks),
+            ("simulate_pdmp", "pdmp", config.replicas)):
+        blocks = [c["b"] for c in cells if c["process"] == process]
+        assert len([c for c in calls if c[0] == name]) == \
+            per_cell * len(blocks)
+        assert sorted(int(s) for c in calls if c[0] == name
+                      for s in c[1:]) == sorted(
+            derive_replica_seed(23, b * config.replicas + i)
+            for b in blocks for i in range(config.replicas))
+    assert not [c for c in calls if c[0] == "simulate_diffusion"]
+
+
 class TestWorkerCountInvariance:
     """Chunking follows the worker count; the artifacts do not."""
 
@@ -869,6 +904,8 @@ class TestScenarioEstimates:
         ("localization", "tolerance", {"options": {"tolerance": -0.1}}),
         ("drift", "t_grid",
          {"dt": 1e-2, "options": {"t_grid": [1.0, 5e-3]}}),
+        ("ergodic", "dt", {"dt": 30.0}),
+        ("pdmp-vs-diffusion", "dt", {"dt": 30.0}),
     ])
     def test_bad_option_fails_before_any_task(self, tmp_path, monkeypatch,
                                               kind, field, extra):
@@ -882,6 +919,40 @@ class TestScenarioEstimates:
         data.update(extra)
         with pytest.raises(ConfigError, match=f"field '{field}': "):
             run_scenario(scenario_from_dict(data))
+
+    @pytest.mark.parametrize("kind, extra", [
+        # The window [burn, burn + (T - burn) / 8] falls between the
+        # samples at 19.9 and 20.0.
+        ("ergodic", {"options": {"burn_in": 19.95}}),
+        # round(1.0005 / 1e-3) = 1000 steps: the last sample is at 1.0.
+        ("ergodic", {"horizon": 1.0005, "dt": 1e-3,
+                     "options": {"burn_in": 1.0003}}),
+        ("pdmp-vs-diffusion", {"horizon": 1.0005, "dt": 1e-3,
+                               "options": {"burn_in": 1.0003}}),
+    ])
+    def test_burn_in_past_the_last_sample_fails_before_any_task(
+            self, tmp_path, monkeypatch, kind, extra):
+        def fail(payload):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        monkeypatch.setattr(runner_module, "_execute_task", fail)
+        data = {"kind": kind, "potential": COSINE_RECORD, "horizon": 20.0,
+                "replicas": 2, "out_dir": str(tmp_path / "run")}
+        data.update(extra)
+        with pytest.raises(ConfigError,
+                           match="field 'burn_in': the diffusion records "
+                                 "no sample in"):
+            run_scenario(scenario_from_dict(data))
+
+    def test_burn_in_on_a_sample_runs(self, tmp_path, monkeypatch):
+        # [19.9, 19.9125] holds the sample at 19.9 and nothing else.
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        manifest = run_scenario(scenario_from_dict({
+            "kind": "ergodic", "potential": COSINE_RECORD, "horizon": 20.0,
+            "replicas": 2, "out_dir": str(tmp_path / "run"),
+            "options": {"burn_in": 19.9}}))
+        assert manifest.failures == ()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_hypothesis_warning_reaches_the_caller(self, tmp_path,

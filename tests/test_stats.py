@@ -388,22 +388,36 @@ class TestTvDistance:
         assert 0.0 <= tv_distance(a, b) <= 1.0
 
 
+def _replica_paths(potential, process, x0, u0, horizon, seeds, *, y0=1,
+                   record_every=10, until=None):
+    """One path per seed, as the runner's chunks make them: a diffusion
+    ensemble of step 1e-3, or velocity-jump paths at rate 1."""
+    if process == "pdmp":
+        return [simulate_pdmp(potential, 1.0, PdmpState(x0, u0, y0), horizon,
+                              seed=s, until=until) for s in seeds]
+    ens = simulate_diffusion_ensemble(potential, x0, u0, horizon, dt=1e-3,
+                                      seeds=seeds, record_every=record_every)
+    return [ens.replica(i) for i in range(len(seeds))]
+
+
 class TestHittingTime:
-    KW = dict(lam=1.0, y0=1, dt=1e-3, record_every=10)
+    @staticmethod
+    def _hitting(process, x_start, target, cap, seeds):
+        paths = _replica_paths(COSINE, process, x_start, 0.0, cap, seeds,
+                               until=[target])
+        return hitting_times(paths, target, cap)
 
     def test_start_inside_is_zero(self):
         target = ArcSet.from_endpoints([(0.0, 1.0)])
         for process in ("diffusion", "pdmp"):
-            got = hitting_times(COSINE, process, 0.5, target, 10.0,
-                                seeds=[4], **self.KW)
+            got = self._hitting(process, 0.5, target, 10.0, [4])
             assert got == ([0.0], [False])
 
     def test_pdmp_exact_first_entry(self):
         # No flip happens before reaching the target edge for this seed, so
         # the unit-speed travel time to pi - 0.2 is exact.
         target = ArcSet.from_endpoints([(math.pi - 0.2, math.pi + 0.2)])
-        (value,), (censored,) = hitting_times(COSINE, "pdmp", 0.0, target,
-                                              100.0, seeds=[9], **self.KW)
+        (value,), (censored,) = self._hitting("pdmp", 0.0, target, 100.0, [9])
         assert not censored
         assert value == pytest.approx(math.pi - 0.2, abs=1e-12)
 
@@ -412,9 +426,31 @@ class TestHittingTime:
         # sqrt(0.05) cannot get there by the cap.
         target = ArcSet.from_endpoints([(0.0, 0.1)])
         for process in ("diffusion", "pdmp"):
-            got = hitting_times(COSINE, process, 3.0, target, 0.05,
-                                seeds=[1, 2, 3], **self.KW)
+            got = self._hitting(process, 3.0, target, 0.05, [1, 2, 3])
             assert got == ([0.05] * 3, [True] * 3)
+
+    def test_wide_ensemble_matches_one_replica_runs(self):
+        # 30 replicas run the vector EM loop; each one-replica run takes
+        # the scalar loop.  Start 11 (x = 2.2) lies inside the target.
+        potential = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+        target = ArcSet.from_endpoints([(2.05, 2.25)])
+        starts = 0.2 * np.arange(30)
+        seeds = derive_replica_seeds(6, 30)
+        cap = 2.0
+        ens = simulate_diffusion_ensemble(potential, starts, 0.0, cap,
+                                          dt=1e-3, seeds=seeds,
+                                          record_every=3)
+        got = hitting_times([ens.replica(i) for i in range(30)], target, cap)
+        want = ([], [])
+        for x, seed in zip(starts, seeds):
+            traj = simulate_diffusion(potential, DiffusionState(x, 0.0), cap,
+                                      dt=1e-3, seed=seed, record_every=3)
+            rows = np.flatnonzero(target.indicator(traj.x))
+            want[0].append(float(traj.times[rows[0]]) if rows.size else cap)
+            want[1].append(rows.size == 0)
+        assert got == want
+        assert got[0][11] == 0.0
+        assert 0 < sum(got[1]) < 29
 
 
 class TestEscape:
@@ -581,31 +617,34 @@ class TestDrift:
 class TestDoeblin:
     BOX = (math.pi - 1.0, math.pi + 1.0, -2.0, 2.0)
 
+    @staticmethod
+    def _hits(process, x, u, box, t, seeds, y0=1):
+        # One recording stride spanning t, as the doeblin kind runs.
+        paths = _replica_paths(COSINE, process, x, u, t, seeds, y0=y0,
+                               record_every=round(t / 1e-3))
+        return doeblin_hits(paths, box)
+
     def test_full_box_and_unreachable_box(self):
         seeds = derive_replica_seeds(2, 50)
         for process in ("diffusion", "pdmp"):
-            full = doeblin_hits(COSINE, process, 0.0, 0.0,
-                                (0.0, TWO_PI - 1e-9, -50.0, 50.0), 5.0,
-                                seeds=seeds, lam=1.0, y0=1, dt=1e-3)
+            full = self._hits(process, 0.0, 0.0,
+                              (0.0, TWO_PI - 1e-9, -50.0, 50.0), 5.0, seeds)
             assert full == 50
-            none = doeblin_hits(COSINE, process, 0.0, 0.0,
-                                (1.0, 1.5, 40.0, 41.0), 5.0,
-                                seeds=seeds, lam=1.0, y0=1, dt=1e-3)
+            none = self._hits(process, 0.0, 0.0, (1.0, 1.5, 40.0, 41.0), 5.0,
+                              seeds)
             assert none == 0
 
     def test_min_probability_positive_on_grid(self):
         starts = [(x, u)
                   for x in np.linspace(0.0, TWO_PI, 4, endpoint=False)
                   for u in (-2.0, 2.0)]
-        hits = [doeblin_hits(COSINE, "diffusion", x, u, self.BOX, 20.0,
-                             seeds=derive_replica_seeds(i + 1, 150),
-                             lam=1.0, y0=1, dt=1e-3)
+        hits = [self._hits("diffusion", x, u, self.BOX, 20.0,
+                           derive_replica_seeds(i + 1, 150))
                 for i, (x, u) in enumerate(starts)]
         assert min(hits) > 0
 
     def test_pdmp_process(self):
         for i, (x, u, y) in enumerate([(0.0, -1.0, 1), (math.pi, 1.0, -1)]):
-            hits = doeblin_hits(COSINE, "pdmp", x, u, self.BOX, 20.0,
-                                seeds=derive_replica_seeds(i + 1, 60),
-                                lam=1.0, y0=y, dt=1e-3)
+            hits = self._hits("pdmp", x, u, self.BOX, 20.0,
+                              derive_replica_seeds(i + 1, 60), y0=y)
             assert hits > 0
