@@ -10,7 +10,11 @@ the numpy version and the platform it was recorded on: the digests
 depend on numpy's PCG64 and ziggurat code and on the platform's libm.
 Its ``control`` record holds one digest per fixed steering plan in
 ``PLANS``, for both processes: the bytes of the schedule's breakpoints
-and values and the landing state of its integration.
+and values and the landing state of its integration.  Its ``pdmp``
+record holds one digest per raw velocity-jump event log in
+``pdmp_digests``: self-interacting logs of three potentials from three
+starts at two rates, a frozen-drive log, a log stopped at targets, and
+the masses of the nine ergodic windows of one long cosine log.
 
 ``tests/test_bit_identity.py`` reruns the records and compares.  A change
 that moves bits on purpose regenerates the file from the repository
@@ -119,6 +123,66 @@ def control_digests():
     return digests
 
 
+# Velocity-jump event logs: potentials, start levels u0 and rates lambda,
+# all from x0 = 1 at velocity +1 over PDMP_HORIZON.
+PDMP_POTENTIALS = {"cosine": COSINE, "mixture": MIXTURE, "skewed": SKEWED}
+PDMP_U0 = (30.0, -5.0, 0.0)
+PDMP_LAMBDAS = (0.25, 1.0)
+PDMP_HORIZON = 200.0
+# The ergodic-window log: the cosine at lambda = 0.25 from u0 = 0.
+ERGODIC_HORIZON = 1e4
+
+
+def _log_digest(log):
+    """sha256 of an event log's rows, causes and hit."""
+    blob = b"".join(a.tobytes() for a in (log.times, log.x, log.u, log.y))
+    blob += repr((log.causes, log.hit_time, log.hit_target)).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def pdmp_digests():
+    """sha256 of each raw event log and ergodic window mass, by name."""
+    from circlelab import (
+        ArcSet,
+        PdmpState,
+        PeriodicPotential,
+        scenario_from_dict,
+        simulate_pdmp,
+        simulate_pdmp_driven,
+    )
+    from circlelab.runner import _ergodic_cells
+    from circlelab.stats import occupation_histogram
+
+    digests = {}
+    pots = {name: PeriodicPotential.from_record(record)
+            for name, record in PDMP_POTENTIALS.items()}
+    for name, pot in pots.items():
+        for u0 in PDMP_U0:
+            for lam in PDMP_LAMBDAS:
+                log = simulate_pdmp(pot, lam, PdmpState(1.0, u0, 1),
+                                    PDMP_HORIZON, seed=81)
+                digests[f"self-{name}-u{u0:g}-lam{lam:g}"] = _log_digest(log)
+    log = simulate_pdmp_driven(pots["skewed"], 0.5, -4.0, 1.0, -1,
+                               PDMP_HORIZON, seed=82)
+    digests["driven-skewed"] = _log_digest(log)
+    # Target 0 is entered at t ~ 56, after about 140 events.
+    targets = [ArcSet.from_endpoints([(4.5, 4.6)]),
+               ArcSet.from_endpoints([(0.0, 0.3)])]
+    log = simulate_pdmp(pots["mixture"], 0.5, PdmpState(1.0, 30.0, 1),
+                        PDMP_HORIZON, seed=83, until=targets)
+    digests["until-mixture"] = _log_digest(log)
+    record = {"kind": "ergodic", "process": "pdmp", "potential": COSINE,
+              "horizon": ERGODIC_HORIZON}
+    windows = _ergodic_cells(scenario_from_dict(record))[0]["windows"]
+    log = simulate_pdmp(pots["cosine"], 0.25, PdmpState(1.0, 0.0, 1),
+                        ERGODIC_HORIZON, seed=84)
+    for label, lo, hi in windows:
+        h = occupation_histogram(log, burn_in=lo, t_max=hi)
+        blob = h.masses.tobytes() + repr(h.weight).encode()
+        digests[f"ergodic-{label}"] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
 def environment():
     """What the digests depend on besides the code."""
     return {"numpy": np.__version__,
@@ -127,7 +191,7 @@ def environment():
 
 def run_digests(workers):
     """hash_inventory of every record in RUNS, by name, run on `workers`
-    workers, and the control record."""
+    workers, and the control and pdmp records."""
     from circlelab import hash_inventory, run_scenario, scenario_from_dict
 
     saved = os.environ.get("CIRCLELAB_WORKERS")
@@ -140,6 +204,7 @@ def run_digests(workers):
                 run_scenario(scenario_from_dict({**record, "out_dir": out}))
                 digests[name] = hash_inventory(out)
             digests["control"] = control_digests()
+            digests["pdmp"] = pdmp_digests()
             return digests
     finally:
         if saved is None:
