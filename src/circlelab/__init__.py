@@ -74,6 +74,7 @@ from .stats import (
     escape_hits,
     hitting_times,
     occupation_histogram,
+    occupation_histograms,
     tv_distance,
     wilson_interval,
 )

@@ -17,8 +17,13 @@ def wrap(x):
     """Reduce an angle (scalar or array) to [0, 2*pi).
 
     Plain remainder can round up to exactly 2*pi (e.g. for a tiny
-    negative input); that endpoint is folded back to 0.
+    negative input); that endpoint is folded back to 0.  A float takes
+    Python's %, which is numpy's remainder bit for bit and ~30x cheaper
+    on one number.
     """
+    if isinstance(x, float):
+        r = float(x) % TWO_PI
+        return 0.0 if r == TWO_PI else r
     r = np.remainder(x, TWO_PI)
     if np.ndim(r) == 0:
         return 0.0 if r == TWO_PI else float(r)

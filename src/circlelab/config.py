@@ -160,8 +160,14 @@ class ScenarioConfig:
                                   f"got {value!r}")
         if self.horizon <= 0.0:
             raise ConfigError("field 'horizon': must be > 0")
-        if self.process in ("diffusion", "both") and self.dt <= 0.0:
-            raise ConfigError("field 'dt': must be > 0 for the diffusion")
+        if self.process in ("diffusion", "both") \
+                or self.kind == "pdmp-vs-diffusion":
+            # The diffusion runs: it steps over the horizon in dt.
+            if self.dt <= 0.0:
+                raise ConfigError("field 'dt': must be > 0 for the diffusion")
+            if self.dt > self.horizon:
+                raise ConfigError(f"field 'dt': must not exceed the horizon "
+                                  f"{self.horizon!r}, got {self.dt!r}")
         if self.process in ("pdmp", "both") and self.lam <= 0.0:
             raise ConfigError("field 'lambda': must be > 0 for the "
                               "velocity-jump process")

@@ -133,21 +133,17 @@ def _nearest_lift(target: float, ref: float) -> float:
     return ref + d
 
 
-def _rk4_loop(potential: PeriodicPotential):
-    """loop(x, u, v, n, h): n RK4 steps of size h for `_rk4_span`, with
-    the potential's (F, F') block inlined at each of the four stages.
+def _rk4_source(potential: PeriodicPotential, name: str) -> str:
+    """Python text of `name`(x, u, v, n, h): n RK4 steps of size h for
+    `_rk4_span`, with the potential's (F, F') block inlined at each of
+    the four stages, so a step makes no call and tests no zero term;
+    every float operation is the one `value_s` and `derivative_s` would
+    make, in their order."""
+    def stage(x, f):
+        return "".join(f"\n        {line}"
+                       for line in potential._sums_block(x, {0: f, 1: "d"}))
 
-    Generated on first use and cached on the instance, so a step makes
-    no call and tests no zero term; every float operation is the one
-    `value_s` and `derivative_s` would make, in their order.
-    """
-    loop = potential.__dict__.get("_rk4_loop")
-    if loop is None:
-        def stage(x, f):
-            return "".join(f"\n        {line}"
-                           for line in potential._f_fp_block(x, f, "d"))
-
-        source = f"""def loop(x, u, v, n, h):
+    return f"""def {name}(x, u, v, n, h):
     half = 0.5 * h
     sixth = h / 6.0
     for _ in range(n):{stage("x", "k1u")}
@@ -162,11 +158,6 @@ def _rk4_loop(potential: PeriodicPotential):
         u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
     return x, u
 """
-        namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf}
-        exec(compile(source, "<generated RK4 loop>", "exec"), namespace)
-        loop = namespace["loop"]
-        object.__setattr__(potential, "_rk4_loop", loop)
-    return loop
 
 
 def _rk4_span(potential: PeriodicPotential, x: float, u: float, v: float,
@@ -175,12 +166,15 @@ def _rk4_span(potential: PeriodicPotential, x: float, u: float, v: float,
 
     Positions are lifted reals (no wrapping), so the same discrete map is
     reproduced exactly when a schedule is re-integrated from the start.
+    The steps run in the potential's generated loop (see `_rk4_source`),
+    compiled on first use and cached on the potential.
     """
     if duration <= 0.0:
         return x, u
     dt_target = min(_RK_DT, _RK_SWEEP / (1.0 + abs(v)))
     n = max(_RK_MIN_STEPS, int(math.ceil(duration / dt_target)))
-    return _rk4_loop(potential)(x, u, v, n, duration / n)
+    loop = potential._generated("rk4_loop", _rk4_source)
+    return loop(x, u, v, n, duration / n)
 
 
 def integrate_diffusion_control(potential: PeriodicPotential,

@@ -27,10 +27,18 @@ takes it once and both simulators repeat it from row to row.  The
 interaction in the rate is the closed-form u of the segment, or the frozen
 drive, and the same value gives each row's u column.
 
-The RNG draw order is fixed: first the theta2 exponential, then per
-thinning proposal one exponential followed by one uniform.  A replica's
-event log is therefore bit-reproducible from (seed, parameters, horizon).
-The two clocks tie only on a null event; ties resolve to constant-rate.
+The thinning sampler is generated per potential on first use, one for
+the self-interacting clock and one for the frozen drive, and cached on
+the potential (see `_thinning`): F', G and the window bounds are written
+out as straight-line statements with the float operations of the plain
+loop over `derivative_s` and `antiderivative_s`, in its order, so the
+samples are its samples bit for bit.
+
+The RNG draw order is fixed, and generation leaves it unchanged: first
+the theta2 exponential, then per thinning proposal one exponential
+followed by one uniform.  A replica's event log is therefore
+bit-reproducible from (seed, parameters, horizon).  The two clocks tie
+only on a null event; ties resolve to constant-rate.
 """
 
 from __future__ import annotations
@@ -164,89 +172,121 @@ def segment_u(potential: PeriodicPotential, x0: float, y: int, s: float,
                      - potential.antiderivative_s(x0))
 
 
-def _arc_derivative_range(potential: PeriodicPotential, x_from: float,
-                          y: int, h: float, lipschitz_fp: float):
-    """Certified (min, max) of F' on the arc swept from x_from over h."""
-    d0 = potential.derivative_s(x_from)
-    d1 = potential.derivative_s(x_from + y * (0.5 * h))
-    d2 = potential.derivative_s(x_from + y * h)
-    slack = lipschitz_fp * (0.25 * h)
-    return min(d0, d1, d2) - slack, max(d0, d1, d2) + slack
+def _thinning_source(potential: PeriodicPotential, name: str,
+                     frozen: bool) -> str:
+    """Python text of the thinning sampler `name` of the landscape clock.
 
-
-def _sample_landscape_time(potential, x0, y, gen, cutoff, value_at, lipschitz_u):
-    """First arrival of the thinned landscape clock, or None past cutoff.
-
-    value_at(s) is the interaction value after flow time s (closed-form u
-    for the homogeneous process, the constant for the frozen variant);
-    lipschitz_u bounds |d value_at / ds|.  The window bound is the corner
-    maximum of (y * u) * F' over the certified product of intervals, so
-    stretches where the rate is provably zero are skipped without any
-    proposals.
+    name(x0, y, w, g0, gen, cutoff) returns the first arrival before
+    cutoff, or None.  The interaction after flow time s is
+    w + y (G(x0 + y s) - g0), with g0 = G(x0), or the constant frozen
+    drive w, which ignores g0; it grows at most at rate |a0| + sum_k
+    (|a_k| + |b_k|), or not at all.  Over each window of width h from s,
+    F' lies between the least and the greatest of its values at the
+    window's start, middle and end, widened by h/4 times the coefficient
+    bound on |F''|, and y times the interaction lies within h times its
+    growth bound of its value at s.  r_bar, the largest product of the
+    two intervals' ends (or 0), bounds the rate on the window.  A
+    window with r_bar = 0 is skipped without a draw, and one with
+    r_bar h above the cap shrinks to h = cap / r_bar.  Proposals in a
+    window are exponential steps of rate r_bar, each accepted with
+    probability r / r_bar by one uniform.  F', G and the bounds are
+    written out as straight-line statements (see `_sums_block`).
     """
+    h = min(math.pi, 0.5 / potential.coefficient_bound_derivative(1))
+    slack = potential.coefficient_bound_derivative(2) * (0.25 * h)
+    growth = 0.0 if frozen else (abs(potential.a0)
+                                 + potential.coefficient_bound_derivative(0))
+    cap = _WINDOW_PROPOSAL_CAP
+
+    def block(x, sums, indent):
+        return "".join(f"\n{indent}{line}"
+                       for line in potential._sums_block(x, sums))
+
+    def value(g):
+        return "w" if frozen else f"(w + y * ({g} - g0))"
+
+    at_start = {1: "d0"} if frozen else {-1: "g", 1: "d0"}
+    at_pos = {1: "dp"} if frozen else {-1: "gp", 1: "dp"}
+    return f"""def {name}(x0, y, w, g0, gen, cutoff):
     if cutoff <= 0.0:
         return None
-    deriv = potential.derivative_s
-    lip_fp = potential.coefficient_bound_derivative(2)
-    h_base = min(math.pi, 0.5 / potential.coefficient_bound_derivative(1))
+    draw = gen.standard_exponential
+    uniform = gen.random
     s = 0.0
     while s < cutoff:
-        h = h_base
-        d_lo, d_hi = _arc_derivative_range(potential, x0 + y * s, y, h, lip_fp)
-        w0 = y * value_at(s)
-        w_lo = w0 - h * lipschitz_u
-        w_hi = w0 + h * lipschitz_u
-        r_bar = max(0.0, w_lo * d_lo, w_lo * d_hi, w_hi * d_lo, w_hi * d_hi)
+        xf = x0 + y * s{block("xf", at_start, " " * 8)}
+        xm = xf + y * {0.5 * h!r}{block("xm", {1: "d1"}, " " * 8)}
+        xe = xf + y * {h!r}{block("xe", {1: "d2"}, " " * 8)}
+        d_lo = d0
+        if d1 < d_lo:
+            d_lo = d1
+        if d2 < d_lo:
+            d_lo = d2
+        d_hi = d0
+        if d1 > d_hi:
+            d_hi = d1
+        if d2 > d_hi:
+            d_hi = d2
+        d_lo = d_lo - {slack!r}
+        d_hi = d_hi + {slack!r}
+        w0 = y * {value("g")}
+        w_lo = w0 - {h * growth!r}
+        w_hi = w0 + {h * growth!r}
+        r_bar = 0.0
+        r = w_lo * d_lo
+        if r > r_bar:
+            r_bar = r
+        r = w_lo * d_hi
+        if r > r_bar:
+            r_bar = r
+        r = w_hi * d_lo
+        if r > r_bar:
+            r_bar = r
+        r = w_hi * d_hi
+        if r > r_bar:
+            r_bar = r
         if r_bar <= 0.0:
-            s = min(s + h, cutoff)
+            s = s + {h!r}
+            if cutoff < s:
+                s = cutoff
             continue
-        if r_bar * h > _WINDOW_PROPOSAL_CAP:
-            # A shorter window keeps expected proposals bounded; r_bar
-            # still dominates the rate on the sub-window.
-            h = _WINDOW_PROPOSAL_CAP / r_bar
-        hi = min(s + h, cutoff)
+        if r_bar * {h!r} > {cap!r}:
+            end = s + {cap!r} / r_bar
+        else:
+            end = s + {h!r}
+        if cutoff < end:
+            end = cutoff
         pos = s
         while True:
-            pos += gen.standard_exponential() / r_bar
-            if pos >= hi:
+            pos += draw() / r_bar
+            if pos >= end:
                 break
-            r = y * value_at(pos) * deriv(x0 + y * pos)
-            if r > 0.0 and gen.random() * r_bar <= r:
+            xp = x0 + y * pos{block("xp", at_pos, " " * 12)}
+            r = y * {value("gp")} * dp
+            if r > 0.0 and uniform() * r_bar <= r:
                 return pos
-        s = hi
+        s = end
     return None
+"""
 
 
-def _homogeneous_value_at(potential, x0, y, u0):
-    g0 = potential.antiderivative_s(x0)
-    anti = potential.antiderivative_s
-
-    def value_at(s):
-        return u0 + y * (anti(x0 + y * s) - g0)
-
-    return value_at
+def _thinning(potential: PeriodicPotential, frozen: bool):
+    """The potential's thinning sampler of the landscape clock (see
+    `_thinning_source`), self-interacting or frozen-drive, generated on
+    first use and cached on the potential."""
+    return potential._generated("thin_frozen" if frozen else "thin_self",
+                                _thinning_source, frozen)
 
 
-def _interaction(potential, x0, y, u0, g):
-    """(value_at, lipschitz_u) of the segment from x0 at velocity y: the
-    closed-form u from u0, or the constant frozen drive g if u0 is None."""
-    if u0 is None:
-        gv = float(g)
-        return (lambda s: gv), 0.0
-    return (_homogeneous_value_at(potential, x0, y, u0),
-            abs(potential.a0) + potential.coefficient_bound_derivative(0))
-
-
-def _next_event(potential, lam, x, y, gen, s_max, value_at, lip):
+def _next_event(thin, lam, x, y, w, g0, gen, s_max):
     """(theta, cause) of the next jump within s_max, or None.
 
     Draws theta2 = E/lambda from the constant-rate clock first, then runs
-    the landscape clock by thinning up to min(theta2, s_max).  Ties
-    resolve to constant-rate.
+    the landscape clock by the thinning sampler `thin` (see `_thinning`)
+    up to min(theta2, s_max).  Ties resolve to constant-rate.
     """
     theta2 = gen.standard_exponential() / lam
-    theta1 = _sample_landscape_time(potential, x, y, gen, min(theta2, s_max),
-                                    value_at, lip)
+    theta1 = thin(x, y, w, g0, gen, min(theta2, s_max))
     if theta1 is not None and theta1 < theta2:
         return theta1, CAUSE_LANDSCAPE
     if theta2 < s_max:
@@ -267,8 +307,11 @@ def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
         raise ValueError("provide exactly one of u0 or g")
     if y not in (-1, 1):
         raise ValueError("velocity y must be -1 or +1")
-    value_at, lip = _interaction(potential, x0, y, u0, g)
-    return _sample_landscape_time(potential, x0, y, gen, cutoff, value_at, lip)
+    if u0 is None:
+        return _thinning(potential, True)(x0, y, float(g), 0.0, gen, cutoff)
+    return _thinning(potential, False)(x0, y, u0,
+                                       potential.antiderivative_s(x0), gen,
+                                       cutoff)
 
 
 def sample_next_event(potential: PeriodicPotential, lam: float,
@@ -284,9 +327,9 @@ def sample_next_event(potential: PeriodicPotential, lam: float,
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    value_at, lip = _interaction(potential, state.x, state.y, state.u, None)
-    return _next_event(potential, lam, state.x, state.y, gen, s_max,
-                       value_at, lip)
+    return _next_event(_thinning(potential, False), lam, state.x, state.y,
+                       state.u, potential.antiderivative_s(state.x), gen,
+                       s_max)
 
 
 def _first_target_entry(targets, x, y, max_travel):
@@ -308,8 +351,8 @@ def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
                    seed):
     """The event loop of both simulators: `_next_event` from each row
     until the horizon or a target.  The interaction is u from u0, or the
-    constant frozen drive g if u0 is None; either way a row's u column is
-    the segment's value_at at the row."""
+    constant frozen drive g if u0 is None; a row's u column is its value
+    at the row."""
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     if not horizon > 0.0:
@@ -320,18 +363,24 @@ def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
     if y not in (-1, 1):
         raise ValueError("velocity y must be -1 or +1")
     gen = generator_from_seed(seed)
-    value_at, lip = _interaction(potential, x, y, u0, g)
+    frozen = u0 is None
+    thin = _thinning(potential, frozen)
+    anti = potential.antiderivative_s
+    w = g if frozen else u0
+    g0 = 0.0
     times = [0.0]
     xs = [x]
-    us = [g if u0 is None else u0]
+    us = [w]
     ys = [y]
     causes = [CAUSE_INIT]
     hit_target = None
     t = 0.0
     n_events = 0
     while True:
+        if not frozen:
+            g0 = anti(x)
         s_rem = horizon - t
-        evt = _next_event(potential, lam, x, y, gen, s_rem, value_at, lip)
+        evt = _next_event(thin, lam, x, y, w, g0, gen, s_rem)
         theta, cause = evt if evt is not None else (s_rem, CAUSE_END)
         hit = None if until is None else _first_target_entry(until, x, y,
                                                               theta)
@@ -339,14 +388,15 @@ def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
             theta, hit_target = hit
             cause = CAUSE_HIT
         t = horizon if cause == CAUSE_END else t + theta
+        if not frozen:
+            w = w + y * (anti(x + y * theta) - g0)
         x = float(wrap(x + y * theta))
-        u = value_at(theta)
         jump = cause in (CAUSE_LANDSCAPE, CAUSE_CONSTANT)
         if jump:
             y = -y
         times.append(t)
         xs.append(x)
-        us.append(u)
+        us.append(w)
         ys.append(y)
         causes.append(cause)
         if not jump:
@@ -355,8 +405,6 @@ def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
         if n_events > max_events:
             raise RunawayError(
                 f"event count exceeded the cap of {max_events} before the horizon")
-        if u0 is not None:
-            value_at = _homogeneous_value_at(potential, x, y, u)
     times_a = np.asarray(times)
     x_a = np.asarray(xs)
     u_a = np.asarray(us)

@@ -155,9 +155,10 @@ class PeriodicPotential:
         object.__setattr__(self, "_extremes_cache", None)
         object.__setattr__(self, "_sup_cache", {})
         object.__setattr__(self, "_bound_cache", {})
+        object.__setattr__(self, "_functions", {})
         self.coefficients(-1)
         # The rows of F and F' paired by harmonic: the loop of both EM
-        # loops in diffusion.py and of _f_fp_block.
+        # loops in diffusion.py.
         object.__setattr__(self, "_f_fp_rows", tuple(
             zip(self.coefficients(0), self.coefficients(1))))
 
@@ -218,37 +219,58 @@ class PeriodicPotential:
     derivative_s = _scalar_sum(1, sin, cos, "F'(x) at a float x.")
     antiderivative_s = _scalar_sum(-1, sin, cos, "G(x) at a float x.")
 
-    def _f_fp_block(self, x: str, f: str, fp: str) -> list[str]:
-        """Straight-line Python statements that set the names f = F(x) and
-        fp = F'(x) from the float named x, bitwise equal to value_s(x) and
-        derivative_s(x), with no call, loop or zero test of their own.
+    def _sums_block(self, x: str, sums: dict) -> list[str]:
+        """Straight-line Python statements that set, for each order: name
+        of `sums`, the name to the table sum of that order (see
+        `coefficients`) at the float named x, bitwise equal to value_s(x)
+        for order 0, derivative_s(x) for 1 and antiderivative_s(x) for -1,
+        with no call, loop or zero test of their own.
 
-        The sums are the tables' (see `coefficients`) with the zero terms
-        left out; -0.0 + y is y bitwise, so F' starts at its first term.
+        The zero terms are left out, and -0.0 + y is y bitwise, so F^(n)
+        for n >= 1 starts at its first term.  Each harmonic k takes cos
+        and sin of k x once, for all the sums that read them.
         Coefficients are written as repr() of the table's floats, which
         reads back exactly; a finite a_k times k can overflow to inf, so
         the statements read the names cos, sin and inf (math's), and
-        assign kx<i>, c<i> and s<i> for the i-th row.
+        assign kx<k>, c<k> and s<k> for the harmonics they read.
         """
-        lines, f_terms, fp_terms = [], [repr(self.a0)], []
-        for i, ((k, a, b), (_, da, db)) in enumerate(self._f_fp_rows):
-            kx = x if k == 1.0 else f"kx{i}"  # 1.0 * x is x bitwise
-            if k != 1.0:
-                lines.append(f"{kx} = {k!r} * {x}")
-            lines += [f"c{i} = cos({kx})", f"s{i} = sin({kx})"]
-            if a:
-                f_terms.append(f"{a!r} * c{i}")
-                fp_terms.append(f"{da!r} * s{i}")
-            if b:
-                f_terms.append(f"{b!r} * s{i}")
-                fp_terms.append(f"{db!r} * c{i}")
-        return lines + [f"{f} = {' + '.join(f_terms)}",
-                        f"{fp} = {' + '.join(fp_terms)}"]
+        trig, lines = {}, []
+        for order, name in sums.items():
+            first, second = ("c", "s") if order % 2 == 0 else ("s", "c")
+            terms = ([repr(self.a0)] if order == 0
+                     else [f"{self.a0!r} * {x}"] if order == -1 else [])
+            for k, p, q in self.coefficients(order):
+                for coef, fn in ((p, first), (q, second)):
+                    if coef:
+                        trig.setdefault(int(k), set()).add(fn)
+                        terms.append(f"{coef!r} * {fn}{int(k)}")
+            lines.append(f"{name} = {' + '.join(terms) or '-0.0'}")
+        head = []
+        for k in sorted(trig):
+            kx = x if k == 1 else f"kx{k}"  # 1.0 * x is x bitwise
+            if k != 1:
+                head.append(f"{kx} = {float(k)!r} * {x}")
+            head += [f"{fn}{k} = {'cos' if fn == 'c' else 'sin'}({kx})"
+                     for fn in sorted(trig[k])]
+        return head + lines
+
+    def _generated(self, name: str, source, *args):
+        """The function `name` that the Python text source(self, name,
+        *args) defines, compiled on first use and cached on the instance.
+
+        The text reads cos, sin and inf (see `_sums_block`).  A pickled
+        potential leaves the cache out, and a copy compiles its own.
+        """
+        fn = self._functions.get(name)
+        if fn is None:
+            namespace = {"cos": cos, "sin": sin, "inf": math.inf}
+            exec(compile(source(self, name, *args), f"<generated {name}>",
+                         "exec"), namespace)
+            fn = self._functions[name] = namespace[name]
+        return fn
 
     def __getstate__(self):
-        # control._rk4_loop caches a generated function on the instance;
-        # it does not pickle, and a copy generates its own on first use.
-        return {k: v for k, v in self.__dict__.items() if k != "_rk4_loop"}
+        return {**self.__dict__, "_functions": {}}
 
     # ----- global extremes and norms ------------------------------------
 

@@ -69,6 +69,7 @@ from .stats import (
     escape_hits,
     hitting_times,
     occupation_histogram,
+    occupation_histograms,
     tv_distance,
     wilson_interval,
 )
@@ -231,17 +232,23 @@ def _burn_in(config: ScenarioConfig, default: float, fraction: float,
         raise ConfigError(f"field 'burn_in': must be < the horizon "
                           f"{config.horizon!r}, got {burn!r}")
     if diffusion:
-        try:
-            times = config.dt * _record_steps(
-                config.horizon, config.dt, config.option("record_every", 100))
-        except ValueError as exc:
-            raise ConfigError(f"field 'dt': {exc}") from exc
         end = burn + (config.horizon - burn) * fraction
-        if not np.any((times >= burn) & (times <= end)):
-            raise ConfigError(f"field 'burn_in': the diffusion records no "
-                              f"sample in [{burn!r}, {end!r}]; its last "
-                              f"is at t = {float(times[-1])!r}")
+        _check_recorded(config, [("burn-in", burn, end)], "burn_in")
     return burn
+
+
+def _check_recorded(config: ScenarioConfig, windows, field: str) -> None:
+    """ConfigError naming `field` unless the diffusion's ensembles (see
+    `_paths`) record a sample in each (label, lo, hi) window."""
+    every = config.option("record_every", 100)
+    times = config.dt * _record_steps(config.horizon, config.dt, every)
+    for label, lo, hi in windows:
+        if not np.any((times >= lo) & (times <= hi)):
+            raise ConfigError(f"field {field!r}: the diffusion records no "
+                              f"sample in [{lo!r}, {hi!r}] ({label} window)"
+                              f"; it records every {every} steps of "
+                              f"{config.dt!r}, the last at t = "
+                              f"{float(times[-1])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +266,8 @@ def _ergodic_cells(config: ScenarioConfig):
         t2 = min(burn + 2.0 * (T - burn) * frac, T)
         windows.append((f"upto_{frac}", burn, t))
         windows.append((f"upto2_{frac}", burn, t2))
+    if "diffusion" in config.processes():
+        _check_recorded(config, windows, "record_every")
     return [{"process": process, "b": b, "windows": windows}
             for b, process in enumerate(config.processes())]
 
@@ -266,10 +275,11 @@ def _ergodic_cells(config: ScenarioConfig):
 def _ergodic_run(config: ScenarioConfig, cell, task):
     n_saved = _saved_path_count(config)
     histograms, paths = [], []
+    labels = [label for label, _, _ in cell["windows"]]
+    bounds = [(lo, hi) for _, lo, hi in cell["windows"]]
     for rep, path in enumerate(_paths(config, cell, task), task["lo"]):
-        histograms.append({label: occupation_histogram(path, burn_in=lo,
-                                                       t_max=hi)
-                           for label, lo, hi in cell["windows"]})
+        histograms.append(dict(zip(labels,
+                                   occupation_histograms(path, bounds))))
         if rep < n_saved:
             paths.append((rep, _own(path)))
     return {"windows": histograms, "paths": paths}

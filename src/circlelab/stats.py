@@ -40,6 +40,7 @@ __all__ = [
     "EmpiricalHistogram",
     "wilson_interval",
     "occupation_histogram",
+    "occupation_histograms",
     "tv_distance",
     "escape_hits",
     "escape_bound",
@@ -179,80 +180,151 @@ def occupation_histogram(path, *, x_bins: int = DEFAULT_X_BINS,
     (for driven logs, at the segment's recorded drive value).  A segment
     that straddles burn_in is cut at it.  The masses do not depend on how
     the segments are grouped for the array work: slices are added in
-    segment-then-slice order.
+    segment-then-slice order.  This is the one-window case of
+    `occupation_histograms`.
     """
-    if math.isnan(burn_in):
-        raise ValueError("burn_in must not be NaN")
-    if math.isnan(t_max):
-        raise ValueError("t_max must not be NaN")
+    return occupation_histograms(path, [(burn_in, t_max)], x_bins=x_bins)[0]
+
+
+def occupation_histograms(path, windows: Sequence[Tuple[float, float]], *,
+                          x_bins: int = DEFAULT_X_BINS
+                          ) -> List[EmpiricalHistogram]:
+    """`occupation_histogram` of each (burn_in, t_max) window, in order,
+    each bitwise equal to its one-window result.
+
+    An event log is sliced once: each segment inside the windows' hull is
+    split into (bin, duration) slices.  A window then adds the slices of
+    the segments wholly inside it, in order, after a re-slice of the
+    segment it cuts at burn_in and before one of the segment it cuts at
+    t_max, so every bin sums the same slices in the same order.
+    """
+    windows = [(float(lo), float(hi)) for lo, hi in windows]
+    for lo, hi in windows:
+        if math.isnan(lo):
+            raise ValueError("burn_in must not be NaN")
+        if math.isnan(hi):
+            raise ValueError("t_max must not be NaN")
     x_edges = np.linspace(0.0, TWO_PI, int(x_bins) + 1)
     u_edges = np.linspace(*DEFAULT_U_RANGE, DEFAULT_U_BINS + 1)
-    counts = np.zeros((x_edges.size - 1, u_edges.size + 1))
+    shape = (x_edges.size - 1, u_edges.size + 1)
 
     if isinstance(path, (Trajectory, EnsembleTrajectories)):
-        keep = (path.times >= burn_in) & (path.times <= t_max)
-        if not np.any(keep):
-            raise ValueError("no samples in [burn_in, t_max]")
-        _accumulate(counts, path.x[..., keep], path.u[..., keep],
-                    x_edges, u_edges, 1.0)
+        masses = []
+        for lo, hi in windows:
+            keep = (path.times >= lo) & (path.times <= hi)
+            if not np.any(keep):
+                raise ValueError("no samples in [burn_in, t_max]")
+            counts = np.zeros(shape)
+            _accumulate(counts, path.x[..., keep], path.u[..., keep],
+                        x_edges, u_edges, 1.0)
+            masses.append(counts)
     elif isinstance(path, EventLog):
-        _accumulate_event_log(counts, path, x_edges, u_edges, burn_in, t_max)
+        masses = _event_log_counts(path, shape, u_edges, windows)
     else:
         raise TypeError("path must be a Trajectory, EnsembleTrajectories, "
                         "or EventLog")
-    total = counts.sum()
-    if total <= 0.0:
-        raise ValueError("path contributed no occupation mass")
-    return EmpiricalHistogram(x_edges, u_edges, counts / total, float(total))
+    out = []
+    for counts in masses:
+        total = counts.sum()
+        if total <= 0.0:
+            raise ValueError("path contributed no occupation mass")
+        out.append(EmpiricalHistogram(x_edges, u_edges, counts / total,
+                                      float(total)))
+    return out
 
 
-def _accumulate_event_log(counts, log, x_edges, u_edges, burn_in, t_max):
-    n_x = x_edges.size - 1
-    bin_width = TWO_PI / n_x
+def _event_log_counts(log, shape, u_edges, windows):
+    """Unnormalized masses of an event log in each window (see
+    `occupation_histograms`)."""
+    times = log.times
+    # Window j holds the segments spans[j][0] .. spans[j][1] (none if the
+    # first exceeds the last): those that end after lo and start before hi.
+    spans = [(int(np.searchsorted(times[1:], lo, side="right")),
+              int(np.searchsorted(times[:-1], hi, side="left")) - 1)
+             for lo, hi in windows]
+    used = [span for span in spans if span[0] <= span[1]]
+    if used:
+        first = min(a for a, _ in used)
+        last = max(b for _, b in used)
+        flat, durations, n = _slice_segments(
+            log, shape, u_edges, first, last, -math.inf, math.inf)
+        # Slices of segment first + i are offset[i] .. offset[i + 1].
+        offset = np.concatenate(([0], np.cumsum(n)))
+    out = []
+    for (lo, hi), (a, b) in zip(windows, spans):
+        counts = np.zeros(shape)
+        out.append(counts)
+        if a > b:
+            continue
+        bins = counts.reshape(-1)
+        cut_lo = bool(times[a] < lo)
+        cut_hi = bool(times[b + 1] > hi)
+        if cut_lo or (cut_hi and a == b):
+            # Segment a, cut at lo, and at hi too if it is the last.
+            np.add.at(bins, *_slice_segments(log, shape, u_edges, a, a,
+                                             lo, hi)[:2])
+        i, j = offset[a + cut_lo - first], offset[b + 1 - cut_hi - first]
+        np.add.at(bins, flat[i:j], durations[i:j])
+        if cut_hi and b > a:
+            np.add.at(bins, *_slice_segments(log, shape, u_edges, b, b,
+                                             lo, hi)[:2])
+    return out
+
+
+def _slice_segments(log, shape, u_edges, first, last, burn_in, t_max):
+    """(flat bin index, duration) of every slice of the log's segments
+    first .. last inside [burn_in, t_max], in order, and the slice count
+    of each segment.
+
+    The first segment is cut at burn_in if it straddles it, and every
+    segment at t_max.  Blocks of whole segments with about _SLICE_BLOCK
+    slices bound the temporary arrays.
+    """
     potential = log.potential
     driven = log.kind != "self"
-    inside = np.flatnonzero((log.times[1:] > burn_in)
-                            & (log.times[:-1] < t_max))
-    if inside.size == 0:
-        return
-    t0 = log.times[inside]
-    x0 = log.x[inside]
-    u0 = log.u[inside]
-    y = log.y[inside].astype(float)
+    rows = slice(first, last + 1)
+    t0 = log.times[rows].copy()
+    x0 = log.x[rows].copy()
+    u0 = log.u[rows].copy()
+    y = log.y[rows].astype(float)
     if t0[0] < burn_in:
-        # Only the first segment in the window can straddle the burn-in
-        # boundary; advance its start to the boundary.
+        # Only the first segment can straddle the burn-in boundary;
+        # advance its start to the boundary.
         shift = burn_in - float(t0[0])
         if not driven:
             u0[0] = segment_u(potential, float(x0[0]), int(y[0]), shift,
                               float(u0[0]))
         x0[0] = wrap(float(x0[0]) + y[0] * shift)
         t0[0] = burn_in
-    length = np.minimum(log.times[inside + 1], t_max) - t0
+    length = np.minimum(log.times[first + 1:last + 2], t_max) - t0
     live = length > 0.0
-    x0, u0, y, length = x0[live], u0[live], y[live], length[live]
+    n = np.zeros(length.size, dtype=np.int64)
+    if not np.all(live):
+        x0, u0, y, length = x0[live], u0[live], y[live], length[live]
+    bin_width = TWO_PI / shape[0]
     # A segment of length L crosses at most L / bin_width + 1 bin edges.
-    # Blocks of whole segments with about _SLICE_BLOCK slices bound the
-    # temporary arrays; they are binned in order, so slices are still
-    # added segment by segment.
     n_slices = length / bin_width + 2.0
     block = (np.cumsum(n_slices) - n_slices) // _SLICE_BLOCK
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1,
                            [block.size]))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        _bin_segments(counts, potential, u_edges, x0[a:b], u0[a:b], y[a:b],
-                      length[a:b], driven)
+    parts = [_bin_segments(shape, potential, u_edges, x0[a:b], u0[a:b],
+                           y[a:b], length[a:b], driven)
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    flat, durations, n[live] = (np.concatenate(p) for p in zip(*parts))
+    return flat, durations, n
 
 
-def _bin_segments(counts, potential, u_edges, x0, u0, y, length, driven):
-    """Split segments at the x-bin edges they cross and bin the slices.
+def _bin_segments(shape, potential, u_edges, x0, u0, y, length, driven):
+    """Split segments at the x-bin edges they cross and bin the slices:
+    (flat bin index, duration) of each slice, in order, and the slice
+    count of each segment.
 
     Unit speed makes arc length equal time, so each slice carries its
     exact duration.  Classifying a slice by its midpoint keeps the
     allocation robust at the edges.  Slices of driven logs take the
     recorded drive value.
     """
-    n_x = counts.shape[0]
+    n_x = shape[0]
     bin_width = TWO_PI / n_x
     m = x0.size
     end = x0 + y * length
@@ -288,7 +360,7 @@ def _bin_segments(counts, potential, u_edges, x0, u0, y, length, driven):
         g0 = potential.antiderivative(x0)
         u_mid = u0[sid] + y[sid] * (potential.antiderivative(x_mid) - g0[sid])
     ui = _bin_u(u_mid, u_edges)
-    np.add.at(counts, (xi, ui), durations)
+    return xi * shape[1] + ui, durations, n_cross + 1
 
 
 def tv_distance(h1: EmpiricalHistogram, h2: EmpiricalHistogram) -> float:

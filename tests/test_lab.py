@@ -945,6 +945,44 @@ class TestScenarioEstimates:
                                  "no sample in"):
             run_scenario(scenario_from_dict(data))
 
+    @pytest.mark.parametrize("kind", config_module.SCENARIO_KINDS)
+    def test_dt_above_the_horizon_is_refused_for_every_kind(self, kind):
+        data = {"kind": kind, "potential": COSINE_RECORD,
+                "process": "diffusion", "horizon": 0.5, "dt": 0.6}
+        with pytest.raises(ConfigError,
+                           match="field 'dt': must not exceed the horizon"):
+            scenario_from_dict(data)
+        # The velocity-jump process alone takes no step.
+        if kind not in ("refinement", "pdmp-vs-diffusion"):
+            scenario_from_dict({**data, "process": "pdmp"})
+
+    @pytest.mark.parametrize("horizon, window", [
+        # round(0.9996 / 1e-3) = 1000 steps: the samples are at 0 and 1.0,
+        # so the second half [0.4998, 0.9996] holds none.
+        (0.9996, "half2"),
+        # Samples at 0, 1.0 and 2.0: the second half [1.0002, 2.0004]
+        # holds only the last.
+        (2.0004, None),
+    ])
+    def test_every_ergodic_window_is_checked_before_any_task(
+            self, tmp_path, monkeypatch, horizon, window):
+        def fail(payload):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
+        monkeypatch.setattr(runner_module, "_execute_task", fail)
+        config = scenario_from_dict({
+            "kind": "ergodic", "potential": COSINE_RECORD,
+            "horizon": horizon, "replicas": 2,
+            "out_dir": str(tmp_path / "run"),
+            "options": {"burn_in": 0.0, "record_every": 1000}})
+        if window is None:
+            runner_module._ergodic_cells(config)
+            return
+        with pytest.raises(ConfigError,
+                           match=f"field 'record_every': .*{window} window"):
+            run_scenario(config)
+
     def test_burn_in_on_a_sample_runs(self, tmp_path, monkeypatch):
         # [19.9, 19.9125] holds the sample at 19.9 and nothing else.
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")

@@ -96,13 +96,15 @@ def pot_reference(pot, order, x):
     return total + {0: pot.a0, -1: pot.a0 * x}.get(order, 0.0)
 
 
-def f_fp_block(pot):
-    """The potential's generated straight-line (F, F') statements, made
-    into a function of x."""
-    body = "".join(f"\n    {line}" for line in pot._f_fp_block("x", "f", "fp"))
+def sums_block(pot, orders=(0, 1)):
+    """The potential's generated straight-line statements for the sums of
+    the given orders, made into a function of x returning them."""
+    names = [f"v{i}" for i in range(len(orders))]
+    block = pot._sums_block("x", dict(zip(orders, names)))
+    body = "".join(f"\n    {line}" for line in block)
     namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf}
-    exec(f"def f_fp(x):{body}\n    return f, fp\n", namespace)
-    return namespace["f_fp"]
+    exec(f"def sums(x):{body}\n    return {', '.join(names)},\n", namespace)
+    return namespace["sums"]
 
 
 def assert_bitwise(got, want):
@@ -148,10 +150,13 @@ class TestEvaluation:
             np.testing.assert_allclose(
                 array, [pot_reference(pot, order, x) for x in xs], rtol=0.0,
                 atol=1e-12 * (1.0 + pot.coefficient_bound_derivative(order)))
-        f_fp = f_fp_block(pot)
+        f_fp = sums_block(pot)
         joint = [f_fp(float(x)) for x in xs]
         assert_bitwise([f for f, _ in joint], scalars[0][0])
         assert_bitwise([fp for _, fp in joint], scalars[1][0])
+        g_fp = sums_block(pot, (-1, 1))
+        assert_bitwise([g_fp(float(x)) for x in xs],
+                       np.transpose([scalars[-1][0], scalars[1][0]]))
         one = _HarmonicWorkspace(pot, 1)
         for x, (f, fp) in zip(xs, joint):
             one.eval(np.array([x]))
@@ -165,7 +170,9 @@ class TestEvaluation:
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
     def test_joint_scalar_evaluator_is_bitwise(self, pot, x):
-        assert_bitwise(f_fp_block(pot)(x), (pot.value_s(x), pot.derivative_s(x)))
+        assert_bitwise(sums_block(pot, (0, 1, -1))(x),
+                       (pot.value_s(x), pot.derivative_s(x),
+                        pot.antiderivative_s(x)))
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(0.0, TWO_PI, allow_nan=False), st.integers(1, 4))

@@ -1,6 +1,7 @@
 """Tests for the event-driven velocity-jump simulator."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from circlelab.angles import TWO_PI, ArcSet, circle_dist, wrap
+from circlelab.config import scenario_from_dict
+from circlelab.control import plan_diffusion_control
+from circlelab.diffusion import DiffusionState
 from circlelab.errors import RunawayError
 from circlelab.pdmp import (
+    _WINDOW_PROPOSAL_CAP,
     CAUSE_CONSTANT,
     CAUSE_END,
     CAUSE_HIT,
@@ -24,8 +29,10 @@ from circlelab.pdmp import (
     simulate_pdmp_driven,
 )
 from circlelab.potential import PeriodicPotential
+from circlelab.runner import run_scenario
 from circlelab.seeding import generator_from_seed
 from oracles import jump_time_cdf_oracle
+from test_landscape import assert_bitwise, sparse_potentials
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
@@ -499,3 +506,152 @@ class TestUntil:
             s = other.first_entry(x0, y, max_travel=t1 - t0)
             if s is not None:
                 assert t0 + s >= log.hit_time - 1e-9
+
+
+def _arc_derivative_range(potential: PeriodicPotential, x_from: float,
+                          y: int, h: float, lipschitz_fp: float):
+    """Certified (min, max) of F' on the arc swept from x_from over h."""
+    d0 = potential.derivative_s(x_from)
+    d1 = potential.derivative_s(x_from + y * (0.5 * h))
+    d2 = potential.derivative_s(x_from + y * h)
+    slack = lipschitz_fp * (0.25 * h)
+    return min(d0, d1, d2) - slack, max(d0, d1, d2) + slack
+
+
+def _sample_landscape_time(potential, x0, y, gen, cutoff, value_at, lipschitz_u):
+    """First arrival of the thinned landscape clock, or None past cutoff.
+
+    value_at(s) is the interaction value after flow time s (closed-form u
+    for the homogeneous process, the constant for the frozen variant);
+    lipschitz_u bounds |d value_at / ds|.  The window bound is the corner
+    maximum of (y * u) * F' over the certified product of intervals, so
+    stretches where the rate is provably zero are skipped without any
+    proposals.
+    """
+    if cutoff <= 0.0:
+        return None
+    deriv = potential.derivative_s
+    lip_fp = potential.coefficient_bound_derivative(2)
+    h_base = min(math.pi, 0.5 / potential.coefficient_bound_derivative(1))
+    s = 0.0
+    while s < cutoff:
+        h = h_base
+        d_lo, d_hi = _arc_derivative_range(potential, x0 + y * s, y, h, lip_fp)
+        w0 = y * value_at(s)
+        w_lo = w0 - h * lipschitz_u
+        w_hi = w0 + h * lipschitz_u
+        r_bar = max(0.0, w_lo * d_lo, w_lo * d_hi, w_hi * d_lo, w_hi * d_hi)
+        if r_bar <= 0.0:
+            s = min(s + h, cutoff)
+            continue
+        if r_bar * h > _WINDOW_PROPOSAL_CAP:
+            # A shorter window keeps expected proposals bounded; r_bar
+            # still dominates the rate on the sub-window.
+            h = _WINDOW_PROPOSAL_CAP / r_bar
+        hi = min(s + h, cutoff)
+        pos = s
+        while True:
+            pos += gen.standard_exponential() / r_bar
+            if pos >= hi:
+                break
+            r = y * value_at(pos) * deriv(x0 + y * pos)
+            if r > 0.0 and gen.random() * r_bar <= r:
+                return pos
+        s = hi
+    return None
+
+
+def reference_landscape_time(potential, x0, y, gen, cutoff, *, u0=None,
+                             g=None):
+    """The thinning loop over value_s, derivative_s and antiderivative_s
+    that the generated samplers must reproduce bit for bit, draw for
+    draw: the interaction is the closed-form u from u0, or the frozen
+    drive g."""
+    if u0 is None:
+        gv = float(g)
+        return _sample_landscape_time(potential, x0, y, gen, cutoff,
+                                      lambda s: gv, 0.0)
+    anti = potential.antiderivative_s
+    g0 = anti(x0)
+    return _sample_landscape_time(
+        potential, x0, y, gen, cutoff,
+        lambda s: u0 + y * (anti(x0 + y * s) - g0),
+        abs(potential.a0) + potential.coefficient_bound_derivative(0))
+
+
+class CountingGenerator:
+    """A seeded generator that counts its exponential and uniform draws."""
+
+    def __init__(self, seed):
+        self.gen = generator_from_seed(seed)
+        self.draws = [0, 0]
+
+    def standard_exponential(self):
+        self.draws[0] += 1
+        return self.gen.standard_exponential()
+
+    def random(self):
+        self.draws[1] += 1
+        return self.gen.random()
+
+
+class TestGeneratedSampler:
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_potentials(),
+           st.one_of(st.floats(-20.0, 20.0), st.just(0.0)),
+           st.sampled_from([-1, 1]),
+           st.one_of(st.floats(-1e3, 1e3), st.floats(-10.0, 10.0),
+                     st.just(0.0)),
+           st.booleans(),
+           st.one_of(st.floats(-2.0, 0.0), st.floats(0.0, 8.0)),
+           st.integers(0, 2 ** 32 - 1))
+    @example(COSINE, 1.0, 1, 0.0, False, 0.0, 0)
+    @example(SKEWED, 2.5, -1, -1e3, True, 5.0, 1)
+    def test_samplers_are_the_reference_loop_bitwise(self, pot, x0, y, w,
+                                                     frozen, cutoff, seed):
+        drive = {"g": w} if frozen else {"u0": w}
+        got_gen, want_gen = CountingGenerator(seed), CountingGenerator(seed)
+        # Three arrivals from one stream, so later draws line up too.
+        for _ in range(3):
+            got = sample_landscape_time(pot, x0, y, got_gen, cutoff, **drive)
+            want = reference_landscape_time(pot, x0, y, want_gen, cutoff,
+                                            **drive)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert_bitwise(got, want)
+            assert got_gen.draws == want_gen.draws
+        assert got_gen.gen.bit_generator.state == \
+            want_gen.gen.bit_generator.state
+
+    def test_potential_pickles_after_a_plan_and_a_sample(self):
+        pot = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+        plan_diffusion_control(pot, DiffusionState(1.0, 0.5),
+                               DiffusionState(4.0, 1.0), 2.0, epsilon=0.01)
+        runs = [lambda p: simulate_pdmp(p, 1.0, PdmpState(1.0, 3.0, 1), 20.0,
+                                        seed=5),
+                lambda p: simulate_pdmp_driven(p, 1.0, -2.0, 1.0, 1, 20.0,
+                                               seed=5)]
+        logs = [run(pot) for run in runs]
+        copy = pickle.loads(pickle.dumps(pot))
+        assert copy == pot
+        for run, log in zip(runs, logs):
+            again = run(copy)
+            for name in ("times", "x", "u", "y"):
+                assert_bitwise(getattr(again, name), getattr(log, name))
+        # An event log carries its potential, generated samplers and all.
+        pickle.loads(pickle.dumps(logs[0]))
+
+    def test_two_workers_return_the_saved_logs(self, tmp_path, monkeypatch):
+        files = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CIRCLELAB_WORKERS", workers)
+            out = tmp_path / workers
+            manifest = run_scenario(scenario_from_dict({
+                "kind": "ergodic", "process": "pdmp", "potential": {
+                    "a0": 0.0, "harmonics": [[1, 1.0, 0.5]]},
+                "horizon": 30.0, "replicas": 3, "u0": 2.0,
+                "out_dir": str(out), "options": {"save_paths": 2}}))
+            assert manifest.failures == ()
+            files[workers] = [(out / f"events_{rep}.csv").read_bytes()
+                              for rep in range(2)]
+        assert files["1"] == files["2"]

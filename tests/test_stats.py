@@ -38,6 +38,7 @@ from circlelab.stats import (
     escape_hits,
     hitting_times,
     occupation_histogram,
+    occupation_histograms,
     tv_distance,
     wilson_interval,
 )
@@ -362,6 +363,102 @@ class TestEventLogBinning:
                         h.x_edges, h.u_edges, 1.0)
         assert h.weight == counts.sum()
         assert np.array_equal(h.masses, counts / counts.sum())
+
+
+@st.composite
+def event_log_windows(draw, log):
+    """(burn_in, t_max) windows on a log: bounds at 0, at event times,
+    anywhere, past the horizon or at infinity, and windows inside one
+    segment."""
+    times = [float(t) for t in log.times]
+    horizon = times[-1]
+    bound = st.one_of(st.just(0.0), st.sampled_from(times),
+                      st.floats(0.0, horizon), st.floats(-1.0, horizon + 2.0))
+    lo, hi = sorted((draw(bound), draw(bound)))
+    shape = draw(st.sampled_from(["any", "open", "past", "one-segment"]))
+    if shape == "open":
+        hi = math.inf
+    elif shape == "past":
+        hi = horizon + draw(st.floats(1e-9, 5.0))
+    elif shape == "one-segment":
+        i = draw(st.integers(0, len(times) - 2))
+        a, b = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+        lo = times[i] + a * (times[i + 1] - times[i])
+        hi = times[i] + b * (times[i + 1] - times[i])
+    return lo, hi
+
+
+class TestWindowedBinning:
+    HORIZON = 30.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           lam=st.floats(0.1, 4.0),
+           u0=st.floats(-6.0, 6.0),
+           y0=st.sampled_from([-1, 1]),
+           potential=st.sampled_from([COSINE, SKEWED]),
+           driven=st.booleans(),
+           data=st.data())
+    def test_each_window_is_the_per_segment_reference(self, seed, lam, u0,
+                                                      y0, potential, driven,
+                                                      data):
+        if driven:
+            log = simulate_pdmp_driven(potential, lam, u0, 1.0, y0,
+                                       self.HORIZON, seed=seed)
+        else:
+            log = simulate_pdmp(potential, lam, PdmpState(1.0, u0, y0),
+                                self.HORIZON, seed=seed)
+        windows = data.draw(st.lists(event_log_windows(log), min_size=1,
+                                     max_size=9))
+        full = []
+        for lo, hi in windows:
+            counts = _reference_event_log_counts(
+                log, np.linspace(0.0, TWO_PI, 65),
+                np.linspace(-12.0, 12.0, 41), lo, hi)
+            if counts.sum() > 0.0:
+                full.append(((lo, hi), counts))
+                continue
+            # An empty window fails alone and in company.
+            for batch in ([(lo, hi)], [(0.0, math.inf), (lo, hi)]):
+                with pytest.raises(ValueError, match="no occupation mass"):
+                    occupation_histograms(log, batch)
+        if not full:
+            return
+        hists = occupation_histograms(log, [w for w, _ in full])
+        for h, (_, counts) in zip(hists, full):
+            total = counts.sum()
+            assert h.weight == float(total)
+            assert np.array_equal(h.masses, counts / total)
+
+    def test_ergodic_windows_of_a_long_log(self):
+        horizon = 2000.0
+        log = simulate_pdmp(SKEWED, 0.5, PdmpState(0.3, 0.0, 1), horizon,
+                            seed=9)
+        t = [float(v) for v in log.times]
+        windows = [(0.0, 0.5 * horizon), (0.5 * horizon, horizon),
+                   (200.0, horizon), (200.0, 425.0), (200.0, 650.0),
+                   (t[40], t[900]), (t[3], math.inf)]
+        for h, (lo, hi) in zip(occupation_histograms(log, windows), windows):
+            want = _assert_matches_reference(log, lo, hi)
+            assert h.weight == want.weight
+            assert np.array_equal(h.masses, want.masses)
+
+    def test_trajectory_windows_match_one_at_a_time(self):
+        traj = simulate_diffusion(COSINE, DiffusionState(1.0, 0.5), 2.0,
+                                  dt=1e-2, record_every=1, seed=4)
+        windows = [(0.0, 1.0), (0.5, math.inf), (1.25, 1.5)]
+        for h, (lo, hi) in zip(occupation_histograms(traj, windows),
+                               windows):
+            want = occupation_histogram(traj, burn_in=lo, t_max=hi)
+            assert h.weight == want.weight
+            assert np.array_equal(h.masses, want.masses)
+        with pytest.raises(ValueError, match="no samples"):
+            occupation_histograms(traj, [(0.0, 1.0), (2.5, 3.0)])
+
+    def test_nan_bound_named(self):
+        log = simulate_pdmp(COSINE, 1.0, PdmpState(0.5, 0.0, 1), 5.0, seed=1)
+        with pytest.raises(ValueError, match="t_max"):
+            occupation_histograms(log, [(0.0, 1.0), (0.0, math.nan)])
 
 
 class TestTvDistance:
