@@ -14,7 +14,12 @@ and values and the landing state of its integration.  Its ``pdmp``
 record holds one digest per raw velocity-jump event log in
 ``pdmp_digests``: self-interacting logs of three potentials from three
 starts at two rates, a frozen-drive log, a log stopped at targets, and
-the masses of the nine ergodic windows of one long cosine log.
+the masses of the nine ergodic windows of one long cosine log.  Its
+``diffusion`` record holds one digest per raw Euler-Maruyama run in
+``diffusion_digests``: ensembles of three potentials from two starts at
+four widths, across both loops, the masked wrap and noise-block edges;
+the coupled step-size levels of each potential; and one batch of
+frozen-drive exit trials.
 
 ``tests/test_bit_identity.py`` reruns the records and compares.  A change
 that moves bits on purpose regenerates the file from the repository
@@ -183,6 +188,53 @@ def pdmp_digests():
     return digests
 
 
+# Euler-Maruyama ensembles: potentials, start levels u0 and batch widths
+# with their step counts, all from x0 = 1 at dt = 1e-3.  Widths 22 and 64
+# run the vector loop with 2048-step noise blocks, 300 with 1747-step
+# blocks and 600 the masked wrap with 873-step blocks, so every run
+# crosses a block edge.
+DIFFUSION_U0 = (30.0, -5.0)
+DIFFUSION_STEPS = {22: 2100, 64: 2100, 300: 1800, 600: 1000}
+COUPLED_LEVELS = (4e-3, 2e-3, 1e-3)
+
+
+def diffusion_digests():
+    """sha256 of each raw ensemble, coupled-level run and exit batch, by
+    name."""
+    from circlelab import PeriodicPotential
+    from circlelab.diffusion import (
+        run_exit_trials,
+        simulate_diffusion_ensemble,
+        simulate_terminal_u_coupled,
+    )
+    from circlelab.seeding import derive_replica_seeds
+
+    digests = {}
+    pots = {name: PeriodicPotential.from_record(record)
+            for name, record in PDMP_POTENTIALS.items()}
+    for name, pot in pots.items():
+        for u0 in DIFFUSION_U0:
+            for width, steps in DIFFUSION_STEPS.items():
+                ens = simulate_diffusion_ensemble(
+                    pot, 1.0, u0, steps * 1e-3, dt=1e-3,
+                    seeds=derive_replica_seeds(91, width), record_every=7)
+                blob = ens.x.tobytes() + ens.u.tobytes()
+                digests[f"ensemble-{name}-u{u0:g}-w{width}"] = (
+                    hashlib.sha256(blob).hexdigest())
+        # 2.4 holds 600 coarse steps, and 2400 fine steps span two blocks.
+        levels = simulate_terminal_u_coupled(
+            pot, 1.0, 30.0, 2.4, COUPLED_LEVELS,
+            seeds=derive_replica_seeds(92, 64))
+        blob = b"".join(levels[d].tobytes() for d in COUPLED_LEVELS)
+        digests[f"coupled-{name}"] = hashlib.sha256(blob).hexdigest()
+    trials = run_exit_trials(pots["skewed"], 2.0, 0.3, 1.2, 2.6,
+                             seeds=derive_replica_seeds(93, 64), dt=2e-3,
+                             max_time=2.0)
+    blob = trials.exit_time.tobytes() + trials.exit_side.tobytes()
+    digests["exit-skewed"] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
 def environment():
     """What the digests depend on besides the code."""
     return {"numpy": np.__version__,
@@ -191,7 +243,7 @@ def environment():
 
 def run_digests(workers):
     """hash_inventory of every record in RUNS, by name, run on `workers`
-    workers, and the control and pdmp records."""
+    workers, and the control, pdmp and diffusion records."""
     from circlelab import hash_inventory, run_scenario, scenario_from_dict
 
     saved = os.environ.get("CIRCLELAB_WORKERS")
@@ -205,6 +257,7 @@ def run_digests(workers):
                 digests[name] = hash_inventory(out)
             digests["control"] = control_digests()
             digests["pdmp"] = pdmp_digests()
+            digests["diffusion"] = diffusion_digests()
             return digests
     finally:
         if saved is None:
