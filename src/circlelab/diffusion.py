@@ -20,18 +20,24 @@ Conventions shared by every simulator in this module:
   consumed only by that replica.  A replica's noise sequence is therefore
   a pure function of its seed, independent of batch grouping.
 - A replica's path is bitwise the same at every batch width.  Up to
-  _SCALAR_PATH_MAX replicas run a per-replica scalar loop and wider
-  batches one vector step, `_HarmonicWorkspace.em_step`; both start from
-  wrap(x0) and sum F and F' in the order of the potential's coefficient
-  tables, with the same float operations.  `run_exit_trials` evaluates
-  F' with the same `_HarmonicWorkspace.eval`, so an exit outcome does
-  not depend on the batch width either.  The vector loops draw noise
-  per replica in blocks of steps and scale it by sqrt(dt) into a
-  time-major buffer, so each step reads one contiguous row.
+  _SCALAR_PATH_MAX replicas run a per-replica scalar loop, and wider
+  batches a vector block generated once per potential (`_em_source`);
+  both start from wrap(x0) and sum F and F' in the order of the
+  potential's coefficient tables, with the same float operations.  The
+  vector block keeps its state as one array M = [u; x; k x ...]: rows 0
+  and 1 are (u, x), and rows 1... are the phase stack of the harmonics,
+  so one cos call and one sin call evaluate every harmonic, one
+  multiply per coefficient column forms all of a table's terms, and one
+  call updates u and x together.  A step costs a dozen numpy calls
+  whatever the number of harmonics.  `run_exit_trials` evaluates F'
+  alone from the same generated sums, so an exit outcome does not
+  depend on the batch width either.  The vector loops draw noise per
+  replica in blocks of steps and scale it by sqrt(dt) into a time-major
+  buffer, so each step reads one contiguous row.
 - A wide batch wraps x with two masked corrections, which are
   bitwise equal to the modulo while one step moves x by less than pi;
-  a guard checks that bound once per noise block and falls back to the
-  modulo for a block it does not cover (`_HarmonicWorkspace.em_step`).
+  a guard checks that bound once per noise block and runs the block
+  with the modulo where it does not hold (`_choose_wrap`).
 - At every noise-block boundary the loops check that each replica's
   state is finite, and raise RunawayError naming the first bad seed.
 - Recording keeps step 0, every `record_every`-th step, and the final
@@ -64,13 +70,15 @@ __all__ = [
 ]
 
 # Ensembles at most this large run the per-replica scalar loop: the widest
-# batch at which it beat the vector loop on both cosine and mixture F
-# (2-vCPU Xeon, horizon 20, dt 1e-3, best of 7 interleaved runs, ns per
-# replica-step, scalar vs vector: cosine 392 vs 436 at 21 wide, 417 vs 409
-# at 22; mixture 574 vs 650 at 21).  Both loops draw the same noise and do
-# the same float operations in the same order, so a replica's path is
-# bitwise the same whichever loop runs it.
-_SCALAR_PATH_MAX = 21
+# batch at which it beat the generated vector block on both cosine and
+# mixture F in two sets of interleaved runs (2-vCPU Xeon, horizon 20, dt
+# 1e-3, u0 30, best of 9 runs, ns per replica-step, scalar vs vector:
+# cosine 401 vs 409 and mixture 536 vs 585 at 13 wide; at 14 the mixture
+# went either way, 549 vs 572 here and 543 vs 497 in a best of 7; at 16
+# the vector block won on both, 407 vs 365 and 525 vs 470).  Both loops
+# draw the same noise and do the same float operations in the same
+# order, so a replica's path is bitwise the same whichever loop runs it.
+_SCALAR_PATH_MAX = 13
 # Batches at least this wide wrap x with two masked corrections instead
 # of np.remainder.  Measured on a 2-vCPU Xeon, ns per replica-step with
 # F = cos x + cos 2x - 0.2, remainder vs masks (median of 7 interleaved
@@ -81,6 +89,9 @@ _MASKED_WRAP_MIN = 512
 # a tile's rows stay in cache, and the transposed write of 2048 x 256
 # normals took 2.8 instead of 5.7 ns per element.
 _TILE = 128
+# Recording marks that no step count reaches: the coupled levels record
+# nothing.
+_NO_MARKS = (-1,)
 
 
 @dataclass(frozen=True)
@@ -188,100 +199,213 @@ class ExitEnsemble:
 # engine internals
 
 
-class _HarmonicWorkspace:
-    """Preallocated buffers for evaluating F and F' on a batch of n
-    replicas, and for the vector Euler-Maruyama step built on it."""
+def _stack(potential: PeriodicPotential, n: int, above: int = 0):
+    """An unfilled phase stack for n replicas (see `_sums_lines`) under
+    `above` more rows: a row for x, then one row for k x per harmonic
+    k != 1."""
+    ks = [k for k, _, _ in potential.coefficients(0)]
+    return np.empty((above + 1 + sum(k != 1.0 for k in ks), n))
 
-    def __init__(self, potential: PeriodicPotential, n: int):
-        self.a0 = float(potential.a0)
-        self.ph = np.empty(n)
-        self.c = np.empty(n)
-        self.s = np.empty(n)
-        self.t = np.empty(n)
-        self.fv = np.empty(n)
-        self.fp = np.empty(n)
-        # The masked wrap of em_step: its mask buffer (wide batches only),
-        # whether the current block may use it, and the bounds on |F| and
-        # |F'| that its guard needs.
-        self.mask = np.empty(n, dtype=bool) if n >= _MASKED_WRAP_MIN else None
-        self.masked = False
-        self.sup_f = abs(self.a0) + potential.coefficient_bound_derivative(0)
-        self.sup_fp = potential.coefficient_bound_derivative(1)
-        self.rows = potential._f_fp_rows
 
-    def eval(self, x: np.ndarray) -> None:
-        """Write F(x) into fv and F'(x) into fp.
+def _sums_lines(potential: PeriodicPotential, outs: dict):
+    """(setup, step): Python statements that write, for each order >= 0
+    and name of `outs`, the table sum of that order (see
+    `PeriodicPotential.coefficients`) at every column of the phase stack
+    Q into the row bound to the name.
 
-        F and F' are summed term by term in the order of the potential's
-        tables, zero terms skipped.  The first term is written straight
-        into fv and fp (fv then adds a0), which gives the same sums as
-        starting from a0 and -0.0.
-        """
-        c, s, t, fv, fp = self.c, self.s, self.t, self.fv, self.fp
-        fresh = True
-        for (k, a, b), (_, da, db) in self.rows:
-            ph = x if k == 1.0 else np.multiply(x, k, out=self.ph)
-            np.cos(ph, out=c)
-            np.sin(ph, out=s)
-            for src_f, cf, src_d, cd in ((c, a, s, da), (s, b, c, db)):
-                if not cf:
-                    continue
-                if fresh:
-                    np.multiply(src_f, cf, out=fv)
-                    fv += self.a0
-                    np.multiply(src_d, cd, out=fp)
-                    fresh = False
-                else:
-                    np.multiply(src_f, cf, out=t)
-                    fv += t
-                    np.multiply(src_d, cd, out=t)
-                    fp += t
-
-    def choose_wrap(self, umax: float, sn: np.ndarray, dt: float) -> None:
-        """Let the next len(sn) em_step calls use the masked wrap if no step
-        among them can move x by pi or more.
-
-        sn holds the block's sqrt(dt)-scaled noise, one row per step, and
-        umax is max|u| at the block start.  Within the block |u| stays
-        below umax + len(sn) dt sup|F|, so one step moves x by at most
-        max|sn| + (umax + len(sn) dt sup|F|) sup|F'| dt; the sups are the
-        potential's coefficient bounds.  Batches narrower than
-        _MASKED_WRAP_MIN always keep np.remainder.
-        """
-        if self.mask is None:
-            return
-        smax = max(float(sn.max()), -float(sn.min()))
-        reach = (umax + len(sn) * dt * self.sup_f) * self.sup_fp * dt
-        self.masked = smax + reach < math.pi
-
-    def em_step(self, x: np.ndarray, u: np.ndarray, sn: np.ndarray,
-                dt: float) -> None:
-        """Advance every replica's (x, u) in place by one step of size dt,
-        with sn holding sqrt(dt) times one standard normal per replica.
-
-        x starts in [0, 2pi].  Under the guard of choose_wrap the step
-        leaves it in (-pi, 3pi), where subtracting 2pi from x >= 2pi and
-        then adding 2pi to x < 0 gives the bits of np.remainder: x - 2pi
-        is exact there (Sterbenz's lemma), as fmod is, and below 0 both
-        forms round x + 2pi.  The one input where they differ, -0.0, does
-        not arise, since x + step is -0.0 only when x is.
-        """
-        self.eval(x)
-        fv, fp = self.fv, self.fp
-        fp *= u
-        fp *= dt
-        np.subtract(sn, fp, out=fp)
-        x += fp
-        if self.masked:
-            mask = self.mask
-            np.greater_equal(x, TWO_PI, out=mask)
-            np.subtract(x, TWO_PI, out=x, where=mask)
-            np.less(x, 0.0, out=mask)
-            np.add(x, TWO_PI, out=x, where=mask)
+    Q holds x in row 0 and then k x for each harmonic k != 1, in table
+    order; its phase rows are Q itself if the first harmonic is k = 1,
+    and Q[1:] otherwise.  The setup statements bind views, buffers and
+    coefficient columns once per Q.  The step statements make one numpy
+    call per operation on the whole stack, not per harmonic: one
+    multiply fills the k x rows, one cos and one sin call take every
+    phase row, and one multiply per nonzero coefficient column of a
+    table forms all of its terms.  A column whose nonzero entries are
+    all 1.0 is the trig rows themselves, since c * 1.0 is c bitwise.
+    The terms are then added in the table's order, zero terms left out,
+    the first written straight in and a0 added after it for F, so each
+    sum is bitwise the scalar evaluators' sum at that x.  A sum of one
+    term (one harmonic, one nonzero coefficient) is written into its
+    row by the multiply.  The statements read np and bind x, ph, kx,
+    ks, C, S, and names starting with t or v.
+    """
+    ks = [k for k, _, _ in potential.coefficients(0)]
+    row = {k: i for i, k in enumerate(ks)}
+    others = [[k] for k in ks if k != 1.0]
+    head = ["x = Q[0]", f"ph = {'Q' if ks[0] == 1.0 else 'Q[1:]'}",
+            "multiply = np.multiply", "add = np.add"]
+    phases = []
+    if others:
+        head += ["kx = Q[1:]", f"ks = np.array({others!r})"]
+        phases.append("multiply(x, ks, kx)")
+    trig, columns, views = set(), [], {}
+    products, sums, alias = [], [], {}
+    for order, name in outs.items():
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        coefs, terms = {}, []
+        for k, p, q in potential.coefficients(order):
+            for tag, coef, fn in ((f"t{order}p", p, "CS"[order % 2]),
+                                  (f"t{order}q", q, "SC"[order % 2])):
+                if coef:
+                    coefs.setdefault(tag, (fn, [[0.0] for _ in ks]))
+                    coefs[tag][1][row[k]][0] = coef
+                    terms.append((tag, row[k]))
+        one = len(terms) == 1 and order > 0
+        for tag, (fn, col) in coefs.items():
+            trig.add(fn)
+            if one:
+                columns += [f"{tag}c = np.array({col!r})",
+                            f"v{name} = {name}[None]"]
+                products.append(f"multiply({fn}, {tag}c, v{name})")
+            elif all(c == 1.0 for (c,) in col if c):
+                alias[tag] = fn
+            else:
+                columns += [f"{tag}c = np.array({col!r})",
+                            f"{tag} = np.empty(ph.shape)"]
+                products.append(f"multiply({fn}, {tag}c, {tag})")
+        if one:
+            continue
+        rows = []
+        for tag, i in terms:
+            arr = alias.get(tag, tag)
+            rows.append(f"{arr}_{i}")
+            views[rows[-1]] = f"{arr}[{i}]"
+        if order == 0:
+            sums.append(f"add({rows[0]}, {potential.a0!r}, {name})")
+            rows = rows[1:]
         else:
-            np.remainder(x, TWO_PI, out=x)
-        fv *= dt
-        u += fv
+            sums.append(f"add({rows[0]}, {rows[1]}, {name})")
+            rows = rows[2:]
+        sums += [f"add({name}, {r}, {name})" for r in rows]
+    for fn in sorted(trig):
+        head += [f"{fn} = np.empty(ph.shape)",
+                 f"v{fn} = np.{'cos' if fn == 'C' else 'sin'}"]
+        phases.append(f"v{fn}(ph, {fn})")
+    return (head + columns + [f"{r} = {v}" for r, v in views.items()],
+            phases + products + sums)
+
+
+def _em_source(potential: PeriodicPotential, name: str, masked: bool) -> str:
+    """Python text of the vector Euler-Maruyama block `name`(M, steps, dt,
+    step, marks, rec, out_x, out_u).
+
+    M is the (u, x) state of n replicas stacked on their phase rows: row
+    0 holds u and rows 1... the phase stack of `_sums_lines`.  The block
+    runs one step per row of steps, the sqrt(dt)-scaled noise, with F and
+    F' in P = [F; F'] and the same float operations in the same order as
+    the scalar loop:
+
+        F' *= u;  P *= dt;  F' = noise - F';  [u; x] += P;  wrap x,
+
+    that is x' = x + (sqrt(dt) g - (u F') dt) and u' = u + F dt.  x
+    starts in [0, 2pi] and is wrapped by np.remainder or, if masked, by
+    two masked corrections: under the guard of `_choose_wrap` the step
+    leaves x in (-pi, 3pi), where subtracting 2pi from x >= 2pi and then
+    adding 2pi to x < 0 gives the bits of np.remainder.  x - 2pi is exact
+    there (Sterbenz's lemma), as fmod is, and below 0 both forms round
+    x + 2pi.  The one input where they differ, -0.0, does not arise,
+    since x + step is -0.0 only when x is.  step counts the steps taken;
+    when it reaches marks[rec], x and u go into column rec of out_x and
+    out_u and rec moves on.  Returns (step, rec).
+    """
+    setup, step = _sums_lines(potential, {0: "f", 1: "d"})
+    if masked:
+        setup.append("mask = np.empty(M.shape[1], dtype=bool)")
+        wrap_x = [f"np.greater_equal(x, {TWO_PI!r}, mask)",
+                  f"subtract(x, {TWO_PI!r}, out=x, where=mask)",
+                  "np.less(x, 0.0, mask)",
+                  f"add(x, {TWO_PI!r}, out=x, where=mask)"]
+    else:
+        wrap_x = [f"remainder(x, {TWO_PI!r}, x)"]
+    head = "".join(f"\n    {line}" for line in setup)
+    body = "".join(f"\n        {line}" for line in step + [
+        "multiply(d, u, d)", "multiply(P, dt, P)",
+        "subtract(sn, d, d)", "add(ux, P, ux)"] + wrap_x)
+    return f"""def {name}(M, steps, dt, step, marks, rec, out_x, out_u):
+    Q = M[1:]
+    u = M[0]
+    ux = M[:2]
+    P = np.empty((2, M.shape[1]))
+    f = P[0]
+    d = P[1]
+    subtract = np.subtract
+    remainder = np.remainder{head}
+    for sn in steps:{body}
+        step += 1
+        if step == marks[rec]:
+            out_x[:, rec] = x
+            out_u[:, rec] = u
+            rec += 1
+    return step, rec
+"""
+
+
+def _em_block(potential: PeriodicPotential, masked: bool):
+    """The potential's vector EM block (see `_em_source`), with the masked
+    wrap or np.remainder, generated on first use and cached on the
+    potential."""
+    return potential._generated("em_masked" if masked else "em_block",
+                                _em_source, masked)
+
+
+def _sums_source(potential: PeriodicPotential, name: str, orders) -> str:
+    """Python text of `name`(Q, out), which returns a function of no
+    arguments that writes the table sum of orders[i] at each column of
+    the phase stack Q into out[i] (see `_sums_lines`)."""
+    outs = {order: f"o{i}" for i, order in enumerate(orders)}
+    setup, step = _sums_lines(potential, outs)
+    head = "".join(f"\n    {line}" for line in
+                   [f"o{i} = out[{i}]" for i in range(len(orders))] + setup)
+    body = "".join(f"\n        {line}" for line in step)
+    return f"""def {name}(Q, out):{head}
+    def evaluate():{body}
+    return evaluate
+"""
+
+
+def _vector_sums(potential: PeriodicPotential, orders, Q: np.ndarray,
+                 out: np.ndarray):
+    """A function of no arguments that writes the table sum of orders[i]
+    (F for 0, F' for 1) at every column of the phase stack Q (see
+    `_stack`; the caller fills its x row) into out[i], bitwise equal to
+    the scalar evaluators there.  Its source is generated once per
+    potential and orders."""
+    orders = tuple(orders)
+    make = potential._generated(
+        "sums_" + "_".join(str(o) for o in orders), _sums_source, orders)
+    return make(Q, out)
+
+
+def _choose_wrap(potential: PeriodicPotential, n: int, umax: float,
+                 sn: np.ndarray, dt: float) -> bool:
+    """Whether a batch of n replicas may run the len(sn) steps of a noise
+    block with the masked wrap: only batches at least _MASKED_WRAP_MIN
+    wide, and only if no step among them can move x by pi or more.
+
+    sn holds the block's sqrt(dt)-scaled noise, one row per step, and
+    umax is max|u| at the block start.  Within the block |u| stays below
+    umax + len(sn) dt sup|F|, so one step moves x by at most max|sn| +
+    (umax + len(sn) dt sup|F|) sup|F'| dt; the sups are the potential's
+    coefficient bounds.
+    """
+    if n < _MASKED_WRAP_MIN:
+        return False
+    sup_f = abs(potential.a0) + potential.coefficient_bound_derivative(0)
+    smax = max(float(sn.max()), -float(sn.min()))
+    reach = ((umax + len(sn) * dt * sup_f)
+             * potential.coefficient_bound_derivative(1) * dt)
+    return smax + reach < math.pi
+
+
+def _em_state(potential: PeriodicPotential, x: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+    """The state M of `_em_source`: u and x over the unfilled rest of the
+    phase stack."""
+    M = _stack(potential, x.size, above=1)
+    M[0] = u
+    M[1] = x
+    return M
 
 
 def _noise_buffers(n_replicas: int, multiple_of: int = 1):
@@ -293,9 +417,8 @@ def _noise_buffers(n_replicas: int, multiple_of: int = 1):
     floor of 256 steps per block, so that one standard_normal call per
     replica per block stays amortized.  A block is also the unit of the
     loops' checks: at its start they check that the state is finite and
-    let `_HarmonicWorkspace.choose_wrap` pick the wrap of its steps from
-    their noise, so the masked wrap runs only where one step moves x by
-    less than pi.
+    let `_choose_wrap` pick the wrap of its steps from their noise, so
+    the masked wrap runs only where one step moves x by less than pi.
     """
     blen = max(256, min(2048, (1 << 19) // max(n_replicas, 1)))
     blen -= blen % multiple_of
@@ -352,8 +475,8 @@ def _finite_umax(x: np.ndarray, u: np.ndarray, seeds, t: float) -> float:
 
 def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
     # The potential's coefficient tables are the order reference: F and F'
-    # are summed in their order, zero terms skipped, here and in
-    # _HarmonicWorkspace.em_step, so a replica's path is bitwise the same
+    # are summed in their order, zero terms skipped, here and in the
+    # generated vector block, so a replica's path is bitwise the same
     # as in a vector batch of any width.  The sum is inlined: calling a
     # joint (F, F') method once per step cost 30-50 % more (2-vCPU Xeon).
     a0 = potential.a0
@@ -422,7 +545,7 @@ def _fill_steps(block: np.ndarray, steps: np.ndarray, gens, m: int,
 
 def _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x, out_u):
     n = x.size
-    ws = _HarmonicWorkspace(potential, n)
+    M = _em_state(potential, x, u)
     sqrt_dt = math.sqrt(dt)
     block, steps = _noise_buffers(n)
     out_x[:, 0] = x
@@ -434,15 +557,11 @@ def _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x, out_u):
     while step < n_steps:
         m = min(steps.shape[0], n_steps - step)
         _fill_steps(block, steps, gens, m, sqrt_dt)
-        ws.choose_wrap(_finite_umax(x, u, seeds, step * dt), steps[:m], dt)
-        for sn in steps[:m]:
-            ws.em_step(x, u, sn, dt)
-            step += 1
-            if step == marks[rec]:
-                out_x[:, rec] = x
-                out_u[:, rec] = u
-                rec += 1
-    _finite_umax(x, u, seeds, step * dt)
+        umax = _finite_umax(M[1], M[0], seeds, step * dt)
+        em = _em_block(potential,
+                       _choose_wrap(potential, n, umax, steps[:m], dt))
+        step, rec = em(M, steps[:m], dt, step, marks, rec, out_x, out_u)
+    _finite_umax(M[1], M[0], seeds, step * dt)
 
 
 def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
@@ -506,7 +625,7 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     """Simulate independent replicas of the self-interacting pair (X, U).
 
     x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
-    to _SCALAR_PATH_MAX (21) replicas run a per-replica scalar loop and
+    to _SCALAR_PATH_MAX (13) replicas run a per-replica scalar loop and
     larger ensembles a replica-vectorized loop; both consume identical
     noise streams in the same arithmetic order, so a replica's path
     depends only on its seed and start, bitwise, not on the batch it runs
@@ -553,10 +672,10 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     dt_levels = [float(d) for d in dt_levels]
     dt_f = min(dt_levels)
     factors, n_steps_f, lcm = level_factors(horizon, dt_levels)
-    xs = [wrap(_as_replica_array(x0, n, "x0")) for _ in dt_levels]
-    us = [_as_replica_array(u0, n, "u0") for _ in dt_levels]
+    x = wrap(_as_replica_array(x0, n, "x0"))
+    u = _as_replica_array(u0, n, "u0")
+    states = [_em_state(potential, x, u) for _ in dt_levels]
     gens = generators_from_seeds(seeds)
-    ws = _HarmonicWorkspace(potential, n)
     block, steps = _noise_buffers(n, multiple_of=lcm)
     step = 0
     while step < n_steps_f:
@@ -569,15 +688,24 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
             else:
                 coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
                 coarse *= 1.0 / math.sqrt(f)
-            _scaled_transpose(coarse, steps[:m // f], math.sqrt(dt))
-            umax = _finite_umax(xs[lvl], us[lvl], seeds, step * dt_f)
-            ws.choose_wrap(umax, steps[:m // f], dt)
-            for sn in steps[:m // f]:
-                ws.em_step(xs[lvl], us[lvl], sn, dt)
+            sn = steps[:m // f]
+            _scaled_transpose(coarse, sn, math.sqrt(dt))
+            M = states[lvl]
+            umax = _finite_umax(M[1], M[0], seeds, step * dt_f)
+            em = _em_block(potential, _choose_wrap(potential, n, umax, sn, dt))
+            em(M, sn, dt, 0, _NO_MARKS, 0, None, None)
         step += m
-    for lvl in range(len(dt_levels)):
-        _finite_umax(xs[lvl], us[lvl], seeds, step * dt_f)
-    return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
+    for M in states:
+        _finite_umax(M[1], M[0], seeds, step * dt_f)
+    return {d: M[0] for d, M in zip(dt_levels, states)}
+
+
+def _exit_drift(potential: PeriodicPotential, n: int):
+    """(x, fp, fprime) for n exit trials: fprime() writes F' at the
+    positions in x into fp (see `_vector_sums`)."""
+    Q = _stack(potential, n)
+    out = np.empty((1, n))
+    return Q[0], out[0], _vector_sums(potential, (1,), Q, out)
 
 
 def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
@@ -615,8 +743,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     exit_side = np.zeros(n, dtype=np.int8)
     alive = np.arange(n)
     s = np.full(n, s0)
-    ws = _HarmonicWorkspace(potential, n)
-    xs = np.empty(n)
+    xs, fp, fprime = _exit_drift(potential, n)
     block, steps = _noise_buffers(n)
     # Finished replicas leave the batch every blen steps; until then they
     # cost a full step each, and 2048-step blocks ran slower.  A replica's
@@ -630,8 +757,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
         active = np.ones(na, dtype=bool)
         for i, sn in enumerate(steps[:m, :na]):
             np.add(s, low, out=xs)
-            ws.eval(xs)
-            fp = ws.fp
+            fprime()
             fp *= drv
             fp *= dt
             np.subtract(sn, fp, out=fp)
@@ -653,8 +779,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
             alive = alive[active]
             s = s[active]
             gens = [gen for gen, keep in zip(gens, active) if keep]
-            ws = _HarmonicWorkspace(potential, alive.size)
-            xs = np.empty(alive.size)
+            xs, fp, fprime = _exit_drift(potential, alive.size)
     _freeze(exit_time, exit_side)
     return ExitEnsemble(exit_time=exit_time, exit_side=exit_side,
                         low=float(low), high=float(high),

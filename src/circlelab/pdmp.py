@@ -32,7 +32,8 @@ the self-interacting clock and one for the frozen drive, and cached on
 the potential (see `_thinning`): F', G and the window bounds are written
 out as straight-line statements with the float operations of the plain
 loop over `derivative_s` and `antiderivative_s`, in its order, so the
-samples are its samples bit for bit.
+samples are its samples bit for bit.  The event loop takes G at each
+segment's ends from a generated G of the same cache (`_g_source`).
 
 The RNG draw order is fixed, and generation leaves it unchanged: first
 the theta2 exponential, then per thinning proposal one exponential
@@ -278,6 +279,14 @@ def _thinning(potential: PeriodicPotential, frozen: bool):
                                 _thinning_source, frozen)
 
 
+def _g_source(potential: PeriodicPotential, name: str) -> str:
+    """Python text of `name`(x), G(x) as the straight-line statements of
+    `_sums_block`: bitwise `antiderivative_s(x)`, without its loop."""
+    body = "".join(f"\n    {line}"
+                   for line in potential._sums_block("x", {-1: "g"}))
+    return f"def {name}(x):{body}\n    return g\n"
+
+
 def _next_event(thin, lam, x, y, w, g0, gen, s_max):
     """(theta, cause) of the next jump within s_max, or None.
 
@@ -365,7 +374,7 @@ def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
     gen = generator_from_seed(seed)
     frozen = u0 is None
     thin = _thinning(potential, frozen)
-    anti = potential.antiderivative_s
+    anti = potential._generated("antiderivative", _g_source)
     w = g if frozen else u0
     g0 = 0.0
     times = [0.0]

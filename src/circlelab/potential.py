@@ -157,8 +157,8 @@ class PeriodicPotential:
         object.__setattr__(self, "_bound_cache", {})
         object.__setattr__(self, "_functions", {})
         self.coefficients(-1)
-        # The rows of F and F' paired by harmonic: the loop of both EM
-        # loops in diffusion.py.
+        # The rows of F and F' paired by harmonic: the loop of the scalar
+        # EM loop in diffusion.py.
         object.__setattr__(self, "_f_fp_rows", tuple(
             zip(self.coefficients(0), self.coefficients(1))))
 
@@ -258,12 +258,13 @@ class PeriodicPotential:
         """The function `name` that the Python text source(self, name,
         *args) defines, compiled on first use and cached on the instance.
 
-        The text reads cos, sin and inf (see `_sums_block`).  A pickled
-        potential leaves the cache out, and a copy compiles its own.
+        The text reads cos, sin and inf (see `_sums_block`), and np for
+        the vector functions.  A pickled potential leaves the cache out,
+        and a copy compiles its own.
         """
         fn = self._functions.get(name)
         if fn is None:
-            namespace = {"cos": cos, "sin": sin, "inf": math.inf}
+            namespace = {"cos": cos, "sin": sin, "inf": math.inf, "np": np}
             exec(compile(source(self, name, *args), f"<generated {name}>",
                          "exec"), namespace)
             fn = self._functions[name] = namespace[name]

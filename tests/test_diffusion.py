@@ -2,20 +2,28 @@
 
 import contextlib
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelab.angles import TWO_PI
+from circlelab import diffusion
+from circlelab.angles import TWO_PI, wrap
 from circlelab.diffusion import (
     _MASKED_WRAP_MIN,
     _SCALAR_PATH_MAX,
     DiffusionState,
-    _HarmonicWorkspace,
+    _choose_wrap,
+    _em_block,
+    _em_state,
+    _fill_noise,
+    _finite_umax,
     _noise_buffers,
+    _scaled_transpose,
+    level_factors,
     run_exit_trials,
     simulate_diffusion,
     simulate_diffusion_ensemble,
@@ -36,6 +44,252 @@ ODD_HARMONIC = PeriodicPotential(0.1, ((1, 1.0, 0.0), (3, 0.3, 0.0)))
 # The first nonzero term is a sine term, and no harmonic has k = 1.
 SINE_FIRST = PeriodicPotential(0.0, ((2, 0.0, 0.8), (3, 0.3, 0.0),
                                      (5, 0.0, 0.0)))
+
+
+# The per-harmonic vector evaluator and Euler-Maruyama step, one numpy call
+# per term, that the generated block of `diffusion._em_source` and the
+# generated sums of `diffusion._vector_sums` must reproduce bit for bit.
+
+class ReferenceWorkspace:
+    """Preallocated buffers for evaluating F and F' on a batch of n
+    replicas, and for the vector Euler-Maruyama step built on it."""
+
+    def __init__(self, potential: PeriodicPotential, n: int):
+        self.a0 = float(potential.a0)
+        self.ph = np.empty(n)
+        self.c = np.empty(n)
+        self.s = np.empty(n)
+        self.t = np.empty(n)
+        self.fv = np.empty(n)
+        self.fp = np.empty(n)
+        # The masked wrap of em_step: its mask buffer (wide batches only),
+        # whether the current block may use it, and the bounds on |F| and
+        # |F'| that its guard needs.
+        self.mask = np.empty(n, dtype=bool) if n >= _MASKED_WRAP_MIN else None
+        self.masked = False
+        self.sup_f = abs(self.a0) + potential.coefficient_bound_derivative(0)
+        self.sup_fp = potential.coefficient_bound_derivative(1)
+        self.rows = potential._f_fp_rows
+
+    def eval(self, x: np.ndarray) -> None:
+        """Write F(x) into fv and F'(x) into fp.
+
+        F and F' are summed term by term in the order of the potential's
+        tables, zero terms skipped.  The first term is written straight
+        into fv and fp (fv then adds a0), which gives the same sums as
+        starting from a0 and -0.0.
+        """
+        c, s, t, fv, fp = self.c, self.s, self.t, self.fv, self.fp
+        fresh = True
+        for (k, a, b), (_, da, db) in self.rows:
+            ph = x if k == 1.0 else np.multiply(x, k, out=self.ph)
+            np.cos(ph, out=c)
+            np.sin(ph, out=s)
+            for src_f, cf, src_d, cd in ((c, a, s, da), (s, b, c, db)):
+                if not cf:
+                    continue
+                if fresh:
+                    np.multiply(src_f, cf, out=fv)
+                    fv += self.a0
+                    np.multiply(src_d, cd, out=fp)
+                    fresh = False
+                else:
+                    np.multiply(src_f, cf, out=t)
+                    fv += t
+                    np.multiply(src_d, cd, out=t)
+                    fp += t
+
+    def choose_wrap(self, umax: float, sn: np.ndarray, dt: float) -> None:
+        """Let the next len(sn) em_step calls use the masked wrap if no step
+        among them can move x by pi or more.
+
+        sn holds the block's sqrt(dt)-scaled noise, one row per step, and
+        umax is max|u| at the block start.  Within the block |u| stays
+        below umax + len(sn) dt sup|F|, so one step moves x by at most
+        max|sn| + (umax + len(sn) dt sup|F|) sup|F'| dt; the sups are the
+        potential's coefficient bounds.  Batches narrower than
+        _MASKED_WRAP_MIN always keep np.remainder.
+        """
+        if self.mask is None:
+            return
+        smax = max(float(sn.max()), -float(sn.min()))
+        reach = (umax + len(sn) * dt * self.sup_f) * self.sup_fp * dt
+        self.masked = smax + reach < math.pi
+
+    def em_step(self, x: np.ndarray, u: np.ndarray, sn: np.ndarray,
+                dt: float) -> None:
+        """Advance every replica's (x, u) in place by one step of size dt,
+        with sn holding sqrt(dt) times one standard normal per replica.
+
+        x starts in [0, 2pi].  Under the guard of choose_wrap the step
+        leaves it in (-pi, 3pi), where subtracting 2pi from x >= 2pi and
+        then adding 2pi to x < 0 gives the bits of np.remainder: x - 2pi
+        is exact there (Sterbenz's lemma), as fmod is, and below 0 both
+        forms round x + 2pi.  The one input where they differ, -0.0, does
+        not arise, since x + step is -0.0 only when x is.
+        """
+        self.eval(x)
+        fv, fp = self.fv, self.fp
+        fp *= u
+        fp *= dt
+        np.subtract(sn, fp, out=fp)
+        x += fp
+        if self.masked:
+            mask = self.mask
+            np.greater_equal(x, TWO_PI, out=mask)
+            np.subtract(x, TWO_PI, out=x, where=mask)
+            np.less(x, 0.0, out=mask)
+            np.add(x, TWO_PI, out=x, where=mask)
+        else:
+            np.remainder(x, TWO_PI, out=x)
+        fv *= dt
+        u += fv
+
+
+def reference_block(potential, x, u, steps, dt, masked, marks):
+    """x and u of each replica at the step counts in marks, from the
+    reference step run once per row of steps on copies of x and u; and the
+    final x and u."""
+    ws = ReferenceWorkspace(potential, x.size)
+    ws.masked = masked
+    x, u = x.copy(), u.copy()
+    out_x = np.empty((x.size, len(marks)))
+    out_u = np.empty((x.size, len(marks)))
+    rec = 0
+    for step, sn in enumerate(steps, start=1):
+        ws.em_step(x, u, sn, dt)
+        if step == marks[rec]:
+            out_x[:, rec] = x
+            out_u[:, rec] = u
+            rec += 1
+    return out_x, out_u, x, u
+
+
+def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
+    """simulate_terminal_u_coupled's loop over the reference step."""
+    n = len(seeds)
+    factors, n_steps_f, lcm = level_factors(horizon, dt_levels)
+    dt_f = min(dt_levels)
+    xs = [wrap(np.full(n, float(x0))) for _ in dt_levels]
+    us = [np.full(n, float(u0)) for _ in dt_levels]
+    gens = generators_from_seeds(seeds)
+    ws = ReferenceWorkspace(potential, n)
+    block, steps = _noise_buffers(n, multiple_of=lcm)
+    step = 0
+    while step < n_steps_f:
+        m = min(steps.shape[0], n_steps_f - step)
+        _fill_noise(block, gens, m)
+        for lvl, f in enumerate(factors):
+            dt = dt_levels[lvl]
+            if f == 1:
+                coarse = block[:, :m]
+            else:
+                coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
+                coarse *= 1.0 / math.sqrt(f)
+            _scaled_transpose(coarse, steps[:m // f], math.sqrt(dt))
+            umax = _finite_umax(xs[lvl], us[lvl], seeds, step * dt_f)
+            ws.choose_wrap(umax, steps[:m // f], dt)
+            for sn in steps[:m // f]:
+                ws.em_step(xs[lvl], us[lvl], sn, dt)
+        step += m
+    return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
+
+
+def assert_bitwise(got, want):
+    """Exact equality, sign of zero included."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def em_potentials(draw):
+    """Potentials with k up to 5 whose coefficients are often exactly 0,
+    1 or -1."""
+    coef = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                     st.floats(-2.0, 2.0, allow_nan=False))
+    hs = draw(st.lists(st.tuples(st.integers(1, 5), coef, coef), min_size=1,
+                       max_size=4, unique_by=lambda t: t[0])
+              .filter(lambda hs: any(a or b for _, a, b in hs)))
+    a0 = draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                        st.floats(-0.5, 0.5)))
+    return PeriodicPotential(a0, tuple(hs))
+
+
+class TestGeneratedBlock:
+    """The generated vector EM block is the reference step loop, bit for
+    bit: the recorded rows, the final state and the wrap it runs."""
+
+    @settings(max_examples=40)
+    @given(pot=em_potentials(),
+           width=st.one_of(st.integers(22, 80),
+                           st.integers(_MASKED_WRAP_MIN - 20, 700)),
+           u0=st.one_of(st.floats(-1e3, 1e3), st.floats(-5.0, 5.0)),
+           dt=st.sampled_from([1e-3, 2e-3]),
+           modulo=st.booleans(),
+           n_steps=st.integers(1, 300),
+           stride=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(MIXTURE, _MASKED_WRAP_MIN + 20, 3.0, 1e-3, False, 300, 7, 1)
+    @example(SKEWED, 700, -1e3, 2e-3, False, 200, 9, 2)
+    @example(SINE_FIRST, 22, 1e3, 2e-3, True, 50, 50, 3)
+    def test_block_is_the_reference_step_loop_bitwise(
+            self, pot, width, u0, dt, modulo, n_steps, stride, seed):
+        gen = np.random.default_rng(seed)
+        x0 = gen.uniform(0.0, TWO_PI, width)
+        x0[0] = 0.0
+        u = u0 + gen.standard_normal(width)
+        steps = math.sqrt(dt) * gen.standard_normal((n_steps, width))
+        marks = list(range(stride, n_steps, stride)) + [n_steps]
+        umax = float(np.max(np.abs(u)))
+        masked = _choose_wrap(pot, width, umax, steps, dt)
+        ws = ReferenceWorkspace(pot, width)
+        ws.choose_wrap(umax, steps, dt)
+        assert masked == ws.masked
+        masked = masked and not modulo
+        M = _em_state(pot, x0, u)
+        got_x = np.empty((width, len(marks)))
+        got_u = np.empty((width, len(marks)))
+        assert _em_block(pot, masked)(M, steps, dt, 0, marks, 0, got_x,
+                                      got_u) == (n_steps, len(marks))
+        want_x, want_u, x, u = reference_block(pot, x0, u, steps, dt, masked,
+                                               marks)
+        assert_bitwise(got_x, want_x)
+        assert_bitwise(got_u, want_u)
+        assert_bitwise(M[1], x)
+        assert_bitwise(M[0], u)
+
+    @pytest.mark.parametrize("pot", [MIXTURE, SKEWED, SINE_FIRST])
+    @pytest.mark.parametrize("width", [22, _MASKED_WRAP_MIN + 20])
+    def test_coupled_levels_are_the_reference_loop_bitwise(self, pot, width):
+        # 2400 fine steps span two noise blocks at both widths.
+        seeds = derive_replica_seeds(31, width)
+        levels = (4e-3, 2e-3, 1e-3)
+        got = simulate_terminal_u_coupled(pot, 1.0, 0.5, 2.4, levels,
+                                          seeds=seeds)
+        want = reference_coupled(pot, 1.0, 0.5, 2.4, levels, seeds=seeds)
+        for d in levels:
+            assert_bitwise(got[d], want[d])
+
+    def test_potential_pickles_after_the_vector_loops(self):
+        pot = PeriodicPotential(0.0, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+        seeds = derive_replica_seeds(4, 40)
+
+        def run(p):
+            ens = simulate_diffusion_ensemble(p, 1.0, 2.0, 0.5, seeds=seeds)
+            levels = simulate_terminal_u_coupled(p, 1.0, 2.0, 0.4,
+                                                 (2e-3, 1e-3), seeds=seeds)
+            trials = run_exit_trials(p, 2.0, 0.3, 1.2, 2.6, seeds=seeds,
+                                     dt=2e-3, max_time=1.0)
+            return (ens.x, ens.u, levels[2e-3], levels[1e-3],
+                    trials.exit_time, trials.exit_side)
+
+        first = run(pot)
+        copy = pickle.loads(pickle.dumps(pot))
+        assert copy == pot
+        for got, want in zip(run(copy), first):
+            assert np.array_equal(got, want)
 
 
 class TestEmStep:
@@ -232,16 +486,17 @@ def _wrap_choices(force=None):
     """Record, for wide batches, whether each block took the masked wrap;
     force=True overrides the guard."""
     choices = []
-    real = _HarmonicWorkspace.choose_wrap
+    real = diffusion._choose_wrap
 
-    def spy(self, umax, sn, dt):
-        real(self, umax, sn, dt)
-        if self.mask is not None:
+    def spy(potential, n, umax, sn, dt):
+        masked = real(potential, n, umax, sn, dt)
+        if n >= _MASKED_WRAP_MIN:
             if force is not None:
-                self.masked = force
-            choices.append(self.masked)
+                masked = force
+            choices.append(masked)
+        return masked
 
-    with mock.patch.object(_HarmonicWorkspace, "choose_wrap", spy):
+    with mock.patch.object(diffusion, "_choose_wrap", spy):
         yield choices
 
 
@@ -350,9 +605,13 @@ class TestRunaway:
             simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
                                         seeds=range(3, _SCALAR_PATH_MAX + 4))
 
-    def test_coupled_levels_raise(self):
-        seeds = derive_replica_seeds(9, 6)
-        u0 = [0.0, 0.0, 1e308, 0.0, 1e308, 0.0]
+    @pytest.mark.parametrize("width", [6, _MASKED_WRAP_MIN + 20])
+    def test_coupled_levels_raise(self, width):
+        # u0 = 1e308 is finite at the block start; u F' dt overflows in
+        # the block's first steps.
+        seeds = derive_replica_seeds(9, width)
+        u0 = np.zeros(width)
+        u0[[2, 4]] = 1e308
         with pytest.raises(RunawayError, match=f"seed {seeds[2]}: "):
             simulate_terminal_u_coupled(MIXTURE, 1.0, u0, 0.04,
                                         (2e-3, 1e-3), seeds=seeds)

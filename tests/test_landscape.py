@@ -27,7 +27,7 @@ from circlelab import (
     validate_assumptions,
 )
 from circlelab.control import potential_zeros
-from circlelab.diffusion import _HarmonicWorkspace
+from circlelab.diffusion import _stack, _vector_sums
 from circlelab.potential import _root
 
 TWO_PI = 2.0 * math.pi
@@ -157,15 +157,20 @@ class TestEvaluation:
         g_fp = sums_block(pot, (-1, 1))
         assert_bitwise([g_fp(float(x)) for x in xs],
                        np.transpose([scalars[-1][0], scalars[1][0]]))
-        one = _HarmonicWorkspace(pot, 1)
+        one, out = _stack(pot, 1), np.empty((2, 1))
+        evaluate = _vector_sums(pot, (0, 1), one, out)
         for x, (f, fp) in zip(xs, joint):
-            one.eval(np.array([x]))
-            assert_bitwise([one.fv[0], one.fp[0]], [f, fp])
-        rows = np.resize(xs, 7)
-        seven = _HarmonicWorkspace(pot, 7)
-        seven.eval(rows)
-        assert_bitwise(seven.fv, np.resize([f for f, _ in joint], 7))
-        assert_bitwise(seven.fp, np.resize([fp for _, fp in joint], 7))
+            one[0] = x
+            evaluate()
+            assert_bitwise(out[:, 0], [f, fp])
+        seven, out = _stack(pot, 7), np.empty((2, 7))
+        seven[0] = np.resize(xs, 7)
+        _vector_sums(pot, (0, 1), seven, out)()
+        assert_bitwise(out[0], np.resize([f for f, _ in joint], 7))
+        assert_bitwise(out[1], np.resize([fp for _, fp in joint], 7))
+        fp_only = np.empty((1, 7))
+        _vector_sums(pot, (1,), seven, fp_only)()
+        assert_bitwise(fp_only[0], out[1])
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
