@@ -227,7 +227,7 @@ def _sums_lines(potential: PeriodicPotential, outs: dict):
     sum is bitwise the scalar evaluators' sum at that x.  A sum of one
     term (one harmonic, one nonzero coefficient) is written into its
     row by the multiply.  The statements read np and bind x, ph, kx,
-    ks, C, S, and names starting with t or v.
+    ks, C, S, multiply, add and names starting with t or v.
     """
     ks = [k for k, _, _ in potential.coefficients(0)]
     row = {k: i for i, k in enumerate(ks)}

@@ -34,6 +34,7 @@ from circlelab.landscape import compute_level_geometry
 from circlelab.potential import PeriodicPotential
 from circlelab.seeding import derive_replica_seeds, generators_from_seeds
 from oracles import analytic_escape_probability
+from test_landscape import assert_bitwise
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
@@ -47,9 +48,8 @@ SINE_FIRST = PeriodicPotential(0.0, ((2, 0.0, 0.8), (3, 0.3, 0.0),
 
 
 # The per-harmonic vector evaluator and Euler-Maruyama step, one numpy call
-# per term, that the generated block of `diffusion._em_source` and the
-# generated sums of `diffusion._vector_sums` must reproduce bit for bit.
-
+# per term, that the generated block of `diffusion._em_source` must
+# reproduce bit for bit.
 class ReferenceWorkspace:
     """Preallocated buffers for evaluating F and F' on a batch of n
     replicas, and for the vector Euler-Maruyama step built on it."""
@@ -193,14 +193,6 @@ def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
                 ws.em_step(xs[lvl], us[lvl], sn, dt)
         step += m
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
-
-
-def assert_bitwise(got, want):
-    """Exact equality, sign of zero included."""
-    got = np.asarray(got, dtype=float)
-    want = np.asarray(want, dtype=float)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
@@ -605,12 +597,18 @@ class TestRunaway:
             simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
                                         seeds=range(3, _SCALAR_PATH_MAX + 4))
 
-    @pytest.mark.parametrize("width", [6, _MASKED_WRAP_MIN + 20])
-    def test_coupled_levels_raise(self, width):
+    def test_coupled_levels_raise(self):
+        seeds = derive_replica_seeds(9, 6)
+        u0 = [0.0, 0.0, 1e308, 0.0, 1e308, 0.0]
+        with pytest.raises(RunawayError, match=f"seed {seeds[2]}: "):
+            simulate_terminal_u_coupled(MIXTURE, 1.0, u0, 0.04,
+                                        (2e-3, 1e-3), seeds=seeds)
+
+    def test_wide_coupled_levels_raise(self):
         # u0 = 1e308 is finite at the block start; u F' dt overflows in
         # the block's first steps.
-        seeds = derive_replica_seeds(9, width)
-        u0 = np.zeros(width)
+        seeds = derive_replica_seeds(9, _MASKED_WRAP_MIN + 20)
+        u0 = np.zeros(len(seeds))
         u0[[2, 4]] = 1e308
         with pytest.raises(RunawayError, match=f"seed {seeds[2]}: "):
             simulate_terminal_u_coupled(MIXTURE, 1.0, u0, 0.04,
