@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -67,7 +68,25 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _check_simulate_flags(args) -> None:
+    """ConfigError naming the first flag the simulators would refuse."""
+    pdmp = args.process == "pdmp"
+    for flag, ok, need in (
+            ("--x0", math.isfinite(args.x0), "finite"),
+            ("--u0", math.isfinite(args.u0), "finite"),
+            ("--horizon", 0.0 < args.horizon < math.inf, "finite and > 0"),
+            ("--lambda", not pdmp or 0.0 < getattr(args, "lambda") < math.inf,
+             "finite and > 0"),
+            ("--dt", pdmp or 0.0 < args.dt <= args.horizon,
+             "> 0 and at most --horizon"),
+            ("--record-every", pdmp or args.record_every >= 1, ">= 1")):
+        if not ok:
+            value = vars(args)[flag[2:].replace("-", "_")]
+            raise ConfigError(f"{flag}: must be {need}, got {value!r}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_simulate_flags(args)
     potential = load_potential(args.potential)
     os.makedirs(args.out, exist_ok=True)
     if args.process == "diffusion":

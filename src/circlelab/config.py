@@ -253,6 +253,9 @@ def scenario_from_dict(data: Dict[str, Any],
             options[key] = value
         else:
             raise ConfigError(f"field {key!r}: unknown key")
+    if not isinstance(core.get("options", {}), dict):
+        raise ConfigError(f"field 'options': must be a mapping of option "
+                          f"names to values, got {core['options']!r}")
     options.update(core.get("options", {}))
 
     if "kind" not in core:

@@ -140,8 +140,7 @@ def _rk4_source(potential: PeriodicPotential, name: str) -> str:
     every float operation is the one `value_s` and `derivative_s` would
     make, in their order."""
     def stage(x, f):
-        return "".join(f"\n        {line}"
-                       for line in potential._sums_block(x, {0: f, 1: "d"}))
+        return potential._sums_block(x, {0: f, 1: "d"}, 8)
 
     return f"""def {name}(x, u, v, n, h):
     half = 0.5 * h

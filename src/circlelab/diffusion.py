@@ -20,10 +20,10 @@ Conventions shared by every simulator in this module:
   consumed only by that replica.  A replica's noise sequence is therefore
   a pure function of its seed, independent of batch grouping.
 - A replica's path is bitwise the same at every batch width.  Up to
-  _SCALAR_PATH_MAX replicas run a per-replica scalar loop, and wider
-  batches a vector block generated once per potential (`_em_source`);
-  both start from wrap(x0) and sum F and F' in the order of the
-  potential's coefficient tables, with the same float operations.  The
+  _SCALAR_PATH_MAX replicas run a per-replica scalar block and wider
+  batches a vector block, each generated once per potential; both start
+  from wrap(x0) and sum F and F' in the order of the potential's
+  coefficient tables, with the same float operations.  The
   vector block keeps its state as one array M = [u; x; k x ...]: rows 0
   and 1 are (u, x), and rows 1... are the phase stack of the harmonics,
   so one cos call and one sin call evaluate every harmonic, one
@@ -69,16 +69,16 @@ __all__ = [
     "run_exit_trials",
 ]
 
-# Ensembles at most this large run the per-replica scalar loop: the widest
+# Ensembles at most this large run the per-replica scalar block: the widest
 # batch at which it beat the generated vector block on both cosine and
-# mixture F in two sets of interleaved runs (2-vCPU Xeon, horizon 20, dt
-# 1e-3, u0 30, best of 9 runs, ns per replica-step, scalar vs vector:
-# cosine 401 vs 409 and mixture 536 vs 585 at 13 wide; at 14 the mixture
-# went either way, 549 vs 572 here and 543 vs 497 in a best of 7; at 16
-# the vector block won on both, 407 vs 365 and 525 vs 470).  Both loops
-# draw the same noise and do the same float operations in the same
-# order, so a replica's path is bitwise the same whichever loop runs it.
-_SCALAR_PATH_MAX = 13
+# mixture F in every set of interleaved runs that measured it (three sets,
+# 2-vCPU Xeon, horizon 20, dt 1e-3, u0 30, best of 9 runs, ns per
+# replica-step, scalar vs vector: cosine 226 vs 267 and mixture 335 vs
+# 369 at 19 wide; at 20 the mixture went either way, 354 vs 339 and 360
+# vs 369; at 24 the vector block won on both, 222 vs 209 and 322 vs 288).
+# Both loops do the same float operations on the same noise, so a
+# replica's path is bitwise the same whichever loop runs it.
+_SCALAR_PATH_MAX = 19
 # Batches at least this wide wrap x with two masked corrections instead
 # of np.remainder.  Measured on a 2-vCPU Xeon, ns per replica-step with
 # F = cos x + cos 2x - 0.2, remainder vs masks (median of 7 interleaved
@@ -473,17 +473,28 @@ def _finite_umax(x: np.ndarray, u: np.ndarray, seeds, t: float) -> float:
     return umax
 
 
+def _scalar_source(potential: PeriodicPotential, name: str) -> str:
+    """Python text of `name`(x, u, noise, sqrt_dt, dt, step, marks, rec,
+    out_x, out_u): one replica's EM step per normal of noise, F and F' by
+    `_sums_block` and then the float operations of `_em_source`, whose
+    step counting and recording it shares.  Returns (x, u, step, rec)."""
+    body = potential._sums_block("x", {0: "fv", 1: "fp"}, 8)
+    return f"""def {name}(x, u, noise, sqrt_dt, dt, step, marks, rec, out_x, out_u):
+    for g in noise:{body}
+        x = (x + (sqrt_dt * g - (u * fp) * dt)) % {TWO_PI!r}
+        u = u + fv * dt
+        step += 1
+        if step == marks[rec]:
+            out_x[rec] = x
+            out_u[rec] = u
+            rec += 1
+    return x, u, step, rec
+"""
+
+
 def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
-    # The potential's coefficient tables are the order reference: F and F'
-    # are summed in their order, zero terms skipped, here and in the
-    # generated vector block, so a replica's path is bitwise the same
-    # as in a vector batch of any width.  The sum is inlined: calling a
-    # joint (F, F') method once per step cost 30-50 % more (2-vCPU Xeon).
-    a0 = potential.a0
-    rows = potential._f_fp_rows
+    em = potential._generated("em_scalar", _scalar_source)
     sqrt_dt = math.sqrt(dt)
-    cos = math.cos
-    sin = math.sin
     x = float(x0)
     u = float(u0)
     out_x[0] = x
@@ -492,31 +503,10 @@ def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
     n_steps = marks[-1]
     rec = 1
     step = 0
-    while step < n_steps:
-        if not (math.isfinite(x) and math.isfinite(u)):
-            break
-        m = min(4096, n_steps - step)
-        noise = gen.standard_normal(m).tolist()
-        for g in noise:
-            fv = a0
-            fp = -0.0
-            for (k, a, b), (_, da, db) in rows:
-                ph = k * x
-                c = cos(ph)
-                s = sin(ph)
-                if a:
-                    fv += a * c
-                    fp += da * s
-                if b:
-                    fv += b * s
-                    fp += db * c
-            x = (x + (sqrt_dt * g - (u * fp) * dt)) % TWO_PI
-            u = u + fv * dt
-            step += 1
-            if step == marks[rec]:
-                out_x[rec] = x
-                out_u[rec] = u
-                rec += 1
+    while step < n_steps and math.isfinite(x) and math.isfinite(u):
+        noise = gen.standard_normal(min(4096, n_steps - step)).tolist()
+        x, u, step, rec = em(x, u, noise, sqrt_dt, dt, step, marks, rec,
+                             out_x, out_u)
     if not (math.isfinite(x) and math.isfinite(u)):
         raise RunawayError(f"diffusion replica with seed {seed}: "
                            f"x or u is not finite at t = {step * dt!r}")
@@ -625,7 +615,7 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     """Simulate independent replicas of the self-interacting pair (X, U).
 
     x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
-    to _SCALAR_PATH_MAX (13) replicas run a per-replica scalar loop and
+    to _SCALAR_PATH_MAX (19) replicas run a per-replica scalar loop and
     larger ensembles a replica-vectorized loop; both consume identical
     noise streams in the same arithmetic order, so a replica's path
     depends only on its seed and start, bitwise, not on the batch it runs

@@ -30,10 +30,10 @@ drive, and the same value gives each row's u column.
 The thinning sampler is generated per potential on first use, one for
 the self-interacting clock and one for the frozen drive, and cached on
 the potential (see `_thinning`): F', G and the window bounds are written
-out as straight-line statements with the float operations of the plain
-loop over `derivative_s` and `antiderivative_s`, in its order, so the
-samples are its samples bit for bit.  The event loop takes G at each
-segment's ends from a generated G of the same cache (`_g_source`).
+out from the potential's sum text (`PeriodicPotential._sums_block`),
+which `derivative_s` and `antiderivative_s` are compiled from too, so
+the samples are those of a loop over them bit for bit.  The event loop
+takes G at each segment's ends from the compiled G of the same cache.
 
 The RNG draw order is fixed, and generation leaves it unchanged: first
 the theta2 exponential, then per thinning proposal one exponential
@@ -199,10 +199,7 @@ def _thinning_source(potential: PeriodicPotential, name: str,
                                  + potential.coefficient_bound_derivative(0))
     cap = _WINDOW_PROPOSAL_CAP
 
-    def block(x, sums, indent):
-        return "".join(f"\n{indent}{line}"
-                       for line in potential._sums_block(x, sums))
-
+    block = potential._sums_block
     def value(g):
         return "w" if frozen else f"(w + y * ({g} - g0))"
 
@@ -215,9 +212,9 @@ def _thinning_source(potential: PeriodicPotential, name: str,
     uniform = gen.random
     s = 0.0
     while s < cutoff:
-        xf = x0 + y * s{block("xf", at_start, " " * 8)}
-        xm = xf + y * {0.5 * h!r}{block("xm", {1: "d1"}, " " * 8)}
-        xe = xf + y * {h!r}{block("xe", {1: "d2"}, " " * 8)}
+        xf = x0 + y * s{block("xf", at_start, 8)}
+        xm = xf + y * {0.5 * h!r}{block("xm", {1: "d1"}, 8)}
+        xe = xf + y * {h!r}{block("xe", {1: "d2"}, 8)}
         d_lo = d0
         if d1 < d_lo:
             d_lo = d1
@@ -262,7 +259,7 @@ def _thinning_source(potential: PeriodicPotential, name: str,
             pos += draw() / r_bar
             if pos >= end:
                 break
-            xp = x0 + y * pos{block("xp", at_pos, " " * 12)}
+            xp = x0 + y * pos{block("xp", at_pos, 12)}
             r = y * {value("gp")} * dp
             if r > 0.0 and uniform() * r_bar <= r:
                 return pos
@@ -277,14 +274,6 @@ def _thinning(potential: PeriodicPotential, frozen: bool):
     first use and cached on the potential."""
     return potential._generated("thin_frozen" if frozen else "thin_self",
                                 _thinning_source, frozen)
-
-
-def _g_source(potential: PeriodicPotential, name: str) -> str:
-    """Python text of `name`(x), G(x) as the straight-line statements of
-    `_sums_block`: bitwise `antiderivative_s(x)`, without its loop."""
-    body = "".join(f"\n    {line}"
-                   for line in potential._sums_block("x", {-1: "g"}))
-    return f"def {name}(x):{body}\n    return g\n"
 
 
 def _next_event(thin, lam, x, y, w, g0, gen, s_max):
@@ -374,7 +363,7 @@ def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
     gen = generator_from_seed(seed)
     frozen = u0 is None
     thin = _thinning(potential, frozen)
-    anti = potential._generated("antiderivative", _g_source)
+    anti = potential._sum(-1)
     w = g if frozen else u0
     g0 = 0.0
     times = [0.0]

@@ -93,22 +93,16 @@ def _circle_roots(f, grid: int, merge: float) -> list[float]:
     return out
 
 
-def _scalar_sum(order: int, first, second, doc: str):
-    """A method that sums the table of `order` at a float x as
-    `PeriodicPotential._array_sum` does at an array, bitwise equal to it,
-    with (first, second) the math functions (T, T') of that order."""
-    def evaluate(self, x: float) -> float:
-        out = self.a0 * x if order < 0 else self.a0 if order == 0 else -0.0
-        for k, p, q in self._tables[order]:
-            kx = k * x
-            if p:
-                out += p * first(kx)
-            if q:
-                out += q * second(kx)
-        return out
-
-    evaluate.__doc__ = doc
-    return evaluate
+def _sum_source(potential, name: str, order: int, array: bool) -> str:
+    """Python text of `name`(x), the table sum of `order` at x by the
+    statements of `_sums_block`: at a float with math's cos and sin, or,
+    if array, at np.asarray(x) with numpy's bound as locals, and then a
+    float for a 0-d x."""
+    head = ("\n    cos = np.cos\n    sin = np.sin\n    x = np.asarray(x, dtype=float)"
+            if array else "")
+    body = potential._sums_block("x", {order: "out"}, 4)
+    tail = " if out.shape else float(out)" if array else ""
+    return f"def {name}(x):{head}{body}\n    return out{tail}\n"
 
 
 @dataclass(frozen=True)
@@ -157,10 +151,6 @@ class PeriodicPotential:
         object.__setattr__(self, "_bound_cache", {})
         object.__setattr__(self, "_functions", {})
         self.coefficients(-1)
-        # The rows of F and F' paired by harmonic: the loop of the scalar
-        # EM loop in diffusion.py.
-        object.__setattr__(self, "_f_fp_rows", tuple(
-            zip(self.coefficients(0), self.coefficients(1))))
 
     # ----- evaluation ---------------------------------------------------
 
@@ -189,50 +179,58 @@ class PeriodicPotential:
             table = self._tables[order] = tuple(rows)
         return table
 
-    def _array_sum(self, x, order: int):
-        x = np.asarray(x, dtype=float)
-        out = self.a0 * x if order < 0 else np.full(x.shape, self.a0 if order == 0 else -0.0)
-        first, second = (np.cos, np.sin) if order % 2 == 0 else (np.sin, np.cos)
-        for k, p, q in self.coefficients(order):
-            kx = k * x
-            if p:
-                out += p * first(kx)
-            if q:
-                out += q * second(kx)
-        return out if out.shape else float(out)
+    def _sum(self, order: int, array: bool = False):
+        """The table sum of `order` compiled from `_sums_block`: a function
+        of a float x, or of a numpy array x if array.  Cached under (order,
+        array) as well as its name, which costs more to build than a sum."""
+        fn = self._functions.get((order, array))
+        if fn is None:
+            name = ("G" if order < 0 else f"F{order}") + ("_array" if array else "")
+            fn = self._functions[order, array] = self._generated(
+                name, _sum_source, order, array)
+        return fn
 
     def value(self, x):
         """F(x) for a scalar or array of angles."""
-        return self._array_sum(x, 0)
+        return self._sum(0, True)(x)
 
     def derivative(self, x, order: int = 1):
         """Exact derivative F^(order)(x); order >= 1."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        return self._array_sum(x, order)
+        return self._sum(order, True)(x)
 
     def antiderivative(self, x):
         """G(x) with G' = F and G(0) = -sum_k b_k / k (no normalization)."""
-        return self._array_sum(x, -1)
+        return self._sum(-1, True)(x)
 
-    value_s = _scalar_sum(0, cos, sin, "F(x) at a float x, for event loops.")
-    derivative_s = _scalar_sum(1, sin, cos, "F'(x) at a float x.")
-    antiderivative_s = _scalar_sum(-1, sin, cos, "G(x) at a float x.")
+    def value_s(self, x: float) -> float:
+        """F(x) at a float x, for event loops."""
+        return self._sum(0)(x)
 
-    def _sums_block(self, x: str, sums: dict) -> list[str]:
-        """Straight-line Python statements that set, for each order: name
-        of `sums`, the name to the table sum of that order (see
-        `coefficients`) at the float named x, bitwise equal to value_s(x)
-        for order 0, derivative_s(x) for 1 and antiderivative_s(x) for -1,
-        with no call, loop or zero test of their own.
+    def derivative_s(self, x: float) -> float:
+        """F'(x) at a float x."""
+        return self._sum(1)(x)
+
+    def antiderivative_s(self, x: float) -> float:
+        """G(x) at a float x."""
+        return self._sum(-1)(x)
+
+    def _sums_block(self, x: str, sums: dict, indent: int) -> str:
+        """Straight-line Python statements, each on a new line indented by
+        `indent` spaces, that set, for each order: name of `sums`, the
+        name to the table sum of that order (see `coefficients`) at the
+        value named x, with no call, loop or zero test of their own: the
+        text of `_sum`'s evaluators, diffusion's scalar EM block,
+        control's RK4 loop and pdmp's samplers.
 
         The zero terms are left out, and -0.0 + y is y bitwise, so F^(n)
         for n >= 1 starts at its first term.  Each harmonic k takes cos
         and sin of k x once, for all the sums that read them.
         Coefficients are written as repr() of the table's floats, which
         reads back exactly; a finite a_k times k can overflow to inf, so
-        the statements read the names cos, sin and inf (math's), and
-        assign kx<k>, c<k> and s<k> for the harmonics they read.
+        the statements read the names cos, sin and inf, and assign
+        kx<k>, c<k> and s<k> for the harmonics they read.
         """
         trig, lines = {}, []
         for order, name in sums.items():
@@ -252,15 +250,15 @@ class PeriodicPotential:
                 head.append(f"{kx} = {float(k)!r} * {x}")
             head += [f"{fn}{k} = {'cos' if fn == 'c' else 'sin'}({kx})"
                      for fn in sorted(trig[k])]
-        return head + lines
+        return "".join(f"\n{' ' * indent}{line}" for line in head + lines)
 
     def _generated(self, name: str, source, *args):
         """The function `name` that the Python text source(self, name,
         *args) defines, compiled on first use and cached on the instance.
 
-        The text reads cos, sin and inf (see `_sums_block`), and np for
-        the vector functions.  A pickled potential leaves the cache out,
-        and a copy compiles its own.
+        The text reads cos, sin and inf (math's; see `_sums_block`), and
+        np for array functions.  A pickled potential leaves the cache
+        out, and a copy compiles its own.
         """
         fn = self._functions.get(name)
         if fn is None:

@@ -69,7 +69,8 @@ class ReferenceWorkspace:
         self.masked = False
         self.sup_f = abs(self.a0) + potential.coefficient_bound_derivative(0)
         self.sup_fp = potential.coefficient_bound_derivative(1)
-        self.rows = potential._f_fp_rows
+        self.rows = tuple(zip(potential.coefficients(0),
+                              potential.coefficients(1)))
 
     def eval(self, x: np.ndarray) -> None:
         """Write F(x) into fv and F'(x) into fp.
@@ -195,6 +196,58 @@ def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
 
 
+# The hand-written scalar EM loop that the generated block of
+# `diffusion._scalar_source` must reproduce bit for bit, with its driver.
+def reference_scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x,
+                          out_u):
+    # The potential's coefficient tables are the order reference: F and F'
+    # are summed in their order, zero terms skipped, here and in the
+    # generated vector block, so a replica's path is bitwise the same
+    # as in a vector batch of any width.  The sum is inlined: calling a
+    # joint (F, F') method once per step cost 30-50 % more (2-vCPU Xeon).
+    a0 = potential.a0
+    rows = tuple(zip(potential.coefficients(0), potential.coefficients(1)))
+    sqrt_dt = math.sqrt(dt)
+    cos = math.cos
+    sin = math.sin
+    x = float(x0)
+    u = float(u0)
+    out_x[0] = x
+    out_u[0] = u
+    marks = rec_steps.tolist()
+    n_steps = marks[-1]
+    rec = 1
+    step = 0
+    while step < n_steps:
+        if not (math.isfinite(x) and math.isfinite(u)):
+            break
+        m = min(4096, n_steps - step)
+        noise = gen.standard_normal(m).tolist()
+        for g in noise:
+            fv = a0
+            fp = -0.0
+            for (k, a, b), (_, da, db) in rows:
+                ph = k * x
+                c = cos(ph)
+                s = sin(ph)
+                if a:
+                    fv += a * c
+                    fp += da * s
+                if b:
+                    fv += b * s
+                    fp += db * c
+            x = (x + (sqrt_dt * g - (u * fp) * dt)) % TWO_PI
+            u = u + fv * dt
+            step += 1
+            if step == marks[rec]:
+                out_x[rec] = x
+                out_u[rec] = u
+                rec += 1
+    if not (math.isfinite(x) and math.isfinite(u)):
+        raise RunawayError(f"diffusion replica with seed {seed}: "
+                           f"x or u is not finite at t = {step * dt!r}")
+
+
 @st.composite
 def em_potentials(draw):
     """Potentials with k up to 5 whose coefficients are often exactly 0,
@@ -282,6 +335,33 @@ class TestGeneratedBlock:
         assert copy == pot
         for got, want in zip(run(copy), first):
             assert np.array_equal(got, want)
+
+
+class TestScalarBlock:
+    """The generated scalar EM block, run by `_scalar_self`, is the
+    reference scalar loop, bit for bit."""
+
+    @settings(max_examples=25)
+    @given(pot=em_potentials(),
+           x0=st.one_of(st.just(0.0), st.floats(0.0, TWO_PI, exclude_max=True)),
+           u0=st.one_of(st.floats(-1e3, 1e3), st.floats(-5.0, 5.0)),
+           dt=st.sampled_from([1e-3, 2e-3]),
+           n_steps=st.integers(4090, 4200),
+           record_every=st.sampled_from([1, 7]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(MIXTURE, 0.0, 1e3, 1e-3, 4097, 7, 1)
+    @example(SINE_FIRST, 3.0, -1e3, 2e-3, 4096, 1, 2)
+    def test_block_is_the_reference_loop_bitwise(self, pot, x0, u0, dt,
+                                                  n_steps, record_every, seed):
+        rec_steps = diffusion._record_steps(n_steps * dt, dt, record_every)
+        assert rec_steps[-1] == n_steps
+        got = np.empty((2, rec_steps.size))
+        want = np.empty((2, rec_steps.size))
+        diffusion._scalar_self(pot, x0, u0, dt, np.random.default_rng(seed),
+                               seed, rec_steps, got[0], got[1])
+        reference_scalar_self(pot, x0, u0, dt, np.random.default_rng(seed),
+                              seed, rec_steps, want[0], want[1])
+        assert_bitwise(got, want)
 
 
 class TestEmStep:

@@ -131,6 +131,18 @@ class TestScenarioConfig:
                                 "potential": COSINE_RECORD,
                                 "options": {"epsilon": 0.01}})
 
+    @pytest.mark.parametrize("options", ["burn_in", ["burn_in", 1.0], 3])
+    def test_non_mapping_options_names_the_field(self, options):
+        with pytest.raises(ConfigError, match="field 'options'"):
+            scenario_from_dict({"kind": "ergodic",
+                                "potential": COSINE_RECORD,
+                                "options": options})
+
+    def test_options_line_of_the_text_form_names_the_field(self):
+        with pytest.raises(ConfigError, match="field 'options'"):
+            parse_scenario_text("kind = ergodic\npotential = cos.txt\n"
+                                "options = burn_in\n")
+
     def test_schema_and_readme_list_the_parsed_keys(self):
         # The parser, the JSON schema and the README option list must name
         # the same keys.
@@ -1193,6 +1205,33 @@ class TestCli:
                          "--process", "pdmp", "--lambda", "1.0",
                          "--horizon", "2.0", "--out", str(out)]) == 0
         assert (out / "events_0.csv").is_file()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--dt", "0"], "--dt"),
+        (["--horizon", "-1"], "--horizon"),
+        (["--process", "pdmp", "--lambda", "0"], "--lambda"),
+        (["--record-every", "0"], "--record-every"),
+        (["--x0", "nan"], "--x0"),
+    ])
+    def test_simulate_bad_flag_exits_2_before_writing(self, tmp_path, capsys,
+                                                      flags, named):
+        pot = tmp_path / "cos.txt"
+        pot.write_text("harmonic = 1 1.0 0.0\n")
+        out = tmp_path / "sim"
+        assert cli_main(["simulate", "--potential", str(pot), "--horizon",
+                         "2.0", "--out", str(out)] + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options", ["burn_in", ["burn_in", 1.0], 3])
+    def test_run_non_mapping_options_exits_2(self, tmp_path, capsys,
+                                              options):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "ergodic",
+                                   "potential": COSINE_RECORD,
+                                   "options": options}))
+        assert cli_main(["run", str(bad)]) == 2
+        assert "'options'" in capsys.readouterr().err
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only dependency: no source file names it, and

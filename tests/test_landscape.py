@@ -5,6 +5,8 @@ identities for the two reference potentials), never from the library's own
 root finder.
 """
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from circlelab import (
     validate_assumptions,
 )
 from circlelab.control import potential_zeros
-from circlelab.diffusion import _stack, _vector_sums
+from circlelab.diffusion import DiffusionState, _stack, _vector_sums, simulate_diffusion
+from circlelab.landscape import DEFAULT_ORDER_CAP
+from circlelab.pdmp import PdmpState, sample_landscape_time, simulate_pdmp
 from circlelab.potential import _root
 
 TWO_PI = 2.0 * math.pi
@@ -100,11 +104,58 @@ def sums_block(pot, orders=(0, 1)):
     """The potential's generated straight-line statements for the sums of
     the given orders, made into a function of x returning them."""
     names = [f"v{i}" for i in range(len(orders))]
-    block = pot._sums_block("x", dict(zip(orders, names)))
-    body = "".join(f"\n    {line}" for line in block)
+    body = pot._sums_block("x", dict(zip(orders, names)), 4)
     namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf}
     exec(f"def sums(x):{body}\n    return {', '.join(names)},\n", namespace)
     return namespace["sums"]
+
+
+# The loops that summed the coefficient tables at a float and at an array
+# before every evaluator was compiled from `PeriodicPotential._sums_block`;
+# the compiled sums must reproduce them bit for bit.
+def reference_scalar_sum(pot, order, x):
+    """The table sum of `order` at a float x, term by term."""
+    first, second = (math.cos, math.sin) if order % 2 == 0 else (math.sin, math.cos)
+    out = pot.a0 * x if order < 0 else pot.a0 if order == 0 else -0.0
+    for k, p, q in pot.coefficients(order):
+        kx = k * x
+        if p:
+            out += p * first(kx)
+        if q:
+            out += q * second(kx)
+    return out
+
+
+def reference_array_sum(pot, x, order):
+    """The table sum of `order` at an array x (a float for 0-d x)."""
+    x = np.asarray(x, dtype=float)
+    out = pot.a0 * x if order < 0 else np.full(x.shape, pot.a0 if order == 0 else -0.0)
+    first, second = (np.cos, np.sin) if order % 2 == 0 else (np.sin, np.cos)
+    for k, p, q in pot.coefficients(order):
+        kx = k * x
+        if p:
+            out += p * first(kx)
+        if q:
+            out += q * second(kx)
+    return out if out.shape else float(out)
+
+
+@st.composite
+def overflowing_potentials(draw):
+    """Potentials with k up to 5 and exact-zero coefficients, one of whose
+    coefficients is so large that k^order times it overflows to inf for
+    some order up to DEFAULT_ORDER_CAP."""
+    coef = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    hs = draw(st.lists(st.tuples(st.integers(1, 5), coef, coef), min_size=0,
+                       max_size=3, unique_by=lambda t: t[0]))
+    k = draw(st.integers(2, 5).filter(lambda k: k not in {h[0] for h in hs}))
+    big = draw(st.floats(sys.float_info.max / k ** DEFAULT_ORDER_CAP * 1.01,
+                         sys.float_info.max))
+    big *= draw(st.sampled_from([1.0, -1.0]))
+    other = draw(coef)
+    hs.append((k, big, other) if draw(st.booleans()) else (k, other, big))
+    a0 = draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    return PeriodicPotential(a0, tuple(hs))
 
 
 def assert_bitwise(got, want):
@@ -211,6 +262,63 @@ class TestEvaluation:
         record = {"a0": a0, "harmonics": [[1, 1.0, 0.0], [2, a2, b2]]}
         with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
             PeriodicPotential.from_record(record)
+
+
+class TestCompiledSums:
+    """Every float and array evaluator of F, F^(n) and G is compiled from
+    `PeriodicPotential._sums_block` and sums the table as the reference
+    loops do, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(pot=st.one_of(overflowing_potentials(), sparse_potentials()),
+           x=st.floats(-50.0, 50.0, allow_nan=False))
+    @example(SKEWED, 2.5)
+    def test_compiled_sums_are_the_reference_loops_bitwise(self, pot, x):
+        points = [0.0, -0.0, TWO_PI, -TWO_PI, 1e6, -1e6, x]
+        arrays = [x, np.array(x), np.array(points),
+                  np.array([points, points[::-1]])]
+        scalars = {0: pot.value_s, 1: pot.derivative_s, -1: pot.antiderivative_s}
+        for order in range(-1, DEFAULT_ORDER_CAP + 1):
+            evaluate = {0: pot.value, -1: pot.antiderivative}.get(
+                order, lambda z: pot.derivative(z, order))
+            # inf times a zero trig value is nan, in both sums alike.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for z in points:
+                    want = reference_scalar_sum(pot, order, z)
+                    assert_bitwise(pot._sum(order)(z), want)
+                    if order in scalars:
+                        assert_bitwise(scalars[order](z), want)
+                for z in arrays:
+                    got, want = evaluate(z), reference_array_sum(pot, z, order)
+                    assert type(got) is type(want)
+                    assert_bitwise(got, want)
+
+    def test_potential_pickles_after_evaluating_simulating_and_sampling(self):
+        pot = PeriodicPotential(0.1, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
+        xs = np.linspace(-1.0, 7.0, 9)
+
+        def run(p):
+            out = [p._sum(order, array)(xs if array else 0.7)
+                   for order in range(-1, 4) for array in (False, True)]
+            out += [p.value_s(0.7), p.derivative_s(0.7),
+                    p.antiderivative_s(0.7), p.value(xs), p.derivative(xs, 2),
+                    p.antiderivative(xs), p.value(0.7)]
+            # 5000 steps of the scalar EM block, over a noise-chunk edge.
+            path = simulate_diffusion(p, DiffusionState(1.0, 0.5), 5.0,
+                                      seed=3, record_every=7)
+            log = simulate_pdmp(p, 1.0, PdmpState(1.0, 3.0, 1), 20.0, seed=5)
+            arrival = sample_landscape_time(p, 1.0, 1, np.random.default_rng(2),
+                                            50.0, u0=4.0)
+            return out + [path.x, path.u, log.times, log.x, log.u, arrival]
+
+        first = run(pot)
+        assert pot._functions
+        copy = pickle.loads(pickle.dumps(pot))
+        assert copy == pot and not copy._functions
+        again = run(copy)
+        assert first[-1] is not None
+        for got, want in zip(again, first):
+            assert_bitwise(got, want)
 
 
 class TestRootFinder:
