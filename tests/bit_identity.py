@@ -18,8 +18,9 @@ the masses of the nine ergodic windows of one long cosine log.  Its
 ``diffusion`` record holds one digest per raw Euler-Maruyama run in
 ``diffusion_digests``: ensembles of three potentials from two starts at
 four widths, across both loops, the masked wrap and noise-block edges;
-the coupled step-size levels of each potential; and one batch of
-frozen-drive exit trials.
+the coupled step-size levels of each potential, at two widths and with
+a factor of 3; and batches of frozen-drive exit trials from 1 to 600
+wide.
 
 ``tests/test_bit_identity.py`` reruns the records and compares.  A change
 that moves bits on purpose regenerates the file from the repository
@@ -196,6 +197,14 @@ def pdmp_digests():
 DIFFUSION_U0 = (30.0, -5.0)
 DIFFUSION_STEPS = {22: 2100, 64: 2100, 300: 1800, 600: 1000}
 COUPLED_LEVELS = (4e-3, 2e-3, 1e-3)
+# Coarse steps three fine steps long: a factor that is not a power of two.
+COUPLED_LEVELS_3 = (3e-3, 1e-3)
+# Frozen-drive exit trials at dt = 1e-3 up to 1.5: (drive, low, x_start,
+# high) per potential, with drives of both signs and a mixture arc that
+# crosses 0.  At widths 1, 8 and 600 replicas leave the batch in more
+# than one 256-step block, and some are censored.
+EXIT_CASES = {"cosine": (-1.5, 0.5, 1.5, 2.8), "mixture": (1.0, 5.5, 0.2, 1.2)}
+EXIT_WIDTHS = (1, 8, 600)
 
 
 def diffusion_digests():
@@ -221,17 +230,27 @@ def diffusion_digests():
                 blob = ens.x.tobytes() + ens.u.tobytes()
                 digests[f"ensemble-{name}-u{u0:g}-w{width}"] = (
                     hashlib.sha256(blob).hexdigest())
-        # 2.4 holds 600 coarse steps, and 2400 fine steps span two blocks.
-        levels = simulate_terminal_u_coupled(
-            pot, 1.0, 30.0, 2.4, COUPLED_LEVELS,
-            seeds=derive_replica_seeds(92, 64))
-        blob = b"".join(levels[d].tobytes() for d in COUPLED_LEVELS)
-        digests[f"coupled-{name}"] = hashlib.sha256(blob).hexdigest()
-    trials = run_exit_trials(pots["skewed"], 2.0, 0.3, 1.2, 2.6,
-                             seeds=derive_replica_seeds(93, 64), dt=2e-3,
-                             max_time=2.0)
-    blob = trials.exit_time.tobytes() + trials.exit_side.tobytes()
-    digests["exit-skewed"] = hashlib.sha256(blob).hexdigest()
+        # 2.4 holds 600 or 800 coarse steps, and 2400 fine steps span two
+        # blocks.
+        for label, width, dts in (("", 64, COUPLED_LEVELS),
+                                  ("-w1", 1, COUPLED_LEVELS),
+                                  ("-f3", 64, COUPLED_LEVELS_3)):
+            levels = simulate_terminal_u_coupled(
+                pot, 1.0, 30.0, 2.4, dts,
+                seeds=derive_replica_seeds(92, width))
+            blob = b"".join(levels[d].tobytes() for d in dts)
+            digests[f"coupled-{name}{label}"] = (
+                hashlib.sha256(blob).hexdigest())
+    exits = [("exit-skewed", "skewed", (2.0, 0.3, 1.2, 2.6), 93, 64, 2e-3,
+              2.0)]
+    exits += [(f"exit-{name}-w{width}", name, case, 94, width, 1e-3, 1.5)
+              for name, case in EXIT_CASES.items() for width in EXIT_WIDTHS]
+    for key, name, (drive, low, x_start, high), root, width, dt, t in exits:
+        trials = run_exit_trials(pots[name], drive, low, x_start, high,
+                                 seeds=derive_replica_seeds(root, width),
+                                 dt=dt, max_time=t)
+        blob = trials.exit_time.tobytes() + trials.exit_side.tobytes()
+        digests[key] = hashlib.sha256(blob).hexdigest()
     return digests
 
 
