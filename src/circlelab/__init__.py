@@ -101,6 +101,5 @@ from .io import (
     write_trajectory_csv,
 )
 from .runner import RunManifest, replay, replica_chunks, run_scenario
-from .cli import main as cli_main
 
 __all__ = [name for name in dir() if not name.startswith("_")]

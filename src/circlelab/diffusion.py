@@ -22,18 +22,21 @@ Conventions shared by every simulator in this module:
 - A replica's path is bitwise the same at every batch width.  Up to
   _SCALAR_PATH_MAX replicas run a per-replica scalar block and wider
   batches a vector block, each generated once per potential; both start
-  from wrap(x0) and sum F and F' in the order of the potential's
-  coefficient tables, with the same float operations.  The
+  from wrap(x0) and add the terms of F and F' in the order of
+  `PeriodicPotential._terms`, with the same float operations.  The
   vector block keeps its state as one array M = [u; x; k x ...]: rows 0
   and 1 are (u, x), and rows 1... are the phase stack of the harmonics,
   so one cos call and one sin call evaluate every harmonic, one
   multiply per coefficient column forms all of a table's terms, and one
   call updates u and x together.  A step costs a dozen numpy calls
-  whatever the number of harmonics.  `run_exit_trials` evaluates F'
-  alone from the same generated sums, so an exit outcome does not
-  depend on the batch width either.  The vector loops draw noise per
-  replica in blocks of steps and scale it by sqrt(dt) into a time-major
-  buffer, so each step reads one contiguous row.
+  whatever the number of harmonics.  One driver, `_run_levels`, runs
+  the vector block for wide ensembles and for the coupled step-size
+  levels.  `run_exit_trials` reads F' alone from the potential's
+  compiled array evaluator, which sums the same terms in the same
+  order, so an exit outcome does not depend on the batch width either.
+  The vector loops draw noise per replica in blocks of steps and scale
+  it by sqrt(dt) into a time-major buffer, so each step reads one
+  contiguous row.
 - A wide batch wraps x with two masked corrections, which are
   bitwise equal to the modulo while one step moves x by less than pi;
   a guard checks that bound once per noise block and runs the block
@@ -199,19 +202,11 @@ class ExitEnsemble:
 # engine internals
 
 
-def _stack(potential: PeriodicPotential, n: int, above: int = 0):
-    """An unfilled phase stack for n replicas (see `_sums_lines`) under
-    `above` more rows: a row for x, then one row for k x per harmonic
-    k != 1."""
-    ks = [k for k, _, _ in potential.coefficients(0)]
-    return np.empty((above + 1 + sum(k != 1.0 for k in ks), n))
-
-
 def _sums_lines(potential: PeriodicPotential, outs: dict):
     """(setup, step): Python statements that write, for each order >= 0
     and name of `outs`, the table sum of that order (see
-    `PeriodicPotential.coefficients`) at every column of the phase stack
-    Q into the row bound to the name.
+    `PeriodicPotential._terms`) at every column of the phase stack Q into
+    the row bound to the name.
 
     Q holds x in row 0 and then k x for each harmonic k != 1, in table
     order; its phase rows are Q itself if the first harmonic is k = 1,
@@ -219,18 +214,18 @@ def _sums_lines(potential: PeriodicPotential, outs: dict):
     coefficient columns once per Q.  The step statements make one numpy
     call per operation on the whole stack, not per harmonic: one
     multiply fills the k x rows, one cos and one sin call take every
-    phase row, and one multiply per nonzero coefficient column of a
-    table forms all of its terms.  A column whose nonzero entries are
-    all 1.0 is the trig rows themselves, since c * 1.0 is c bitwise.
-    The terms are then added in the table's order, zero terms left out,
-    the first written straight in and a0 added after it for F, so each
-    sum is bitwise the scalar evaluators' sum at that x.  A sum of one
-    term (one harmonic, one nonzero coefficient) is written into its
-    row by the multiply.  The statements read np and bind x, ph, kx,
-    ks, C, S, multiply, add and names starting with t or v.
+    phase row, and one multiply per coefficient column (the cos or the
+    sin terms of a table) forms all of its terms.  A column whose
+    nonzero entries are all 1.0 is the trig rows themselves, since c *
+    1.0 is c bitwise.  The terms are then added in the order of
+    `_terms`, the first written straight in and a0 added after it for
+    F, so each sum is bitwise the scalar evaluators' sum at that x.  A
+    sum of one term (one harmonic, one nonzero coefficient) is written
+    into its row by the multiply.  The statements read np and bind x,
+    ph, kx, ks, C, S, multiply, add and names starting with t or v.
     """
     ks = [k for k, _, _ in potential.coefficients(0)]
-    row = {k: i for i, k in enumerate(ks)}
+    row = {int(k): i for i, k in enumerate(ks)}
     others = [[k] for k in ks if k != 1.0]
     head = ["x = Q[0]", f"ph = {'Q' if ks[0] == 1.0 else 'Q[1:]'}",
             "multiply = np.multiply", "add = np.add"]
@@ -241,16 +236,12 @@ def _sums_lines(potential: PeriodicPotential, outs: dict):
     trig, columns, views = set(), [], {}
     products, sums, alias = [], [], {}
     for order, name in outs.items():
-        if order < 0:
-            raise ValueError("order must be >= 0")
         coefs, terms = {}, []
-        for k, p, q in potential.coefficients(order):
-            for tag, coef, fn in ((f"t{order}p", p, "CS"[order % 2]),
-                                  (f"t{order}q", q, "SC"[order % 2])):
-                if coef:
-                    coefs.setdefault(tag, (fn, [[0.0] for _ in ks]))
-                    coefs[tag][1][row[k]][0] = coef
-                    terms.append((tag, row[k]))
+        for coef, fn, k in potential._terms(order):
+            tag, fn = f"t{order}{fn}", fn.upper()
+            coefs.setdefault(tag, (fn, [[0.0] for _ in ks]))
+            coefs[tag][1][row[k]][0] = coef
+            terms.append((tag, row[k]))
         one = len(terms) == 1 and order > 0
         for tag, (fn, col) in coefs.items():
             trig.add(fn)
@@ -349,34 +340,6 @@ def _em_block(potential: PeriodicPotential, masked: bool):
                                 _em_source, masked)
 
 
-def _sums_source(potential: PeriodicPotential, name: str, orders) -> str:
-    """Python text of `name`(Q, out), which returns a function of no
-    arguments that writes the table sum of orders[i] at each column of
-    the phase stack Q into out[i] (see `_sums_lines`)."""
-    outs = {order: f"o{i}" for i, order in enumerate(orders)}
-    setup, step = _sums_lines(potential, outs)
-    head = "".join(f"\n    {line}" for line in
-                   [f"o{i} = out[{i}]" for i in range(len(orders))] + setup)
-    body = "".join(f"\n        {line}" for line in step)
-    return f"""def {name}(Q, out):{head}
-    def evaluate():{body}
-    return evaluate
-"""
-
-
-def _vector_sums(potential: PeriodicPotential, orders, Q: np.ndarray,
-                 out: np.ndarray):
-    """A function of no arguments that writes the table sum of orders[i]
-    (F for 0, F' for 1) at every column of the phase stack Q (see
-    `_stack`; the caller fills its x row) into out[i], bitwise equal to
-    the scalar evaluators there.  Its source is generated once per
-    potential and orders."""
-    orders = tuple(orders)
-    make = potential._generated(
-        "sums_" + "_".join(str(o) for o in orders), _sums_source, orders)
-    return make(Q, out)
-
-
 def _choose_wrap(potential: PeriodicPotential, n: int, umax: float,
                  sn: np.ndarray, dt: float) -> bool:
     """Whether a batch of n replicas may run the len(sn) steps of a noise
@@ -401,8 +364,9 @@ def _choose_wrap(potential: PeriodicPotential, n: int, umax: float,
 def _em_state(potential: PeriodicPotential, x: np.ndarray,
               u: np.ndarray) -> np.ndarray:
     """The state M of `_em_source`: u and x over the unfilled rest of the
-    phase stack."""
-    M = _stack(potential, x.size, above=1)
+    phase stack, one row of k x per harmonic k != 1."""
+    ks = [k for k, _, _ in potential.coefficients(0)]
+    M = np.empty((2 + sum(k != 1.0 for k in ks), x.size))
     M[0] = u
     M[1] = x
     return M
@@ -525,33 +489,38 @@ def _scaled_transpose(src: np.ndarray, dst: np.ndarray,
         np.multiply(src[lo:lo + _TILE].T, scale, out=dst[:, lo:lo + _TILE])
 
 
-def _fill_steps(block: np.ndarray, steps: np.ndarray, gens, m: int,
-                scale: float) -> None:
-    """Draw each replica's next m normals into its row of block and write
-    them, times scale, into steps[:m], one row per step."""
-    _fill_noise(block, gens, m)
-    _scaled_transpose(block[:, :m], steps[:m], scale)
+def _run_levels(potential, states, dt_levels, factors, gens, seeds,
+                n_steps, dt_finest, marks=_NO_MARKS, out_x=None, out_u=None):
+    """Run the vector EM block (see `_em_source`) on each state M of
+    `states` for n_steps fine steps of size dt_finest, noise block by
+    noise block, all levels on one Brownian path.
 
-
-def _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x, out_u):
-    n = x.size
-    M = _em_state(potential, x, u)
-    sqrt_dt = math.sqrt(dt)
-    block, steps = _noise_buffers(n)
-    out_x[:, 0] = x
-    out_u[:, 0] = u
-    marks = rec_steps.tolist()
-    n_steps = marks[-1]
-    rec = 1
+    Level i takes steps of dt_levels[i], factors[i] fine steps long; its
+    normals are the block sums of factors[i] fine normals times
+    1/sqrt(factors[i]).  A one-level run records into out_x and out_u at
+    its step counts in marks, an increasing list ending at n_steps.
+    """
+    n = len(seeds)
+    block, steps = _noise_buffers(n, multiple_of=math.lcm(*factors))
+    rec = 0
     step = 0
     while step < n_steps:
         m = min(steps.shape[0], n_steps - step)
-        _fill_steps(block, steps, gens, m, sqrt_dt)
-        umax = _finite_umax(M[1], M[0], seeds, step * dt)
-        em = _em_block(potential,
-                       _choose_wrap(potential, n, umax, steps[:m], dt))
-        step, rec = em(M, steps[:m], dt, step, marks, rec, out_x, out_u)
-    _finite_umax(M[1], M[0], seeds, step * dt)
+        _fill_noise(block, gens, m)
+        for M, dt, f in zip(states, dt_levels, factors):
+            if f == 1:
+                coarse = block[:, :m]
+            else:
+                coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
+                coarse *= 1.0 / math.sqrt(f)
+            sn = steps[:m // f]
+            _scaled_transpose(coarse, sn, math.sqrt(dt))
+            umax = _finite_umax(M[1], M[0], seeds, step * dt_finest)
+            em = _em_block(potential, _choose_wrap(potential, n, umax, sn, dt))
+            _, rec = em(M, sn, dt, step // f, marks, rec, out_x, out_u)
+        step += m
+    for M in states:
+        _finite_umax(M[1], M[0], seeds, step * dt_finest)
 
 
 def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
@@ -568,16 +537,19 @@ def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
             _scalar_self(potential, x[j], u[j], dt, gens[j], seeds[j],
                          rec_steps, out_x[j], out_u[j])
     else:
-        _vector_self(potential, x, u, dt, gens, seeds, rec_steps, out_x,
-                     out_u)
+        out_x[:, 0] = x
+        out_u[:, 0] = u
+        _run_levels(potential, [_em_state(potential, x, u)], [dt], [1], gens,
+                    seeds, int(rec_steps[-1]), dt, rec_steps[1:].tolist(),
+                    out_x[:, 1:], out_u[:, 1:])
     return out_x, out_u
 
 
 def level_factors(horizon: float, dt_levels: Sequence[float]):
-    """(factors, fine steps, lcm of the factors) of nested step sizes:
-    factors[i] is dt_levels[i] over the finest level, which must be an
-    integer, and the horizon must hold a whole number of steps of every
-    level.  Raises ValueError otherwise."""
+    """(factors, fine steps) of nested step sizes: factors[i] is
+    dt_levels[i] over the finest level, which must be an integer, and the
+    horizon must hold a whole number of steps of every level.  Raises
+    ValueError otherwise."""
     dt_f = min(dt_levels)
     factors = []
     for d in dt_levels:
@@ -586,10 +558,9 @@ def level_factors(horizon: float, dt_levels: Sequence[float]):
             raise ValueError("each dt level must be an integer multiple of the finest")
         factors.append(f)
     n_steps_f = _validate_grid(horizon, dt_f, 1)
-    lcm = math.lcm(*factors)
-    if n_steps_f % lcm:
+    if n_steps_f % math.lcm(*factors):
         raise ValueError("horizon must contain a whole number of steps of every level")
-    return factors, n_steps_f, lcm
+    return factors, n_steps_f
 
 
 def _seed_tuple(seeds) -> tuple:
@@ -660,42 +631,14 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     seeds = _seed_tuple(seeds)
     n = len(seeds)
     dt_levels = [float(d) for d in dt_levels]
-    dt_f = min(dt_levels)
-    factors, n_steps_f, lcm = level_factors(horizon, dt_levels)
+    factors, n_steps_f = level_factors(horizon, dt_levels)
     x = wrap(_as_replica_array(x0, n, "x0"))
     u = _as_replica_array(u0, n, "u0")
     states = [_em_state(potential, x, u) for _ in dt_levels]
-    gens = generators_from_seeds(seeds)
-    block, steps = _noise_buffers(n, multiple_of=lcm)
-    step = 0
-    while step < n_steps_f:
-        m = min(steps.shape[0], n_steps_f - step)
-        _fill_noise(block, gens, m)
-        for lvl, f in enumerate(factors):
-            dt = dt_levels[lvl]
-            if f == 1:
-                coarse = block[:, :m]
-            else:
-                coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
-                coarse *= 1.0 / math.sqrt(f)
-            sn = steps[:m // f]
-            _scaled_transpose(coarse, sn, math.sqrt(dt))
-            M = states[lvl]
-            umax = _finite_umax(M[1], M[0], seeds, step * dt_f)
-            em = _em_block(potential, _choose_wrap(potential, n, umax, sn, dt))
-            em(M, sn, dt, 0, _NO_MARKS, 0, None, None)
-        step += m
-    for M in states:
-        _finite_umax(M[1], M[0], seeds, step * dt_f)
+    _run_levels(potential, states, dt_levels, factors,
+                generators_from_seeds(seeds), seeds, n_steps_f,
+                min(dt_levels))
     return {d: M[0] for d, M in zip(dt_levels, states)}
-
-
-def _exit_drift(potential: PeriodicPotential, n: int):
-    """(x, fp, fprime) for n exit trials: fprime() writes F' at the
-    positions in x into fp (see `_vector_sums`)."""
-    Q = _stack(potential, n)
-    out = np.empty((1, n))
-    return Q[0], out[0], _vector_sums(potential, (1,), Q, out)
 
 
 def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
@@ -733,7 +676,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     exit_side = np.zeros(n, dtype=np.int8)
     alive = np.arange(n)
     s = np.full(n, s0)
-    xs, fp, fprime = _exit_drift(potential, n)
+    fprime = potential._sum(1, True)
     block, steps = _noise_buffers(n)
     # Finished replicas leave the batch every blen steps; until then they
     # cost a full step each, and 2048-step blocks ran slower.  A replica's
@@ -743,11 +686,11 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     while step < max_steps and alive.size:
         m = min(blen, max_steps - step)
         na = alive.size
-        _fill_steps(block[:na], steps[:, :na], gens, m, sqrt_dt)
+        _fill_noise(block[:na], gens, m)
+        _scaled_transpose(block[:na, :m], steps[:m, :na], sqrt_dt)
         active = np.ones(na, dtype=bool)
         for i, sn in enumerate(steps[:m, :na]):
-            np.add(s, low, out=xs)
-            fprime()
+            fp = fprime(s + low)
             fp *= drv
             fp *= dt
             np.subtract(sn, fp, out=fp)
@@ -769,7 +712,6 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
             alive = alive[active]
             s = s[active]
             gens = [gen for gen, keep in zip(gens, active) if keep]
-            xs, fp, fprime = _exit_drift(potential, alive.size)
     _freeze(exit_time, exit_side)
     return ExitEnsemble(exit_time=exit_time, exit_side=exit_side,
                         low=float(low), high=float(high),

@@ -107,9 +107,19 @@ def find_critical_points(
     Roots are bracketed on a DEFAULT_GRID-cell grid and polished by
     Brent's method; one left with |F'| > _POLISH_TOL (scaled by the size
     of F'') raises.  A root where no derivative up to order_cap exceeds
-    _ORDER_TOL raises DegenerateCriticalPointError.
+    _ORDER_TOL raises DegenerateCriticalPointError.  A coefficient whose
+    term of F' or F'' (which the scan, the polish and the kind test read)
+    overflows to inf raises ConfigError naming it.
     """
-    roots = _circle_roots(potential.derivative, DEFAULT_GRID, 1e-7)
+    for n in (1, 2):
+        for k, p, q in potential.coefficients(n):
+            for name, c in ((f"a_{int(k)}", p), (f"b_{int(k)}", q)):
+                if math.isinf(c):
+                    raise ConfigError(
+                        f"potential coefficient {name!r}: its term of "
+                        f"F^({n}) overflows to inf, so F' and F'' cannot "
+                        f"be evaluated")
+    roots =_circle_roots(potential.derivative, DEFAULT_GRID, 1e-7)
     scale = max(1.0, potential.coefficient_bound_derivative(2))
     points = []
     for r in roots:

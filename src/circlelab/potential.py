@@ -155,15 +155,10 @@ class PeriodicPotential:
     # ----- evaluation ---------------------------------------------------
 
     def coefficients(self, order: int) -> tuple[tuple[float, float, float], ...]:
-        """The table of F^(order), or of G without its a0*x for order -1,
-        which every evaluator sums.
-
-        One row (k, p, q) per harmonic with a nonzero coefficient, by k.
-        The sum adds p*T(kx), from a_k, and then q*T'(kx), from b_k, each
-        on its own and skipped if zero; (T, T') is (cos, sin) for even
-        orders and (sin, cos) for odd ones.  It starts from a0 (F), a0*x
-        (G) or -0.0, the additive identity (F^(n), n >= 1).
-        """
+        """The table of F^(order), or of G without its a0*x for order -1:
+        one row (k, p, q) per harmonic with a nonzero coefficient, by k,
+        p from a_k and q from b_k.  Every evaluator adds its terms in the
+        order of `_terms`."""
         table = self._tables.get(order)
         if table is None:
             if order < -1:
@@ -216,10 +211,21 @@ class PeriodicPotential:
         """G(x) at a float x."""
         return self._sum(-1)(x)
 
+    def _terms(self, order: int) -> list[tuple[float, str, int]]:
+        """(coefficient, "c" or "s", k) for each nonzero term of the table
+        of `order`, the term coefficient * cos(k x) or * sin(k x), in the
+        order every evaluator adds them: by k, p * T(kx) and then q *
+        T'(kx), where (T, T') is (cos, sin) for even orders and (sin, cos)
+        for odd ones.  The sum starts from a0 (F), a0*x (G) or -0.0, the
+        additive identity (F^(n), n >= 1)."""
+        first, second = ("c", "s") if order % 2 == 0 else ("s", "c")
+        return [(coef, fn, int(k)) for k, p, q in self.coefficients(order)
+                for coef, fn in ((p, first), (q, second)) if coef]
+
     def _sums_block(self, x: str, sums: dict, indent: int) -> str:
         """Straight-line Python statements, each on a new line indented by
         `indent` spaces, that set, for each order: name of `sums`, the
-        name to the table sum of that order (see `coefficients`) at the
+        name to the table sum of that order (see `_terms`) at the
         value named x, with no call, loop or zero test of their own: the
         text of `_sum`'s evaluators, diffusion's scalar EM block,
         control's RK4 loop and pdmp's samplers.
@@ -234,14 +240,11 @@ class PeriodicPotential:
         """
         trig, lines = {}, []
         for order, name in sums.items():
-            first, second = ("c", "s") if order % 2 == 0 else ("s", "c")
             terms = ([repr(self.a0)] if order == 0
                      else [f"{self.a0!r} * {x}"] if order == -1 else [])
-            for k, p, q in self.coefficients(order):
-                for coef, fn in ((p, first), (q, second)):
-                    if coef:
-                        trig.setdefault(int(k), set()).add(fn)
-                        terms.append(f"{coef!r} * {fn}{int(k)}")
+            for coef, fn, k in self._terms(order):
+                trig.setdefault(k, set()).add(fn)
+                terms.append(f"{coef!r} * {fn}{k}")
             lines.append(f"{name} = {' + '.join(terms) or '-0.0'}")
         head = []
         for k in sorted(trig):

@@ -23,6 +23,7 @@ from circlelab.diffusion import (
     _finite_umax,
     _noise_buffers,
     _scaled_transpose,
+    _seed_tuple,
     level_factors,
     run_exit_trials,
     simulate_diffusion,
@@ -34,7 +35,7 @@ from circlelab.landscape import compute_level_geometry
 from circlelab.potential import PeriodicPotential
 from circlelab.seeding import derive_replica_seeds, generators_from_seeds
 from oracles import analytic_escape_probability
-from test_landscape import assert_bitwise
+from test_landscape import _stack, _vector_sums, assert_bitwise
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
@@ -169,7 +170,8 @@ def reference_block(potential, x, u, steps, dt, masked, marks):
 def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
     """simulate_terminal_u_coupled's loop over the reference step."""
     n = len(seeds)
-    factors, n_steps_f, lcm = level_factors(horizon, dt_levels)
+    factors, n_steps_f = level_factors(horizon, dt_levels)
+    lcm = math.lcm(*factors)
     dt_f = min(dt_levels)
     xs = [wrap(np.full(n, float(x0))) for _ in dt_levels]
     us = [np.full(n, float(u0)) for _ in dt_levels]
@@ -194,6 +196,73 @@ def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
                 ws.em_step(xs[lvl], us[lvl], sn, dt)
         step += m
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
+
+
+# The exit-trial loop over the stacked evaluator of F' that
+# `run_exit_trials` ran before it read F' from the compiled array sums;
+# its outcomes must stay the same bit for bit.
+def _exit_drift(potential, n):
+    """(x, fp, fprime) for n exit trials: fprime() writes F' at the
+    positions in x into fp (see `_vector_sums`)."""
+    Q = _stack(potential, n)
+    out = np.empty((1, n))
+    return Q[0], out[0], _vector_sums(potential, (1,), Q, out)
+
+
+def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
+                          dt, max_time, positions):
+    """(exit_time, exit_side) of run_exit_trials' loop on `_exit_drift`;
+    appends a copy of the positions that each step reads F' at to
+    `positions`."""
+    seeds = _seed_tuple(seeds)
+    n = len(seeds)
+    arc = float(wrap(high - low))
+    s0 = float(wrap(x_start - low))
+    max_steps = int(math.ceil(max_time / dt - 1e-9))
+    drv = float(drive)
+    sqrt_dt = math.sqrt(dt)
+    gens = generators_from_seeds(seeds)
+    exit_time = np.full(n, max_steps * dt)
+    exit_side = np.zeros(n, dtype=np.int8)
+    alive = np.arange(n)
+    s = np.full(n, s0)
+    xs, fp, fprime = _exit_drift(potential, n)
+    block, steps = _noise_buffers(n)
+    blen = 256
+    step = 0
+    while step < max_steps and alive.size:
+        m = min(blen, max_steps - step)
+        na = alive.size
+        _fill_noise(block[:na], gens, m)
+        _scaled_transpose(block[:na, :m], steps[:m, :na], sqrt_dt)
+        active = np.ones(na, dtype=bool)
+        for i, sn in enumerate(steps[:m, :na]):
+            np.add(s, low, out=xs)
+            positions.append(xs.copy())
+            fprime()
+            fp *= drv
+            fp *= dt
+            np.subtract(sn, fp, out=fp)
+            fp *= active  # finished replicas stop moving
+            s += fp
+            hit_lo = (s <= 0.0) & active
+            hit_hi = (s >= arc) & active
+            if hit_lo.any() or hit_hi.any():
+                t_now = (step + i + 1) * dt
+                idx = alive[hit_lo]
+                exit_time[idx] = t_now
+                exit_side[idx] = -1
+                idx = alive[hit_hi]
+                exit_time[idx] = t_now
+                exit_side[idx] = 1
+                active &= ~(hit_lo | hit_hi)
+        step += m
+        if not active.all():
+            alive = alive[active]
+            s = s[active]
+            gens = [gen for gen, keep in zip(gens, active) if keep]
+            xs, fp, fprime = _exit_drift(potential, alive.size)
+    return exit_time, exit_side
 
 
 # The hand-written scalar EM loop that the generated block of
@@ -306,11 +375,12 @@ class TestGeneratedBlock:
         assert_bitwise(M[0], u)
 
     @pytest.mark.parametrize("pot", [MIXTURE, SKEWED, SINE_FIRST])
-    @pytest.mark.parametrize("width", [22, _MASKED_WRAP_MIN + 20])
-    def test_coupled_levels_are_the_reference_loop_bitwise(self, pot, width):
-        # 2400 fine steps span two noise blocks at both widths.
+    @pytest.mark.parametrize("width", [1, 22, _MASKED_WRAP_MIN + 20])
+    @pytest.mark.parametrize("levels", [(4e-3, 2e-3, 1e-3), (3e-3, 1e-3)])
+    def test_coupled_levels_are_the_reference_loop_bitwise(self, pot, width,
+                                                           levels):
+        # 2400 fine steps span two noise blocks at every width.
         seeds = derive_replica_seeds(31, width)
-        levels = (4e-3, 2e-3, 1e-3)
         got = simulate_terminal_u_coupled(pot, 1.0, 0.5, 2.4, levels,
                                           seeds=seeds)
         want = reference_coupled(pot, 1.0, 0.5, 2.4, levels, seeds=seeds)
@@ -817,6 +887,46 @@ class TestExitTrials:
         assert sides[:8].tolist() == [-1, -1, 1, 1, -1, -1, 0, -1]
         steps = np.array([86, 650, 184, 857, 240, 336, 1000, 253])
         assert np.array_equal(times[:8], steps * 2e-3)
+
+    @settings(max_examples=30)
+    @given(pot=em_potentials(),
+           width=st.integers(1, 300),
+           drive=st.floats(-5.0, 5.0),
+           low=st.floats(0.0, TWO_PI, exclude_max=True),
+           arc=st.floats(0.2, 3.0),
+           frac=st.floats(0.1, 0.9),
+           max_time=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(SINE_FIRST, 300, -3.0, 5.5, 1.5, 0.4, 1.0, 1)
+    @example(SKEWED, 1, 2.0, 6.0, 2.0, 0.5, 1.0, 2)
+    def test_outcomes_are_the_reference_loop_bitwise(
+            self, pot, width, drive, low, arc, frac, max_time, seed):
+        # Arcs with low + arc past 2 pi cross 0; 1.0 holds two 256-step
+        # blocks at dt = 2e-3.
+        # The positions that F' is read at are compared too: an exit
+        # outcome hides most one-ulp moves of a path.
+        high = float(wrap(low + arc))
+        x_start = float(wrap(low + frac * arc))
+        seeds = derive_replica_seeds(seed, width)
+        real = pot._sum(1, True)
+        got_x, want_x = [], []
+
+        def traced(self, order, array=False):
+            def fprime(x):
+                got_x.append(x.copy())
+                return real(x)
+            return fprime
+
+        with mock.patch.object(PeriodicPotential, "_sum", traced):
+            got = run_exit_trials(pot, drive, low, x_start, high,
+                                  seeds=seeds, dt=2e-3, max_time=max_time)
+        want_time, want_side = reference_exit_trials(
+            pot, drive, low, x_start, high, seeds=seeds, dt=2e-3,
+            max_time=max_time, positions=want_x)
+        assert got.exit_time.tobytes() == want_time.tobytes()
+        assert got.exit_side.tobytes() == want_side.tobytes()
+        assert [x.size for x in got_x] == [x.size for x in want_x]
+        assert_bitwise(np.concatenate(got_x), np.concatenate(want_x))
 
     def test_empirical_exit_matches_scale_function_oracle(self):
         geo = compute_level_geometry(COSINE, eta=1.0 / 3.0)

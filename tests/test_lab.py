@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -1164,6 +1165,36 @@ class TestCli:
     def test_analyze_missing_file_exits_2(self, tmp_path, capsys):
         assert cli_main(["analyze", str(tmp_path / "nope.txt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        # The package must not import circlelab.cli itself, or runpy warns
+        # that the module is already in sys.modules.
+        pot = tmp_path / "mix.json"
+        pot.write_text(json.dumps(MIXTURE_RECORD))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(circlelab.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                              "-m", "circlelab.cli", "analyze", str(pot)],
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert len(json.loads(run.stdout)["traps"]) == 1
+
+    def test_analyze_overflowing_derivative_exits_2(self, tmp_path, capsys):
+        # F is finite; a_5 * 5 overflows in F' and F''.
+        pot = tmp_path / "big.txt"
+        pot.write_text("harmonic = 5 1e308 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["analyze", str(pot)]) == 2
+        err = capsys.readouterr().err
+        assert "'a_5'" in err and "F^(1)" in err
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "kind": "localization", "process": "diffusion",
+            "potential": {"a0": 0.0, "harmonics": [[5, 1e308, 0.0]]},
+            "out_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(scenario)]) == 2
+        assert "'a_5'" in capsys.readouterr().err
 
     def test_run_and_replay_roundtrip(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")

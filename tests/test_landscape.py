@@ -29,7 +29,7 @@ from circlelab import (
     validate_assumptions,
 )
 from circlelab.control import potential_zeros
-from circlelab.diffusion import DiffusionState, _stack, _vector_sums, simulate_diffusion
+from circlelab.diffusion import DiffusionState, _sums_lines, simulate_diffusion
 from circlelab.landscape import DEFAULT_ORDER_CAP
 from circlelab.pdmp import PdmpState, sample_landscape_time, simulate_pdmp
 from circlelab.potential import _root
@@ -108,6 +108,43 @@ def sums_block(pot, orders=(0, 1)):
     namespace = {"cos": math.cos, "sin": math.sin, "inf": math.inf}
     exec(f"def sums(x):{body}\n    return {', '.join(names)},\n", namespace)
     return namespace["sums"]
+
+
+# The stacked evaluator that exit trials ran before they read F' from the
+# compiled array sums.  It runs the text of `diffusion._sums_lines`, which
+# the vector EM block runs, so it checks that text against the scalar
+# evaluators.
+def _stack(potential, n):
+    """An unfilled phase stack for n replicas (see `_sums_lines`): a row
+    for x, then one row for k x per harmonic k != 1."""
+    ks = [k for k, _, _ in potential.coefficients(0)]
+    return np.empty((1 + sum(k != 1.0 for k in ks), n))
+
+
+def _sums_source(potential, name, orders):
+    """Python text of `name`(Q, out), which returns a function of no
+    arguments that writes the table sum of orders[i] at each column of
+    the phase stack Q into out[i] (see `_sums_lines`)."""
+    outs = {order: f"o{i}" for i, order in enumerate(orders)}
+    setup, step = _sums_lines(potential, outs)
+    head = "".join(f"\n    {line}" for line in
+                   [f"o{i} = out[{i}]" for i in range(len(orders))] + setup)
+    body = "".join(f"\n        {line}" for line in step)
+    return f"""def {name}(Q, out):{head}
+    def evaluate():{body}
+    return evaluate
+"""
+
+
+def _vector_sums(potential, orders, Q, out):
+    """A function of no arguments that writes the table sum of orders[i]
+    (F for 0, F' for 1) at every column of the phase stack Q (see
+    `_stack`; the caller fills its x row) into out[i].  Its source is
+    generated once per potential and orders."""
+    orders = tuple(orders)
+    make = potential._generated(
+        "sums_" + "_".join(str(o) for o in orders), _sums_source, orders)
+    return make(Q, out)
 
 
 # The loops that summed the coefficient tables at a float and at an array
@@ -292,6 +329,22 @@ class TestCompiledSums:
                     got, want = evaluate(z), reference_array_sum(pot, z, order)
                     assert type(got) is type(want)
                     assert_bitwise(got, want)
+
+    @settings(max_examples=60)
+    @given(pot=sparse_potentials(), order=st.integers(-1, 3),
+           x=st.floats(-50.0, 50.0, allow_nan=False))
+    @example(SKEWED, 1, 2.5)
+    def test_terms_are_the_order_sums_block_writes(self, pot, order, x):
+        terms = pot._terms(order)
+        head = {0: [repr(pot.a0)], -1: [f"{pot.a0!r} * x"]}.get(order, [])
+        line = pot._sums_block("x", {order: "out"}, 0).splitlines()[-1]
+        assert line == "out = " + (" + ".join(
+            head + [f"{c!r} * {fn}{k}" for c, fn, k in terms]) or "-0.0")
+        # Adding the terms in that order is the reference loop's sum.
+        total = pot.a0 * x if order < 0 else pot.a0 if order == 0 else -0.0
+        for c, fn, k in terms:
+            total += c * {"c": math.cos, "s": math.sin}[fn](float(k) * x)
+        assert_bitwise(total, reference_scalar_sum(pot, order, x))
 
     def test_potential_pickles_after_evaluating_simulating_and_sampling(self):
         pot = PeriodicPotential(0.1, ((1, 1.0, 0.5), (3, 0.3, -0.4)))
@@ -480,6 +533,18 @@ class TestClassification:
         assert xs(land_neg.minima_negative) == xs(land.maxima_positive)
         # hence the trap set is invariant under negating the potential
         assert xs(land_neg.traps) == xs(land.traps)
+
+    @pytest.mark.parametrize("harmonic, name, order", [
+        ((5, 1e308, 0.0), "a_5", 1),
+        ((3, 0.0, -1e308), "b_3", 1),
+        ((3, 1e308 / 3.0, 0.0), "a_3", 2),
+    ])
+    def test_overflowing_derivative_table_names_the_coefficient(
+            self, harmonic, name, order):
+        # F is finite, but a term of F' or F'' overflows to inf.
+        pot = PeriodicPotential(0.0, ((1, 1.0, 0.0), harmonic))
+        with pytest.raises(ConfigError, match=rf"'{name}'.*F\^\({order}\)"):
+            classify_landscape(pot)
 
     def test_zero_critical_value_raises(self):
         # cos x + cos 2x has F(pi) = 0 at a critical point
