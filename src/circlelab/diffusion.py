@@ -214,15 +214,15 @@ def _sums_lines(potential: PeriodicPotential, outs: dict):
     coefficient columns once per Q.  The step statements make one numpy
     call per operation on the whole stack, not per harmonic: one
     multiply fills the k x rows, one cos and one sin call take every
-    phase row, and one multiply per coefficient column (the cos or the
-    sin terms of a table) forms all of its terms.  A column whose
-    nonzero entries are all 1.0 is the trig rows themselves, since c *
-    1.0 is c bitwise.  The terms are then added in the order of
-    `_terms`, the first written straight in and a0 added after it for
-    F, so each sum is bitwise the scalar evaluators' sum at that x.  A
-    sum of one term (one harmonic, one nonzero coefficient) is written
-    into its row by the multiply.  The statements read np and bind x,
-    ph, kx, ks, C, S, multiply, add and names starting with t or v.
+    phase row, and one multiply per nonzero coefficient column of a
+    table forms all of its terms.  A column whose nonzero entries are
+    all 1.0 is the trig rows themselves, since c * 1.0 is c bitwise.
+    The terms are then added in the order of `_terms`, zero terms left
+    out, the first written straight in and a0 added after it for F, so
+    each sum is bitwise the scalar evaluators' sum at that x.  A sum of
+    one term (one harmonic, one nonzero coefficient) is written into its
+    row by the multiply.  The statements read np and bind x, ph, kx,
+    ks, C, S, multiply, add and names starting with t or v.
     """
     ks = [k for k, _, _ in potential.coefficients(0)]
     row = {int(k): i for i, k in enumerate(ks)}

@@ -375,8 +375,10 @@ class TestGeneratedBlock:
         assert_bitwise(M[0], u)
 
     @pytest.mark.parametrize("pot", [MIXTURE, SKEWED, SINE_FIRST])
-    @pytest.mark.parametrize("width", [1, 22, _MASKED_WRAP_MIN + 20])
-    @pytest.mark.parametrize("levels", [(4e-3, 2e-3, 1e-3), (3e-3, 1e-3)])
+    @pytest.mark.parametrize("width, levels", [
+        pytest.param(width, levels, id=f"{width}{tag}")
+        for tag, levels in (("", (4e-3, 2e-3, 1e-3)), ("-f3", (3e-3, 1e-3)))
+        for width in (1, 22, _MASKED_WRAP_MIN + 20)])
     def test_coupled_levels_are_the_reference_loop_bitwise(self, pot, width,
                                                            levels):
         # 2400 fine steps span two noise blocks at every width.
