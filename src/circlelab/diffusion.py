@@ -31,9 +31,8 @@ Conventions shared by every simulator in this module:
   call updates u and x together.  A step costs a dozen numpy calls
   whatever the number of harmonics.  One driver, `_run_levels`, runs
   the vector block for wide ensembles and for the coupled step-size
-  levels.  `run_exit_trials` reads F' alone from the potential's
-  compiled array evaluator, which sums the same terms in the same
-  order, so an exit outcome does not depend on the batch width either.
+  levels.  `run_exit_trials` evaluates F' alone from the same stacked
+  sums, so an exit outcome does not depend on the batch width either.
   The vector loops draw noise per replica in blocks of steps and scale
   it by sqrt(dt) into a time-major buffer, so each step reads one
   contiguous row.
@@ -338,6 +337,24 @@ def _em_block(potential: PeriodicPotential, masked: bool):
     potential."""
     return potential._generated("em_masked" if masked else "em_block",
                                 _em_source, masked)
+
+
+def _fprime_source(potential: PeriodicPotential, name: str) -> str:
+    """Python text of `name`(n), which returns (x, d, fprime) for n
+    replicas: fprime() writes F' at every position in the row x into the
+    row d by the statements of `_sums_lines`.  Narrow exit batches of
+    potentials with several harmonics ran a third slower on the compiled
+    array evaluator, whose numpy calls grow with the number of terms."""
+    setup, step = _sums_lines(potential, {1: "d"})
+    rows = 1 + sum(k != 1.0 for k, _, _ in potential.coefficients(0))
+    head = "".join(f"\n    {line}" for line in setup)
+    body = "".join(f"\n        {line}" for line in step)
+    return f"""def {name}(n):
+    Q = np.empty(({rows}, n))
+    d = np.empty(n){head}
+    def fprime():{body}
+    return x, d, fprime
+"""
 
 
 def _choose_wrap(potential: PeriodicPotential, n: int, umax: float,
@@ -676,7 +693,8 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     exit_side = np.zeros(n, dtype=np.int8)
     alive = np.arange(n)
     s = np.full(n, s0)
-    fprime = potential._sum(1, True)
+    drift = potential._generated("exit_fprime", _fprime_source)
+    xs, fp, fprime = drift(n)
     block, steps = _noise_buffers(n)
     # Finished replicas leave the batch every blen steps; until then they
     # cost a full step each, and 2048-step blocks ran slower.  A replica's
@@ -690,7 +708,8 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
         _scaled_transpose(block[:na, :m], steps[:m, :na], sqrt_dt)
         active = np.ones(na, dtype=bool)
         for i, sn in enumerate(steps[:m, :na]):
-            fp = fprime(s + low)
+            np.add(s, low, out=xs)
+            fprime()
             fp *= drv
             fp *= dt
             np.subtract(sn, fp, out=fp)
@@ -712,6 +731,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
             alive = alive[active]
             s = s[active]
             gens = [gen for gen, keep in zip(gens, active) if keep]
+            xs, fp, fprime = drift(alive.size)
     _freeze(exit_time, exit_side)
     return ExitEnsemble(exit_time=exit_time, exit_side=exit_side,
                         low=float(low), high=float(high),

@@ -119,7 +119,7 @@ def find_critical_points(
                         f"potential coefficient {name!r}: its term of "
                         f"F^({n}) overflows to inf, so F' and F'' cannot "
                         f"be evaluated")
-    roots =_circle_roots(potential.derivative, DEFAULT_GRID, 1e-7)
+    roots = _circle_roots(potential.derivative, DEFAULT_GRID, 1e-7)
     scale = max(1.0, potential.coefficient_bound_derivative(2))
     points = []
     for r in roots:

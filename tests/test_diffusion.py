@@ -35,7 +35,7 @@ from circlelab.landscape import compute_level_geometry
 from circlelab.potential import PeriodicPotential
 from circlelab.seeding import derive_replica_seeds, generators_from_seeds
 from oracles import analytic_escape_probability
-from test_landscape import _stack, _vector_sums, assert_bitwise
+from test_landscape import assert_bitwise
 
 COSINE = PeriodicPotential(0.0, ((1, 1.0, 0.0),))
 MIXTURE = PeriodicPotential(-0.2, ((1, 1.0, 0.0), (2, 1.0, 0.0)))
@@ -198,22 +198,15 @@ def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
     return {dt_levels[lvl]: us[lvl] for lvl in range(len(dt_levels))}
 
 
-# The exit-trial loop over the stacked evaluator of F' that
-# `run_exit_trials` ran before it read F' from the compiled array sums;
-# its outcomes must stay the same bit for bit.
-def _exit_drift(potential, n):
-    """(x, fp, fprime) for n exit trials: fprime() writes F' at the
-    positions in x into fp (see `_vector_sums`)."""
-    Q = _stack(potential, n)
-    out = np.empty((1, n))
-    return Q[0], out[0], _vector_sums(potential, (1,), Q, out)
-
-
+# The exit-trial loop with F' read from the compiled array evaluator,
+# which `TestCompiledSums` checks bitwise against the reference sums;
+# `run_exit_trials` reads F' from the stacked sums and must give the same
+# outcomes bit for bit.
 def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
                           dt, max_time, positions):
-    """(exit_time, exit_side) of run_exit_trials' loop on `_exit_drift`;
-    appends a copy of the positions that each step reads F' at to
-    `positions`."""
+    """(exit_time, exit_side) of run_exit_trials' loop on
+    `potential._sum(1, True)`; appends the positions that each step reads
+    F' at to `positions`."""
     seeds = _seed_tuple(seeds)
     n = len(seeds)
     arc = float(wrap(high - low))
@@ -226,7 +219,7 @@ def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
     exit_side = np.zeros(n, dtype=np.int8)
     alive = np.arange(n)
     s = np.full(n, s0)
-    xs, fp, fprime = _exit_drift(potential, n)
+    fprime = potential._sum(1, True)
     block, steps = _noise_buffers(n)
     blen = 256
     step = 0
@@ -237,9 +230,9 @@ def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
         _scaled_transpose(block[:na, :m], steps[:m, :na], sqrt_dt)
         active = np.ones(na, dtype=bool)
         for i, sn in enumerate(steps[:m, :na]):
-            np.add(s, low, out=xs)
-            positions.append(xs.copy())
-            fprime()
+            xs = s + low
+            positions.append(xs)
+            fp = fprime(xs)
             fp *= drv
             fp *= dt
             np.subtract(sn, fp, out=fp)
@@ -261,7 +254,6 @@ def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
             alive = alive[active]
             s = s[active]
             gens = [gen for gen, keep in zip(gens, active) if keep]
-            xs, fp, fprime = _exit_drift(potential, alive.size)
     return exit_time, exit_side
 
 
@@ -910,16 +902,22 @@ class TestExitTrials:
         high = float(wrap(low + arc))
         x_start = float(wrap(low + frac * arc))
         seeds = derive_replica_seeds(seed, width)
-        real = pot._sum(1, True)
+        real = PeriodicPotential._generated
         got_x, want_x = [], []
 
-        def traced(self, order, array=False):
-            def fprime(x):
-                got_x.append(x.copy())
-                return real(x)
-            return fprime
+        def traced(self, name, source, *args):
+            drift = real(self, name, source, *args)
 
-        with mock.patch.object(PeriodicPotential, "_sum", traced):
+            def make(n):
+                x, d, fprime = drift(n)
+
+                def read():
+                    got_x.append(x.copy())
+                    fprime()
+                return x, d, read
+            return make
+
+        with mock.patch.object(PeriodicPotential, "_generated", traced):
             got = run_exit_trials(pot, drive, low, x_start, high,
                                   seeds=seeds, dt=2e-3, max_time=max_time)
         want_time, want_side = reference_exit_trials(

@@ -29,7 +29,12 @@ from circlelab import (
     validate_assumptions,
 )
 from circlelab.control import potential_zeros
-from circlelab.diffusion import DiffusionState, _sums_lines, simulate_diffusion
+from circlelab.diffusion import (
+    DiffusionState,
+    _fprime_source,
+    _sums_lines,
+    simulate_diffusion,
+)
 from circlelab.landscape import DEFAULT_ORDER_CAP
 from circlelab.pdmp import PdmpState, sample_landscape_time, simulate_pdmp
 from circlelab.potential import _root
@@ -110,10 +115,9 @@ def sums_block(pot, orders=(0, 1)):
     return namespace["sums"]
 
 
-# The stacked evaluator that exit trials ran before they read F' from the
-# compiled array sums.  It runs the text of `diffusion._sums_lines`, which
-# the vector EM block runs, so it checks that text against the scalar
-# evaluators.
+# A stacked evaluator of any orders.  It runs the text of
+# `diffusion._sums_lines`, which the vector EM block runs, so it checks
+# that text against the scalar evaluators.
 def _stack(potential, n):
     """An unfilled phase stack for n replicas (see `_sums_lines`): a row
     for x, then one row for k x per harmonic k != 1."""
@@ -256,9 +260,10 @@ class TestEvaluation:
         _vector_sums(pot, (0, 1), seven, out)()
         assert_bitwise(out[0], np.resize([f for f, _ in joint], 7))
         assert_bitwise(out[1], np.resize([fp for _, fp in joint], 7))
-        fp_only = np.empty((1, 7))
-        _vector_sums(pot, (1,), seven, fp_only)()
-        assert_bitwise(fp_only[0], out[1])
+        x, fp_only, fprime = pot._generated("exit_fprime", _fprime_source)(7)
+        x[:] = seven[0]
+        fprime()
+        assert_bitwise(fp_only, out[1])
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
@@ -334,15 +339,10 @@ class TestCompiledSums:
     @given(pot=sparse_potentials(), order=st.integers(-1, 3),
            x=st.floats(-50.0, 50.0, allow_nan=False))
     @example(SKEWED, 1, 2.5)
-    def test_terms_are_the_order_sums_block_writes(self, pot, order, x):
-        terms = pot._terms(order)
-        head = {0: [repr(pot.a0)], -1: [f"{pot.a0!r} * x"]}.get(order, [])
-        line = pot._sums_block("x", {order: "out"}, 0).splitlines()[-1]
-        assert line == "out = " + (" + ".join(
-            head + [f"{c!r} * {fn}{k}" for c, fn, k in terms]) or "-0.0")
-        # Adding the terms in that order is the reference loop's sum.
+    def test_terms_are_the_reference_summation_order(self, pot, order, x):
+        # Adding the terms in `_terms` order is the reference loop's sum.
         total = pot.a0 * x if order < 0 else pot.a0 if order == 0 else -0.0
-        for c, fn, k in terms:
+        for c, fn, k in pot._terms(order):
             total += c * {"c": math.cos, "s": math.sin}[fn](float(k) * x)
         assert_bitwise(total, reference_scalar_sum(pot, order, x))
 
