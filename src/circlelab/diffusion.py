@@ -345,7 +345,7 @@ def _fprime_source(potential: PeriodicPotential, name: str) -> str:
     row d by the statements of `_sums_lines`, one cos and one sin call
     for all harmonics.  The compiled array evaluator makes trig calls
     per harmonic: on it a metastability run of a five-harmonic potential,
-    8 to 64 replicas per batch, took 37 % longer (2-vCPU Xeon)."""
+    8 to 64 replicas per batch, took 36 to 38 % longer (2-vCPU Xeon)."""
     setup, step = _sums_lines(potential, {1: "d"})
     rows = 1 + sum(k != 1.0 for k, _, _ in potential.coefficients(0))
     head = "".join(f"\n    {line}" for line in setup)
