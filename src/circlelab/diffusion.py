@@ -163,11 +163,14 @@ class ExitEnsemble:
     """First-passage outcomes between two absorbing boundaries.
 
     exit_side holds +1 for trials absorbed at the upper boundary, -1 for
-    the lower boundary, and 0 for trials censored at max_time.
+    the lower boundary, and 0 for trials censored at max_time.  final_s
+    holds each trial's arc coordinate (distance from low along the arc)
+    at its exit or censoring.
     """
 
     exit_time: np.ndarray
     exit_side: np.ndarray
+    final_s: np.ndarray
     low: float
     high: float
     x_start: float
@@ -692,6 +695,7 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     gens = generators_from_seeds(seeds)
     exit_time = np.full(n, max_steps * dt)
     exit_side = np.zeros(n, dtype=np.int8)
+    final_s = np.empty(n)
     alive = np.arange(n)
     s = np.full(n, s0)
     drift = potential._generated("exit_fprime", _fprime_source)
@@ -723,9 +727,11 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
                 idx = alive[hit_lo]
                 exit_time[idx] = t_now
                 exit_side[idx] = -1
+                final_s[idx] = s[hit_lo]
                 idx = alive[hit_hi]
                 exit_time[idx] = t_now
                 exit_side[idx] = 1
+                final_s[idx] = s[hit_hi]
                 active &= ~(hit_lo | hit_hi)
         step += m
         if not active.all():
@@ -733,8 +739,10 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
             s = s[active]
             gens = [gen for gen, keep in zip(gens, active) if keep]
             xs, fp, fprime = drift(alive.size)
-    _freeze(exit_time, exit_side)
+    final_s[alive] = s
+    _freeze(exit_time, exit_side, final_s)
     return ExitEnsemble(exit_time=exit_time, exit_side=exit_side,
+                        final_s=final_s,
                         low=float(low), high=float(high),
                         x_start=float(x_start), drive=drv, dt=dt,
                         max_time=max_steps * dt, seeds=seeds)

@@ -20,7 +20,7 @@ the masses of the nine ergodic windows of one long cosine log.  Its
 four widths, across both loops, the masked wrap and noise-block edges;
 the coupled step-size levels of each potential, at two widths and with
 a factor of 3; and batches of frozen-drive exit trials from 1 to 600
-wide.
+wide, with each trial's final arc coordinate (``exit_digests``).
 
 ``tests/test_bit_identity.py`` reruns the records and compares.  A change
 that moves bits on purpose regenerates the file from the repository
@@ -30,16 +30,24 @@ root and lists the moved entries in its change notes::
 
 ``--check`` compares without writing, and ``--workers N`` runs the
 records on N workers (the digests do not depend on it).
+
+``--mutate`` checks that the record can see each engine: for each sum
+(F, F' or G) of each generated engine in ``ENGINES`` it compiles that
+engine with the sum scaled by 1 + 2**-52, checks whether the engine's
+raw output on small fixed inputs moved, and lists the entries of the
+record that moved.  It exits 1 when a mutation moved its engine's raw
+output but no entry.  It takes about a minute on one worker.
 """
 
 import argparse
+import contextlib
+import hashlib
 import json
 import os
 import platform
 import sys
 import tempfile
-
-import hashlib
+from unittest import mock
 
 import numpy as np
 
@@ -212,7 +220,6 @@ def diffusion_digests():
     name."""
     from circlelab import PeriodicPotential
     from circlelab.diffusion import (
-        run_exit_trials,
         simulate_diffusion_ensemble,
         simulate_terminal_u_coupled,
     )
@@ -241,17 +248,152 @@ def diffusion_digests():
             blob = b"".join(levels[d].tobytes() for d in dts)
             digests[f"coupled-{name}{label}"] = (
                 hashlib.sha256(blob).hexdigest())
+    digests.update(exit_digests())
+    return digests
+
+
+def exit_digests():
+    """sha256 of each exit batch's exit times, sides and final arc
+    coordinates, by name."""
+    from circlelab import PeriodicPotential
+    from circlelab.diffusion import run_exit_trials
+    from circlelab.seeding import derive_replica_seeds
+
+    digests = {}
     exits = [("exit-skewed", "skewed", (2.0, 0.3, 1.2, 2.6), 93, 64, 2e-3,
               2.0)]
     exits += [(f"exit-{name}-w{width}", name, case, 94, width, 1e-3, 1.5)
               for name, case in EXIT_CASES.items() for width in EXIT_WIDTHS]
     for key, name, (drive, low, x_start, high), root, width, dt, t in exits:
-        trials = run_exit_trials(pots[name], drive, low, x_start, high,
+        pot = PeriodicPotential.from_record(PDMP_POTENTIALS[name])
+        trials = run_exit_trials(pot, drive, low, x_start, high,
                                  seeds=derive_replica_seeds(root, width),
                                  dt=dt, max_time=t)
-        blob = trials.exit_time.tobytes() + trials.exit_side.tobytes()
+        blob = (trials.exit_time.tobytes() + trials.exit_side.tobytes()
+                + trials.final_s.tobytes())
         digests[key] = hashlib.sha256(blob).hexdigest()
     return digests
+
+
+# The generated engines and the orders of the sums that ``--mutate``
+# scales in each: -1 is G, 0 is F and 1 is F'.
+ENGINES = {
+    "em_scalar": (0, 1),
+    "em_block": (0, 1),
+    "em_masked": (0, 1),
+    "exit_fprime": (1,),
+    "thin_self": (-1, 1),
+    "thin_frozen": (1,),
+    "rk4_loop": (0, 1),
+}
+SUM_NAMES = {-1: "G", 0: "F", 1: "F'"}
+# One ulp up at 1.0: a sum times this moves by one or two ulps.
+ULP_UP = 1.0 + 2.0 ** -52
+
+
+@contextlib.contextmanager
+def mutated(engine, order):
+    """While open, the generated function `engine` is compiled with each
+    of its sums of `order` multiplied by ULP_UP right after the statements
+    that form it; every other generated function is as written.  Only
+    potentials built inside compile the mutated text."""
+    from circlelab import diffusion
+    from circlelab.potential import PeriodicPotential
+
+    real_generated = PeriodicPotential._generated
+    real_block = PeriodicPotential._sums_block
+    real_lines = diffusion._sums_lines
+
+    def block(self, x, sums, indent):
+        text = real_block(self, x, sums, indent)
+        if order in sums:
+            name = sums[order]
+            text += f"\n{' ' * indent}{name} = {name} * {ULP_UP!r}"
+        return text
+
+    def lines(potential, outs):
+        setup, step = real_lines(potential, outs)
+        if order in outs:
+            name = outs[order]
+            step = step + [f"multiply({name}, {ULP_UP!r}, {name})"]
+        return setup, step
+
+    def generated(self, name, source, *args):
+        if name != engine:
+            return real_generated(self, name, source, *args)
+        with mock.patch.object(PeriodicPotential, "_sums_block", block), \
+                mock.patch.object(diffusion, "_sums_lines", lines):
+            return real_generated(self, name, source, *args)
+
+    with mock.patch.object(PeriodicPotential, "_generated", generated):
+        yield
+
+
+def engine_outputs():
+    """The raw output bytes of each engine of ENGINES on small fixed
+    inputs, by engine name, from potentials built here."""
+    from circlelab import PdmpState, PeriodicPotential, simulate_pdmp
+    from circlelab import simulate_pdmp_driven
+    from circlelab.control import _rk4_span
+    from circlelab.diffusion import (
+        _MASKED_WRAP_MIN,
+        _SCALAR_PATH_MAX,
+        run_exit_trials,
+        simulate_diffusion_ensemble,
+    )
+    from circlelab.seeding import derive_replica_seeds
+
+    def skewed():
+        return PeriodicPotential.from_record(SKEWED)
+
+    out = {}
+    # Near u = 0 an ulp of F dt is not lost in an ulp of u; at u = 30 one
+    # of u F' dt is not lost in one of x.
+    for engine, width in (("em_scalar", 1),
+                          ("em_block", _SCALAR_PATH_MAX + 1),
+                          ("em_masked", _MASKED_WRAP_MIN)):
+        out[engine] = b""
+        for u0 in (0.0, 30.0):
+            ens = simulate_diffusion_ensemble(
+                skewed(), 1.0, u0, 0.3, dt=1e-3,
+                seeds=derive_replica_seeds(95, width), record_every=1)
+            out[engine] += ens.x.tobytes() + ens.u.tobytes()
+    trials = run_exit_trials(skewed(), 2.0, 0.3, 1.2, 2.6,
+                             seeds=derive_replica_seeds(96, 8), dt=1e-3,
+                             max_time=1.0)
+    out["exit_fprime"] = (trials.exit_time.tobytes()
+                          + trials.exit_side.tobytes()
+                          + trials.final_s.tobytes())
+    log = simulate_pdmp(skewed(), 0.25, PdmpState(1.0, 0.0, 1), 50.0,
+                        seed=97)
+    out["thin_self"] = b"".join(a.tobytes() for a in (log.times, log.x, log.u))
+    log = simulate_pdmp_driven(skewed(), 0.25, -4.0, 1.0, -1, 50.0, seed=98)
+    out["thin_frozen"] = b"".join(a.tobytes()
+                                  for a in (log.times, log.x, log.u))
+    out["rk4_loop"] = repr(_rk4_span(skewed(), 1.0, 0.5, 0.3, 2.0)).encode()
+    return out
+
+
+def mutation_report():
+    """(lines, blind): one summary line per mutation of ENGINES, and the
+    mutations that moved their engine's raw output but no entry of the
+    record.  Runs on one worker."""
+    base_out = engine_outputs()
+    base = run_digests(1)
+    lines, blind = [], []
+    for engine, orders in ENGINES.items():
+        for order in orders:
+            label = f"{engine} {SUM_NAMES[order]}"
+            with mutated(engine, order):
+                raw = engine_outputs()[engine] != base_out[engine]
+                moved = differences(base, run_digests(1))
+            lines.append(f"{label}: raw output "
+                         f"{'moved' if raw else 'unchanged'}, "
+                         f"{len(moved)} entries moved"
+                         + (f" ({', '.join(moved)})" if moved else ""))
+            if raw and not moved:
+                blind.append(label)
+    return lines, blind
 
 
 def environment():
@@ -307,8 +449,17 @@ def main(argv=None):
                       help="record the digests in bit_identity.json")
     mode.add_argument("--check", action="store_true",
                       help="compare with bit_identity.json")
+    mode.add_argument("--mutate", action="store_true",
+                      help="scale each sum of each engine by 1 + 2**-52 "
+                      "and report the entries that move")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.mutate:
+        lines, blind = mutation_report()
+        print("\n".join(lines))
+        for label in blind:
+            print("blind:", label)
+        return 1 if blind else 0
     digests = run_digests(args.workers)
     if args.write:
         with open(DIGESTS, "w", encoding="utf-8") as fh:
