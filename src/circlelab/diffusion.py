@@ -31,11 +31,12 @@ Conventions shared by every simulator in this module:
   call updates u and x together.  A step costs a dozen numpy calls
   whatever the number of harmonics.  One driver, `_run_levels`, runs
   the vector block for wide ensembles and for the coupled step-size
-  levels.  `run_exit_trials` evaluates F' alone from the same stacked
-  sums, so an exit outcome does not depend on the batch width either.
-  The vector loops draw noise per replica in blocks of steps and scale
-  it by sqrt(dt) into a time-major buffer, so each step reads one
-  contiguous row.
+  levels.  `run_exit_trials` runs a generated frozen-drive block with
+  F' alone from the same stacked sums and scans each noise block for
+  exits at its end, so an exit outcome does not depend on the batch
+  width either.  The vector loops draw noise per replica in blocks of
+  steps and scale it by sqrt(dt) into a time-major buffer, so each step
+  reads one contiguous row.
 - A wide batch wraps x with two masked corrections, which are
   bitwise equal to the modulo while one step moves x by less than pi;
   a guard checks that bound once per noise block and runs the block
@@ -165,15 +166,16 @@ class ExitEnsemble:
     exit_side holds +1 for trials absorbed at the upper boundary, -1 for
     the lower boundary, and 0 for trials censored at max_time.  final_s
     holds each trial's arc coordinate (distance from low along the arc)
-    at its exit or censoring.
+    at its exit or censoring, and low, high and x_start each trial's
+    boundaries and start.
     """
 
     exit_time: np.ndarray
     exit_side: np.ndarray
     final_s: np.ndarray
-    low: float
-    high: float
-    x_start: float
+    low: np.ndarray
+    high: np.ndarray
+    x_start: np.ndarray
     drive: float
     dt: float
     max_time: float
@@ -342,22 +344,25 @@ def _em_block(potential: PeriodicPotential, masked: bool):
                                 _em_source, masked)
 
 
-def _fprime_source(potential: PeriodicPotential, name: str) -> str:
-    """Python text of `name`(n), which returns (x, d, fprime) for n
-    replicas: fprime() writes F' at every position in the row x into the
-    row d by the statements of `_sums_lines`, one cos and one sin call
-    for all harmonics.  The compiled array evaluator makes trig calls
-    per harmonic: on it a metastability run of a five-harmonic potential,
-    8 to 64 replicas per batch, took 36 to 38 % longer (2-vCPU Xeon)."""
+def _exit_source(potential: PeriodicPotential, name: str) -> str:
+    """Python text of the frozen-drive block `name`(s, steps, low, drive,
+    dt): per row of steps, the sqrt(dt)-scaled noise, F' at x = s + low
+    by the statements of `_sums_lines` and then d *= drive; d *= dt;
+    d = noise - d; s' = s + d, with s' written over the row.  Replicas
+    move on after leaving the arc.  On the compiled array evaluator, one
+    trig call per harmonic, a five-harmonic metastability run 8 to 64
+    wide took 36 to 38 % longer (2-vCPU Xeon)."""
     setup, step = _sums_lines(potential, {1: "d"})
     rows = 1 + sum(k != 1.0 for k, _, _ in potential.coefficients(0))
     head = "".join(f"\n    {line}" for line in setup)
-    body = "".join(f"\n        {line}" for line in step)
-    return f"""def {name}(n):
-    Q = np.empty(({rows}, n))
-    d = np.empty(n){head}
-    def fprime():{body}
-    return x, d, fprime
+    body = "".join(f"\n        {line}" for line in ["add(s, low, x)"] + step + [
+        "multiply(d, drive, d)", "multiply(d, dt, d)", "subtract(sn, d, d)",
+        "add(s, d, sn)", "s = sn"])
+    return f"""def {name}(s, steps, low, drive, dt):
+    Q = np.empty(({rows}, s.size))
+    d = np.empty(s.size)
+    subtract = np.subtract{head}
+    for sn in steps:{body}
 """
 
 
@@ -662,32 +667,36 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     return {d: M[0] for d, M in zip(dt_levels, states)}
 
 
-def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
-                    x_start: float, high: float, *, seeds: Sequence[int],
-                    dt: float = 1e-3, max_time: float) -> ExitEnsemble:
+def run_exit_trials(potential: PeriodicPotential, drive: float, low, x_start,
+                    high, *, seeds: Sequence[int], dt: float = 1e-3,
+                    max_time: float) -> ExitEnsemble:
     """First-passage trials of the frozen-drive diffusion between two points.
 
     Replicas start at x_start on the positively oriented arc from low to
     high and run dX = dB - drive * F'(X) dt until crossing either boundary
     (detected by sign change at the dt scale) or until max_time, when the
-    trial is censored.  Each replica consumes its own noise stream in
-    fixed blocks, so a trial's outcome depends only on its seed.  A
-    non-finite drive, boundary, start, dt or max_time raises ValueError
-    naming it.
+    trial is censored.  low, x_start and high are scalars or one value
+    per seed.  Replicas run 256-step noise blocks of the generated block
+    (`_exit_source`); at a block's end one scan finds each replica's
+    first step off its arc, and those that left drop out.  A trial's
+    outcome depends only on its seed and arc, bitwise.  A non-finite
+    drive, boundary, start, dt or max_time raises ValueError naming it.
     """
     seeds = _seed_tuple(seeds)
     n = len(seeds)
-    for name, value in (("drive", drive), ("low", low), ("x_start", x_start),
-                        ("high", high), ("dt", dt), ("max_time", max_time)):
+    for name, value in (("drive", drive), ("dt", dt), ("max_time", max_time)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if not (dt > 0.0 and max_time > 0.0):
         raise ValueError("dt and max_time must be positive")
-    arc = float(wrap(high - low))
-    if arc == 0.0:
+    low = _as_replica_array(low, n, "low")
+    x_start = _as_replica_array(x_start, n, "x_start")
+    high = _as_replica_array(high, n, "high")
+    arc = wrap(high - low)
+    if not np.all(arc):
         raise ValueError("boundaries must be distinct")
-    s0 = float(wrap(x_start - low))
-    if not 0.0 < s0 < arc:
+    s = wrap(x_start - low)
+    if not np.all((0.0 < s) & (s < arc)):
         raise ValueError("x_start must lie strictly between the boundaries")
     max_steps = int(math.ceil(max_time / dt - 1e-9))
     drv = float(drive)
@@ -697,52 +706,32 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low: float,
     exit_side = np.zeros(n, dtype=np.int8)
     final_s = np.empty(n)
     alive = np.arange(n)
-    s = np.full(n, s0)
-    drift = potential._generated("exit_fprime", _fprime_source)
-    xs, fp, fprime = drift(n)
     block, steps = _noise_buffers(n)
-    # Finished replicas leave the batch every blen steps; until then they
-    # cost a full step each, and 2048-step blocks ran slower.  A replica's
-    # noise does not depend on blen (the buffers hold at least 256 steps).
-    blen = 256
+    run = potential._generated("exit_block", _exit_source)
     step = 0
     while step < max_steps and alive.size:
-        m = min(blen, max_steps - step)
+        # Replicas that left cost a full step each until the block ends;
+        # 2048-step blocks ran slower.  Noise does not depend on m.
+        m = min(256, max_steps - step)
         na = alive.size
         _fill_noise(block[:na], gens, m)
-        _scaled_transpose(block[:na, :m], steps[:m, :na], sqrt_dt)
-        active = np.ones(na, dtype=bool)
-        for i, sn in enumerate(steps[:m, :na]):
-            np.add(s, low, out=xs)
-            fprime()
-            fp *= drv
-            fp *= dt
-            np.subtract(sn, fp, out=fp)
-            fp *= active  # finished replicas stop moving
-            s += fp
-            hit_lo = (s <= 0.0) & active
-            hit_hi = (s >= arc) & active
-            if hit_lo.any() or hit_hi.any():
-                t_now = (step + i + 1) * dt
-                idx = alive[hit_lo]
-                exit_time[idx] = t_now
-                exit_side[idx] = -1
-                final_s[idx] = s[hit_lo]
-                idx = alive[hit_hi]
-                exit_time[idx] = t_now
-                exit_side[idx] = 1
-                final_s[idx] = s[hit_hi]
-                active &= ~(hit_lo | hit_hi)
+        path = steps[:m, :na]
+        _scaled_transpose(block[:na, :m], path, sqrt_dt)
+        run(s, path, low[alive], drv, dt)
+        off = (path <= 0.0) | (path >= arc[alive])
+        first = off.argmax(axis=0)
+        left = off[first, np.arange(na)]
+        idx, first = alive[left], first[left]
+        final_s[idx] = path[first, np.flatnonzero(left)]
+        exit_time[idx] = (step + 1 + first) * dt
+        exit_side[idx] = np.where(final_s[idx] <= 0.0, -1, 1)
         step += m
-        if not active.all():
-            alive = alive[active]
-            s = s[active]
-            gens = [gen for gen, keep in zip(gens, active) if keep]
-            xs, fp, fprime = drift(alive.size)
+        s = path[m - 1, ~left]
+        alive = alive[~left]
+        gens = [gen for gen, out in zip(gens, left) if not out]
     final_s[alive] = s
-    _freeze(exit_time, exit_side, final_s)
+    _freeze(exit_time, exit_side, final_s, low, x_start, high)
     return ExitEnsemble(exit_time=exit_time, exit_side=exit_side,
-                        final_s=final_s,
-                        low=float(low), high=float(high),
-                        x_start=float(x_start), drive=drv, dt=dt,
+                        final_s=final_s, low=low, high=high,
+                        x_start=x_start, drive=drv, dt=dt,
                         max_time=max_steps * dt, seeds=seeds)

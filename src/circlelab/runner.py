@@ -790,7 +790,6 @@ def _write_path_files(out_dir, results) -> None:
 
 def _check_out_dir(config: ScenarioConfig, out_dir: str) -> None:
     if not os.path.isdir(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
         return
     entries = [e for e in os.listdir(out_dir) if not e.startswith(".")]
     if not entries:
@@ -821,6 +820,7 @@ def run_scenario(config: ScenarioConfig,
 
     kind = _KINDS[config.kind]
     cells = kind.cells(config)
+    os.makedirs(out_dir, exist_ok=True)
     chunks = replica_chunks(config.replicas, worker_count(config.replicas))
     tasks = [(c, lo, hi) for c in range(len(cells)) for lo, hi in chunks]
     config_dict = config.to_dict()

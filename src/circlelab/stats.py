@@ -395,7 +395,9 @@ def escape_hits(potential: PeriodicPotential, geometry: LevelGeometry,
     index and seed.  A replica runs until it first hits the well minimum
     or the escape-region boundary on its side; the velocity-jump variant
     (rate lam) starts with the velocity pointing away from the minimum,
-    the diffusion uses step dt.  Censored replicas count as non-escapes.
+    the diffusion uses step dt and runs all the replicas as one batch of
+    exit trials, each on its own arc.  Censored replicas count as
+    non-escapes.
     """
     configs = [(side, well.minimum.x, mid, edge) for well in geometry.wells
                for side, mid, edge in zip((-1, 1), well.mid_points,
@@ -405,19 +407,14 @@ def escape_hits(potential: PeriodicPotential, geometry: LevelGeometry,
     successes = 0
     censored = 0
     if process == "diffusion":
-        for ci, (side, x_star, b, c) in enumerate(configs):
-            group = seeds[(ci - first) % n::n]
-            if not group:
-                continue
-            if side == 1:
-                res = run_exit_trials(potential, M, x_star, b, c,
-                                      seeds=group, dt=dt, max_time=max_time)
-                successes += res.n_upper
-            else:
-                res = run_exit_trials(potential, M, c, b, x_star,
-                                      seeds=group, dt=dt, max_time=max_time)
-                successes += res.n_lower
-            censored += res.n_censored
+        side, x_star, b, c = np.array(
+            [configs[(first + j) % n] for j in range(len(seeds))]).T
+        up = side == 1
+        res = run_exit_trials(potential, M, np.where(up, x_star, c), b,
+                              np.where(up, c, x_star), seeds=seeds, dt=dt,
+                              max_time=max_time)
+        successes = int(np.count_nonzero(res.exit_side == side))
+        censored = res.n_censored
     elif process == "pdmp":
         until = [geometry.escape_region(), geometry.floor_set()]
         for j, seed in enumerate(seeds):

@@ -281,7 +281,7 @@ ENGINES = {
     "em_scalar": (0, 1),
     "em_block": (0, 1),
     "em_masked": (0, 1),
-    "exit_fprime": (1,),
+    "exit_block": (1,),
     "thin_self": (-1, 1),
     "thin_frozen": (1,),
     "rk4_loop": (0, 1),
@@ -361,7 +361,7 @@ def engine_outputs():
     trials = run_exit_trials(skewed(), 2.0, 0.3, 1.2, 2.6,
                              seeds=derive_replica_seeds(96, 8), dt=1e-3,
                              max_time=1.0)
-    out["exit_fprime"] = (trials.exit_time.tobytes()
+    out["exit_block"] = (trials.exit_time.tobytes()
                           + trials.exit_side.tobytes()
                           + trials.final_s.tobytes())
     log = simulate_pdmp(skewed(), 0.25, PdmpState(1.0, 0.0, 1), 50.0,

@@ -27,6 +27,6 @@ def test_exit_digests_see_one_ulp_of_exit_fprime():
     # An exit outcome quantizes a path to (step, side); the final arc
     # coordinate in the digest keeps one ulp of F' visible.
     base = exit_digests()
-    with mutated("exit_fprime", 1):
+    with mutated("exit_block", 1):
         moved = [k for k, v in exit_digests().items() if v != base[k]]
     assert moved

@@ -199,14 +199,15 @@ def reference_coupled(potential, x0, u0, horizon, dt_levels, *, seeds):
 
 
 # The exit-trial loop with F' read from the compiled array evaluator,
-# which `TestCompiledSums` checks bitwise against the reference sums;
-# `run_exit_trials` reads F' from the stacked sums and must give the same
-# outcomes bit for bit.
+# which `TestCompiledSums` checks bitwise against the reference sums, and
+# each replica stopped at the step it leaves the arc; `run_exit_trials`
+# reads F' from the stacked sums in a generated block, scans for exits at
+# block ends, and must give the same outcomes bit for bit.
 def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
                           dt, max_time, positions):
-    """(exit_time, exit_side) of run_exit_trials' loop on
-    `potential._sum(1, True)`; appends the positions that each step reads
-    F' at to `positions`."""
+    """(exit_time, exit_side, final_s) of the reference loop on
+    `potential._sum(1, True)`; appends (replica indices, positions) of
+    each step's F' reads to `positions`."""
     seeds = _seed_tuple(seeds)
     n = len(seeds)
     arc = float(wrap(high - low))
@@ -217,6 +218,7 @@ def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
     gens = generators_from_seeds(seeds)
     exit_time = np.full(n, max_steps * dt)
     exit_side = np.zeros(n, dtype=np.int8)
+    final_s = np.empty(n)
     alive = np.arange(n)
     s = np.full(n, s0)
     fprime = potential._sum(1, True)
@@ -231,7 +233,7 @@ def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
         active = np.ones(na, dtype=bool)
         for i, sn in enumerate(steps[:m, :na]):
             xs = s + low
-            positions.append(xs)
+            positions.append((alive, xs))
             fp = fprime(xs)
             fp *= drv
             fp *= dt
@@ -245,16 +247,19 @@ def reference_exit_trials(potential, drive, low, x_start, high, *, seeds,
                 idx = alive[hit_lo]
                 exit_time[idx] = t_now
                 exit_side[idx] = -1
+                final_s[idx] = s[hit_lo]
                 idx = alive[hit_hi]
                 exit_time[idx] = t_now
                 exit_side[idx] = 1
+                final_s[idx] = s[hit_hi]
                 active &= ~(hit_lo | hit_hi)
         step += m
         if not active.all():
             alive = alive[active]
             s = s[active]
             gens = [gen for gen, keep in zip(gens, active) if keep]
-    return exit_time, exit_side
+    final_s[alive] = s
+    return exit_time, exit_side, final_s
 
 
 # The hand-written scalar EM loop that the generated block of
@@ -897,36 +902,76 @@ class TestExitTrials:
             self, pot, width, drive, low, arc, frac, max_time, seed):
         # Arcs with low + arc past 2 pi cross 0; 1.0 holds two 256-step
         # blocks at dt = 2e-3.
-        # The positions that F' is read at are compared too: an exit
-        # outcome hides most one-ulp moves of a path.
+        # The positions that F' is read at are compared too, up to each
+        # replica's exit step: an exit outcome hides most one-ulp moves of
+        # a path.  The block moves a replica on after its exit, the
+        # reference stops it, so later positions differ by design.
         high = float(wrap(low + arc))
         x_start = float(wrap(low + frac * arc))
         seeds = derive_replica_seeds(seed, width)
         real = PeriodicPotential._generated
-        got_x, want_x = [], []
+        got_x = []
 
         def traced(self, name, source, *args):
-            drift = real(self, name, source, *args)
+            run = real(self, name, source, *args)
 
-            def make(n):
-                x, d, fprime = drift(n)
-
-                def read():
-                    got_x.append(x.copy())
-                    fprime()
-                return x, d, read
-            return make
+            def record(s, steps, low, drive, dt):
+                s0 = s.copy()
+                run(s, steps, low, drive, dt)
+                got_x.extend(row + low for row in [s0, *steps[:-1]])
+            return record if name == "exit_block" else run
 
         with mock.patch.object(PeriodicPotential, "_generated", traced):
             got = run_exit_trials(pot, drive, low, x_start, high,
                                   seeds=seeds, dt=2e-3, max_time=max_time)
-        want_time, want_side = reference_exit_trials(
+        want = []
+        want_time, want_side, want_s = reference_exit_trials(
             pot, drive, low, x_start, high, seeds=seeds, dt=2e-3,
-            max_time=max_time, positions=want_x)
+            max_time=max_time, positions=want)
         assert got.exit_time.tobytes() == want_time.tobytes()
         assert got.exit_side.tobytes() == want_side.tobytes()
-        assert [x.size for x in got_x] == [x.size for x in want_x]
-        assert_bitwise(np.concatenate(got_x), np.concatenate(want_x))
+        assert got.final_s.tobytes() == want_s.tobytes()
+        assert [x.size for x in got_x] == [x.size for _, x in want]
+        exit_step = np.rint(want_time / 2e-3)
+        for t, (got_t, (alive, want_t)) in enumerate(zip(got_x, want)):
+            moving = t < exit_step[alive]
+            assert_bitwise(got_t[moving], want_t[moving])
+
+    @settings(max_examples=15, deadline=None)
+    @given(pot=em_potentials(),
+           arcs=st.lists(st.tuples(st.floats(0.0, TWO_PI, exclude_max=True),
+                                   st.floats(0.2, 3.0), st.floats(0.1, 0.9)),
+                         min_size=1, max_size=300),
+           drive=st.floats(-5.0, 5.0),
+           max_time=st.floats(0.05, 0.6),
+           seed=st.integers(0, 2 ** 32 - 1),
+           bad=st.integers(0, 299))
+    @example(SKEWED, [(5.5, 1.5, 0.4), (0.3, 2.0, 0.5)] * 150, 2.0, 0.6, 3,
+             299)
+    def test_mixed_batch_is_each_replica_alone(self, pot, arcs, drive,
+                                               max_time, seed, bad):
+        # Arcs with low + length past 2 pi cross 0.
+        low = np.array([lo for lo, _, _ in arcs])
+        high = wrap(np.array([lo + arc for lo, arc, _ in arcs]))
+        x_start = wrap(np.array([lo + f * arc for lo, arc, f in arcs]))
+        seeds = derive_replica_seeds(seed, len(arcs))
+        kw = dict(dt=2e-3, max_time=max_time)
+        got = run_exit_trials(pot, drive, low, x_start, high, seeds=seeds,
+                              **kw)
+        alone = [run_exit_trials(pot, drive, low[j], x_start[j], high[j],
+                                 seeds=seeds[j:j + 1], **kw)
+                 for j in range(len(arcs))]
+        for field in ("exit_time", "exit_side", "final_s"):
+            want = np.concatenate([getattr(r, field) for r in alone])
+            assert getattr(got, field).tobytes() == want.tobytes()
+        j = bad % len(arcs)
+        for field, value in (("x_start", low[j]), ("low", math.nan),
+                             ("high", math.inf)):
+            args = {"low": low.copy(), "x_start": x_start.copy(),
+                    "high": high.copy()}
+            args[field][j] = value
+            with pytest.raises(ValueError, match=field):
+                run_exit_trials(pot, drive, seeds=seeds, **args, **kw)
 
     def test_empirical_exit_matches_scale_function_oracle(self):
         geo = compute_level_geometry(COSINE, eta=1.0 / 3.0)

@@ -1196,6 +1196,17 @@ class TestCli:
         assert cli_main(["run", str(scenario)]) == 2
         assert "'a_5'" in capsys.readouterr().err
 
+    def test_run_refused_before_its_cells_leaves_no_directory(self,
+                                                              tmp_path):
+        # F' overflows, so building the cells fails.
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "kind": "localization", "process": "diffusion",
+            "potential": {"a0": 0.0, "harmonics": [[5, 1e308, 0.0]]},
+            "out_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(scenario)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_run_and_replay_roundtrip(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CIRCLELAB_WORKERS", "1")
         scenario = tmp_path / "s.json"

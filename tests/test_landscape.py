@@ -31,7 +31,7 @@ from circlelab import (
 from circlelab.control import potential_zeros
 from circlelab.diffusion import (
     DiffusionState,
-    _fprime_source,
+    _exit_source,
     _sums_lines,
     simulate_diffusion,
 )
@@ -260,10 +260,12 @@ class TestEvaluation:
         _vector_sums(pot, (0, 1), seven, out)()
         assert_bitwise(out[0], np.resize([f for f, _ in joint], 7))
         assert_bitwise(out[1], np.resize([fp for _, fp in joint], 7))
-        x, fp_only, fprime = pot._generated("exit_fprime", _fprime_source)(7)
-        x[:] = seven[0]
-        fprime()
-        assert_bitwise(fp_only, out[1])
+        # One exit step from s = 0 with low = x, no noise, drive 1 and
+        # dt 1 lands on 0 + (0 - F'(x)): -F'(x) exactly, zero signs aside.
+        steps = np.zeros((1, 7))
+        exit_block = pot._generated("exit_block", _exit_source)
+        exit_block(np.zeros(7), steps, seven[0], 1.0, 1.0)
+        assert np.array_equal(steps[0], -out[1])
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
