@@ -710,8 +710,8 @@ def run_exit_trials(potential: PeriodicPotential, drive: float, low, x_start,
     run = potential._generated("exit_block", _exit_source)
     step = 0
     while step < max_steps and alive.size:
-        # Replicas that left cost a full step each until the block ends;
-        # 2048-step blocks ran slower.  Noise does not depend on m.
+        # Replicas that left cost a step each until the block ends (2048-
+        # step blocks ran slower); a replica's noise does not depend on m.
         m = min(256, max_steps - step)
         na = alive.size
         _fill_noise(block[:na], gens, m)

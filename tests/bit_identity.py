@@ -332,8 +332,12 @@ def mutated(engine, order):
 def engine_outputs():
     """The raw output bytes of each engine of ENGINES on small fixed
     inputs, by engine name, from potentials built here."""
-    from circlelab import PdmpState, PeriodicPotential, simulate_pdmp
-    from circlelab import simulate_pdmp_driven
+    from circlelab import (
+        PdmpState,
+        PeriodicPotential,
+        simulate_pdmp,
+        simulate_pdmp_driven,
+    )
     from circlelab.control import _rk4_span
     from circlelab.diffusion import (
         _MASKED_WRAP_MIN,
@@ -362,8 +366,8 @@ def engine_outputs():
                              seeds=derive_replica_seeds(96, 8), dt=1e-3,
                              max_time=1.0)
     out["exit_block"] = (trials.exit_time.tobytes()
-                          + trials.exit_side.tobytes()
-                          + trials.final_s.tobytes())
+                         + trials.exit_side.tobytes()
+                         + trials.final_s.tobytes())
     log = simulate_pdmp(skewed(), 0.25, PdmpState(1.0, 0.0, 1), 50.0,
                         seed=97)
     out["thin_self"] = b"".join(a.tobytes() for a in (log.times, log.x, log.u))
