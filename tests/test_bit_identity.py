@@ -23,7 +23,7 @@ def test_every_kind_reproduces_its_recorded_digests():
         "change")
 
 
-def test_exit_digests_see_one_ulp_of_exit_fprime():
+def test_exit_digests_see_one_ulp_of_exit_trial_fprime():
     # An exit outcome quantizes a path to (step, side); the final arc
     # coordinate in the digest keeps one ulp of F' visible.
     base = exit_digests()
