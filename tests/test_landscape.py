@@ -260,12 +260,13 @@ class TestEvaluation:
         _vector_sums(pot, (0, 1), seven, out)()
         assert_bitwise(out[0], np.resize([f for f, _ in joint], 7))
         assert_bitwise(out[1], np.resize([fp for _, fp in joint], 7))
-        # One exit step from s = 0 with low = x, no noise, drive 1 and
-        # dt 1 lands on 0 + (0 - F'(x)): -F'(x) exactly, zero signs aside.
-        steps = np.zeros((1, 7))
+        # One exit step from s = -0.0 with low = x, noise -0.0, drive 1
+        # and dt 1 reads F' at -0.0 + x = x and lands on
+        # -0.0 + (-0.0 - F'(x)) = -F'(x), bitwise for zeros too.
+        steps = np.full((1, 7), -0.0)
         exit_block = pot._generated("exit_block", _exit_source)
-        exit_block(np.zeros(7), steps, seven[0], 1.0, 1.0)
-        assert np.array_equal(steps[0], -out[1])
+        exit_block(np.full(7, -0.0), steps, seven[0], 1.0, 1.0)
+        assert_bitwise(steps[0], -out[1])
 
     @settings(max_examples=60)
     @given(harmonic_potentials(), st.floats(-20.0, 20.0, allow_nan=False))
