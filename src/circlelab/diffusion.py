@@ -19,30 +19,30 @@ Conventions shared by every simulator in this module:
 - One PCG64 stream per replica, derived from that replica's seed and
   consumed only by that replica.  A replica's noise sequence is therefore
   a pure function of its seed, independent of batch grouping.
-- A replica's path is bitwise the same at every batch width.  Up to
-  _SCALAR_PATH_MAX replicas run a per-replica scalar block and wider
-  batches a vector block, each generated once per potential; both start
-  from wrap(x0) and add the terms of F and F' in the order of
-  `PeriodicPotential._terms`, with the same float operations.  The
+- A replica's path is bitwise the same at every batch width.  One
+  noise-block driver, `_run_levels`, runs ensembles and the coupled
+  step-size levels at every width: per block of each replica's noise,
+  up to _SCALAR_PATH_MAX replicas run a per-replica scalar block and
+  wider batches a vector block, each generated once per potential;
+  both start from wrap(x0) and add the terms of F and F' in the order
+  of `PeriodicPotential._terms`, with the same float operations.  The
   vector block keeps its state as one array M = [u; x; k x ...]: rows 0
   and 1 are (u, x), and rows 1... are the phase stack of the harmonics,
   so one cos call and one sin call evaluate every harmonic, one
   multiply per coefficient column forms all of a table's terms, and one
   call updates u and x together.  A step costs a dozen numpy calls
-  whatever the number of harmonics.  One driver, `_run_levels`, runs
-  the vector block for wide ensembles and for the coupled step-size
-  levels.  `run_exit_trials` runs a generated frozen-drive block with
-  F' alone from the same stacked sums and scans each noise block for
-  exits at its end, so an exit outcome does not depend on the batch
-  width either.  The vector loops draw noise per replica in blocks of
-  steps and scale it by sqrt(dt) into a time-major buffer, so each step
-  reads one contiguous row.
+  whatever the number of harmonics.  Its noise is scaled by sqrt(dt)
+  into a time-major buffer, so each step reads one contiguous row.
+  `run_exit_trials` runs a generated frozen-drive block with F' alone
+  from the same stacked sums and scans each noise block for exits at
+  its end, so an exit outcome does not depend on the batch width
+  either.
 - A wide batch wraps x with two masked corrections, which are
   bitwise equal to the modulo while one step moves x by less than pi;
   a guard checks that bound once per noise block and runs the block
   with the modulo where it does not hold (`_choose_wrap`).
-- At every noise-block boundary the loops check that each replica's
-  state is finite, and raise RunawayError naming the first bad seed.
+- At every noise-block boundary the driver checks that each replica's
+  state is finite, and raises RunawayError naming the first bad seed.
 - Recording keeps step 0, every `record_every`-th step, and the final
   step.  With the default dt = 1e-3 and record_every = 100 a horizon of
   2000 yields 20001 samples per replica.
@@ -72,7 +72,7 @@ __all__ = [
     "run_exit_trials",
 ]
 
-# Ensembles at most this large run the per-replica scalar block: the widest
+# Batches at most this wide run the per-replica scalar block: the widest
 # batch at which it beat the generated vector block on both cosine and
 # mixture F in every set of interleaved runs that measured it (three sets,
 # 2-vCPU Xeon, horizon 20, dt 1e-3, u0 30, best of 9 runs, ns per
@@ -467,7 +467,9 @@ def _scalar_source(potential: PeriodicPotential, name: str) -> str:
     """Python text of `name`(x, u, noise, sqrt_dt, dt, step, marks, rec,
     out_x, out_u): one replica's EM step per normal of noise, F and F' by
     `_sums_block` and then the float operations of `_em_source`, whose
-    step counting and recording it shares.  Returns (x, u, step, rec)."""
+    step counting and recording it shares.  Returns (x, u, step, rec).
+    `_run_levels` runs it on each replica's row of a noise block, where
+    sqrt_dt * g is bitwise the vector block's scaled noise."""
     body = potential._sums_block("x", {0: "fv", 1: "fp"}, 8)
     return f"""def {name}(x, u, noise, sqrt_dt, dt, step, marks, rec, out_x, out_u):
     for g in noise:{body}
@@ -480,26 +482,6 @@ def _scalar_source(potential: PeriodicPotential, name: str) -> str:
             rec += 1
     return x, u, step, rec
 """
-
-
-def _scalar_self(potential, x0, u0, dt, gen, seed, rec_steps, out_x, out_u):
-    em = potential._generated("em_scalar", _scalar_source)
-    sqrt_dt = math.sqrt(dt)
-    x = float(x0)
-    u = float(u0)
-    out_x[0] = x
-    out_u[0] = u
-    marks = rec_steps.tolist()
-    n_steps = marks[-1]
-    rec = 1
-    step = 0
-    while step < n_steps and math.isfinite(x) and math.isfinite(u):
-        noise = gen.standard_normal(min(4096, n_steps - step)).tolist()
-        x, u, step, rec = em(x, u, noise, sqrt_dt, dt, step, marks, rec,
-                             out_x, out_u)
-    if not (math.isfinite(x) and math.isfinite(u)):
-        raise RunawayError(f"diffusion replica with seed {seed}: "
-                           f"x or u is not finite at t = {step * dt!r}")
 
 
 def _fill_noise(block: np.ndarray, gens, m: int) -> None:
@@ -516,15 +498,19 @@ def _scaled_transpose(src: np.ndarray, dst: np.ndarray,
 
 
 def _run_levels(potential, states, dt_levels, factors, gens, seeds,
-                n_steps, dt_finest, marks=_NO_MARKS, out_x=None, out_u=None):
-    """Run the vector EM block (see `_em_source`) on each state M of
-    `states` for n_steps fine steps of size dt_finest, noise block by
-    noise block, all levels on one Brownian path.
+                n_steps, dt_finest, marks, out_x, out_u):
+    """Run the Euler-Maruyama blocks on each state M of `states` for
+    n_steps fine steps of size dt_finest, noise block by noise block, all
+    levels on one Brownian path: the one driver at every width.
 
     Level i takes steps of dt_levels[i], factors[i] fine steps long; its
     normals are the block sums of factors[i] fine normals times
-    1/sqrt(factors[i]).  A one-level run records into out_x and out_u at
-    its step counts in marks, an increasing list ending at n_steps.
+    1/sqrt(factors[i]).  After a finiteness check per noise block, up to
+    _SCALAR_PATH_MAX replicas run the scalar block (`_scalar_source`)
+    one by one on their rows of normals, wider batches the vector block
+    (`_em_source`) on their scaled transpose.  Replica j records into
+    out_x[j] and out_u[j] at the step counts in marks, an increasing list
+    ending at n_steps; the coupled levels pass _NO_MARKS and (n, 0) arrays.
     """
     n = len(seeds)
     block, steps = _noise_buffers(n, multiple_of=math.lcm(*factors))
@@ -539,9 +525,17 @@ def _run_levels(potential, states, dt_levels, factors, gens, seeds,
             else:
                 coarse = block[:, :m].reshape(n, m // f, f).sum(axis=2)
                 coarse *= 1.0 / math.sqrt(f)
+            umax = _finite_umax(M[1], M[0], seeds, step * dt_finest)
+            if n <= _SCALAR_PATH_MAX:
+                em = potential._generated("em_scalar", _scalar_source)
+                for j, (x, u) in enumerate(zip(M[1].tolist(), M[0].tolist())):
+                    M[1, j], M[0, j], _, end = em(
+                        x, u, coarse[j].tolist(), math.sqrt(dt), dt, step // f,
+                        marks, rec, out_x[j], out_u[j])
+                rec = end
+                continue
             sn = steps[:m // f]
             _scaled_transpose(coarse, sn, math.sqrt(dt))
-            umax = _finite_umax(M[1], M[0], seeds, step * dt_finest)
             em = _em_block(potential, _choose_wrap(potential, n, umax, sn, dt))
             _, rec = em(M, sn, dt, step // f, marks, rec, out_x, out_u)
         step += m
@@ -557,17 +551,11 @@ def _simulate_recorded(potential, x0, u0, rec_steps, dt, seeds):
     u = _as_replica_array(u0, n, "u0")
     out_x = np.empty((n, rec_steps.size))
     out_u = np.empty((n, rec_steps.size))
-    gens = generators_from_seeds(seeds)
-    if n <= _SCALAR_PATH_MAX:
-        for j in range(n):
-            _scalar_self(potential, x[j], u[j], dt, gens[j], seeds[j],
-                         rec_steps, out_x[j], out_u[j])
-    else:
-        out_x[:, 0] = x
-        out_u[:, 0] = u
-        _run_levels(potential, [_em_state(potential, x, u)], [dt], [1], gens,
-                    seeds, int(rec_steps[-1]), dt, rec_steps[1:].tolist(),
-                    out_x[:, 1:], out_u[:, 1:])
+    out_x[:, 0] = x
+    out_u[:, 0] = u
+    _run_levels(potential, [_em_state(potential, x, u)], [dt], [1],
+                generators_from_seeds(seeds), seeds, int(rec_steps[-1]), dt,
+                rec_steps[1:].tolist(), out_x[:, 1:], out_u[:, 1:])
     return out_x, out_u
 
 
@@ -612,13 +600,13 @@ def simulate_diffusion_ensemble(potential: PeriodicPotential, x0, u0,
     """Simulate independent replicas of the self-interacting pair (X, U).
 
     x0 and u0 broadcast over replicas (scalar or length-len(seeds)).  Up
-    to _SCALAR_PATH_MAX (19) replicas run a per-replica scalar loop and
-    larger ensembles a replica-vectorized loop; both consume identical
-    noise streams in the same arithmetic order, so a replica's path
-    depends only on its seed and start, bitwise, not on the batch it runs
-    in.  A non-finite x0 or u0 raises ValueError naming it; a state that
-    turns non-finite during the run raises RunawayError naming the
-    replica's seed.
+    to _SCALAR_PATH_MAX (19) replicas run a per-replica scalar block and
+    larger ensembles a replica-vectorized block, under one noise-block
+    driver; both consume identical noise streams in the same arithmetic
+    order, so a replica's path depends only on its seed and start,
+    bitwise, not on the batch it runs in.  A non-finite x0 or u0 raises
+    ValueError naming it; a state that turns non-finite during the run
+    raises RunawayError naming the replica's seed.
     """
     seeds = _seed_tuple(seeds)
     rec_steps = _record_steps(horizon, dt, record_every)
@@ -661,9 +649,10 @@ def simulate_terminal_u_coupled(potential: PeriodicPotential, x0, u0,
     x = wrap(_as_replica_array(x0, n, "x0"))
     u = _as_replica_array(u0, n, "u0")
     states = [_em_state(potential, x, u) for _ in dt_levels]
+    no_out = np.empty((n, 0))
     _run_levels(potential, states, dt_levels, factors,
                 generators_from_seeds(seeds), seeds, n_steps_f,
-                min(dt_levels))
+                min(dt_levels), _NO_MARKS, no_out, no_out)
     return {d: M[0] for d, M in zip(dt_levels, states)}
 
 

@@ -375,7 +375,7 @@ class TestGeneratedBlock:
     @pytest.mark.parametrize("width, levels", [
         pytest.param(width, levels, id=f"{width}{tag}")
         for tag, levels in (("", (4e-3, 2e-3, 1e-3)), ("-f3", (3e-3, 1e-3)))
-        for width in (1, 22, _MASKED_WRAP_MIN + 20)])
+        for width in (1, _SCALAR_PATH_MAX, 22, _MASKED_WRAP_MIN + 20)])
     def test_coupled_levels_are_the_reference_loop_bitwise(self, pot, width,
                                                            levels):
         # 2400 fine steps span two noise blocks at every width.
@@ -407,8 +407,8 @@ class TestGeneratedBlock:
 
 
 class TestScalarBlock:
-    """The generated scalar EM block, run by `_scalar_self`, is the
-    reference scalar loop, bit for bit."""
+    """The generated scalar EM block, run by the noise-block driver on a
+    one-replica batch, is the reference scalar loop, bit for bit."""
 
     @settings(max_examples=25)
     @given(pot=em_potentials(),
@@ -424,13 +424,14 @@ class TestScalarBlock:
                                                   n_steps, record_every, seed):
         rec_steps = diffusion._record_steps(n_steps * dt, dt, record_every)
         assert rec_steps[-1] == n_steps
-        got = np.empty((2, rec_steps.size))
+        got_x, got_u = diffusion._simulate_recorded(pot, x0, u0, rec_steps,
+                                                    dt, seeds=(seed,))
         want = np.empty((2, rec_steps.size))
-        diffusion._scalar_self(pot, x0, u0, dt, np.random.default_rng(seed),
-                               seed, rec_steps, got[0], got[1])
-        reference_scalar_self(pot, x0, u0, dt, np.random.default_rng(seed),
-                              seed, rec_steps, want[0], want[1])
-        assert_bitwise(got, want)
+        gen = generators_from_seeds((seed,))[0]
+        reference_scalar_self(pot, x0, u0, dt, gen, seed, rec_steps, want[0],
+                              want[1])
+        assert_bitwise(got_x[0], want[0])
+        assert_bitwise(got_u[0], want[1])
 
 
 class TestEmStep:
@@ -736,15 +737,13 @@ class TestRunaway:
                                         seeds=seeds)
 
     def test_ensemble_raises_at_the_block_start_it_is_seen(self):
-        # The state turns non-finite in the first steps; the scalar loop
-        # sees it at the start of its second 4096-step block, the vector
-        # loop at the start of its second 2048-step block.
-        with pytest.raises(RunawayError, match=r"t = 4\.096"):
-            simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
-                                        seeds=(3,))
-        with pytest.raises(RunawayError, match=r"t = 2\.048"):
-            simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
-                                        seeds=range(3, _SCALAR_PATH_MAX + 4))
+        # The state turns non-finite in the first steps; the driver sees it
+        # at the start of its second 2048-step noise block, on the scalar
+        # block and on the vector block alike.
+        for width in (1, _SCALAR_PATH_MAX + 1):
+            with pytest.raises(RunawayError, match=r"t = 2\.048"):
+                simulate_diffusion_ensemble(MIXTURE, 1.0, 1e308, 6.0, dt=1e-3,
+                                            seeds=range(3, 3 + width))
 
     def test_coupled_levels_raise(self):
         seeds = derive_replica_seeds(9, 6)
@@ -988,6 +987,6 @@ class TestExitTrials:
         oracle = analytic_escape_probability(
             COSINE, drive, math.pi, start, upper, "escape"
         )
-        q_hat = trials.fraction_upper
+        q_hat = np.mean(trials.exit_side == 1)
         se = math.sqrt(max(oracle * (1.0 - oracle), 1e-12) / len(seeds))
         assert abs(q_hat - oracle) < 3.5 * se + 2.0 / len(seeds)
