@@ -292,6 +292,16 @@ def _next_event(thin, lam, x, y, w, g0, gen, s_max):
     return None
 
 
+def _require_finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_positive(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
                           gen: np.random.Generator, cutoff: float, *,
                           u0: Optional[float] = None,
@@ -299,14 +309,19 @@ def sample_landscape_time(potential: PeriodicPotential, x0: float, y: int,
     """Sample the landscape clock alone; returns a time < cutoff or None.
 
     Exactly one of u0 (homogeneous interaction, evolving by the flow) or
-    g (frozen constant drive) must be given.
+    g (frozen constant drive) must be given.  A non-finite cutoff, x0, u0
+    or g raises ValueError naming it.
     """
     if (u0 is None) == (g is None):
         raise ValueError("provide exactly one of u0 or g")
     if y not in (-1, 1):
         raise ValueError("velocity y must be -1 or +1")
+    _require_finite("cutoff", cutoff)
+    _require_finite("x0", x0)
     if u0 is None:
+        _require_finite("g", g)
         return _thinning(potential, True)(x0, y, float(g), 0.0, gen, cutoff)
+    _require_finite("u0", u0)
     return _thinning(potential, False)(x0, y, u0,
                                        potential.antiderivative_s(x0), gen,
                                        cutoff)
@@ -321,10 +336,10 @@ def sample_next_event(potential: PeriodicPotential, lam: float,
     the landscape clock by thinning up to min(theta2, s_max).  Returns
     (theta, cause) with cause "landscape" or "constant-rate", or None if
     no jump occurs within s_max.  Ties resolve to constant-rate.  This is
-    the step that `simulate_pdmp` repeats.
+    the step that `simulate_pdmp` repeats.  A lam that is not positive
+    and finite raises ValueError naming it.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    _require_positive("lam", lam)
     return _next_event(_thinning(potential, False), lam, state.x, state.y,
                        state.u, potential.antiderivative_s(state.x), gen,
                        s_max)
@@ -340,21 +355,14 @@ def _first_target_entry(targets, x, y, max_travel):
     return best
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _simulate_core(potential, lam, x0, y0, horizon, max_events, until, u0, g,
                    seed):
     """The event loop of both simulators: `_next_event` from each row
     until the horizon or a target.  The interaction is u from u0, or the
     constant frozen drive g if u0 is None; a row's u column is its value
     at the row."""
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
+    _require_positive("lam", lam)
+    _require_positive("horizon", horizon)
     _require_finite("x0", x0)
     x = float(wrap(x0))
     y = int(y0)
@@ -425,7 +433,8 @@ def simulate_pdmp(potential: PeriodicPotential, lam: float, z0: PdmpState,
     If `until` is given (a sequence of target sets), the run stops at the
     first entry of X into any target, recorded exactly from the unit-speed
     segments; hit_time/hit_target report the entry.  Raises RunawayError
-    past max_events, and ValueError naming x0 or u0 for a non-finite start.
+    past max_events, and ValueError naming x0 or u0 for a non-finite start
+    and lam or horizon where it is not positive and finite.
     """
     _require_finite("u0", z0.u)
     return _simulate_core(potential, lam, z0.x, z0.y, horizon, max_events,
@@ -438,7 +447,8 @@ def simulate_pdmp_driven(potential: PeriodicPotential, lam: float, g: float,
                          until: Optional[Sequence[ArcSet]] = None) -> EventLog:
     """Simulate the frozen-drive variant: the rate uses the constant g in
     place of U.  The u column of the log echoes g on every row.  A
-    non-finite x0 or g raises ValueError naming it.
+    non-finite x0 or g raises ValueError naming it, as does a lam or
+    horizon that is not positive and finite.
     """
     _require_finite("g", float(g))
     return _simulate_core(potential, lam, x0, y0, horizon, max_events, until,

@@ -202,6 +202,22 @@ class TestLandscapeClock:
         with pytest.raises(ValueError):
             sample_landscape_time(COSINE, 0.0, 1, gen, 1.0, u0=1.0, g=1.0)
 
+    @pytest.mark.parametrize("field, x0, cutoff, drive", [
+        pytest.param("cutoff", 1.0, math.nan, {"g": 4.0}, id="cutoff-nan"),
+        # From pi this draw returns a time at an infinite cutoff.
+        pytest.param("cutoff", math.pi, math.inf, {"g": 4.0},
+                     id="cutoff-inf"),
+        pytest.param("x0", math.nan, 5.0, {"g": 4.0}, id="x0-nan"),
+        pytest.param("g", 1.0, 5.0, {"g": math.nan}, id="g-nan"),
+        pytest.param("u0", 1.0, 5.0, {"u0": math.nan}, id="u0-nan"),
+    ])
+    def test_non_finite_input_rejected(self, field, x0, cutoff, drive):
+        # A non-finite drive or cutoff can keep the windows walking
+        # forever; each of these inputs returns quietly if not rejected.
+        gen = generator_from_seed(0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            sample_landscape_time(COSINE, x0, 1, gen, cutoff, **drive)
+
 
 class TestNextEvent:
     def test_silent_landscape_gives_pure_exponential(self):
@@ -281,6 +297,12 @@ class TestNextEvent:
         with pytest.raises(ValueError, match="lam"):
             sample_next_event(COSINE, math.nan, PdmpState(1.0, 0.5, 1), gen,
                               5.0)
+
+    def test_infinite_lam_rejected(self):
+        # At lam = inf every event would be a zero-time constant-rate jump.
+        gen = generator_from_seed(0)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            sample_next_event(COSINE, math.inf, PdmpState(1.0, 0.5, 1), gen)
 
 
 class TestSimulate:
@@ -395,6 +417,20 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             simulate_pdmp(COSINE, args["lam"], PdmpState(1.0, 0.0, 1),
                           args["horizon"])
+
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("field", ["lam", "horizon"])
+    def test_infinite_rate_or_horizon_rejected(self, field, driven):
+        # Either would log jumps up to max_events instead of failing fast.
+        args = {"lam": 1.0, "horizon": 5.0, field: math.inf}
+        with pytest.raises(ValueError,
+                           match=f"{field} must be positive and finite"):
+            if driven:
+                simulate_pdmp_driven(COSINE, args["lam"], 0.5, 1.0, 1,
+                                     args["horizon"], max_events=10)
+            else:
+                simulate_pdmp(COSINE, args["lam"], PdmpState(1.0, 0.0, 1),
+                              args["horizon"], max_events=10)
 
     def test_output_arrays_are_frozen(self):
         log = simulate_pdmp(COSINE, 1.0, PdmpState(0.0, 0.0, 1), 5.0, seed=0)
