@@ -182,24 +182,8 @@ class ExitEnsemble:
     seeds: tuple
 
     @property
-    def n_trials(self) -> int:
-        return int(self.exit_side.size)
-
-    @property
-    def n_lower(self) -> int:
-        return int(np.count_nonzero(self.exit_side == -1))
-
-    @property
-    def n_upper(self) -> int:
-        return int(np.count_nonzero(self.exit_side == 1))
-
-    @property
     def n_censored(self) -> int:
         return int(np.count_nonzero(self.exit_side == 0))
-
-    @property
-    def fraction_upper(self) -> float:
-        return self.n_upper / self.n_trials
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +414,8 @@ def _as_replica_array(value, n: int, name: str) -> np.ndarray:
 def _validate_grid(horizon: float, dt: float, record_every: int) -> int:
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
-    if not (horizon > 0.0):
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if dt > horizon:
         raise ValueError("dt must not exceed the horizon")
     if record_every < 1 or int(record_every) != record_every:
@@ -564,6 +548,9 @@ def level_factors(horizon: float, dt_levels: Sequence[float]):
     dt_levels[i] over the finest level, which must be an integer, and the
     horizon must hold a whole number of steps of every level.  Raises
     ValueError otherwise."""
+    if not dt_levels or not all(0.0 < d < math.inf for d in dt_levels):
+        raise ValueError("dt_levels must be nonempty steps, each positive "
+                         "and finite")
     dt_f = min(dt_levels)
     factors = []
     for d in dt_levels:

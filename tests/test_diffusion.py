@@ -609,6 +609,21 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_diffusion(COSINE, DiffusionState(0.0, 0.0), 1.0, record_every=0)
 
+    @pytest.mark.parametrize("horizon, levels, field", [
+        pytest.param(math.inf, None, "horizon", id="horizon-inf"),
+        pytest.param(1.0, [], "dt_levels", id="levels-empty"),
+        pytest.param(1.0, [1e-3, 0.0], "dt_levels", id="levels-zero"),
+        pytest.param(1.0, [-1e-3], "dt_levels", id="levels-negative"),
+        pytest.param(1.0, [1e-3, math.nan], "dt_levels", id="levels-nan"),
+        pytest.param(1.0, [1e-3, math.inf], "dt_levels", id="levels-inf"),
+    ])
+    def test_bad_grid_names_its_field(self, horizon, levels, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            if levels is None:
+                simulate_diffusion_ensemble(COSINE, 1.0, 0.0, horizon)
+            else:
+                level_factors(horizon, levels)
+
     @pytest.mark.parametrize("field", ["x0", "u0"])
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_non_finite_start_rejected(self, field, value):
