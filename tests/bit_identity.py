@@ -28,8 +28,9 @@ root and lists the moved entries in its change notes::
 
     PYTHONPATH=src python tests/bit_identity.py --write
 
-``--check`` compares without writing, and ``--workers N`` runs the
-records on N workers (the digests do not depend on it).
+``--check`` compares without writing, lists each moved entry and prints
+one summary line when none moved; ``--workers N`` runs the records on N
+workers (the digests do not depend on it).
 
 ``--mutate`` checks that the record can see each engine: for each sum
 (F, F' or G) of each generated engine in ``ENGINES`` it compiles that
@@ -474,6 +475,10 @@ def main(argv=None):
     moved = differences(read_recorded()["digests"], digests)
     for entry in moved:
         print("moved:", entry)
+    if not moved:
+        entries = sum(len(record) for record in digests.values())
+        print(f"compared {len(digests)} records, {entries} entries, on "
+              f"{args.workers} worker(s): 0 moved")
     return 1 if moved else 0
 
 
