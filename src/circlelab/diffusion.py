@@ -384,14 +384,14 @@ def _em_state(potential: PeriodicPotential, x: np.ndarray,
 
 def _noise_buffers(n_replicas: int, multiple_of: int = 1):
     """The replica-major draw block and the time-major step block that the
-    vector loops fill once per block of steps.
+    EM driver and the exit trials fill once per block of steps.
 
     A block spans at most 2048 steps, and up to 2048 replicas the two
     hold at most 1 << 20 floats (8 MB) together.  Wider batches keep a
     floor of 256 steps per block, so that one standard_normal call per
     replica per block stays amortized.  A block is also the unit of the
-    loops' checks: at its start they check that the state is finite and
-    let `_choose_wrap` pick the wrap of its steps from their noise, so
+    driver's checks: at its start it checks that the state is finite and
+    lets `_choose_wrap` pick the wrap of its steps from their noise, so
     the masked wrap runs only where one step moves x by less than pi.
     """
     blen = max(256, min(2048, (1 << 19) // max(n_replicas, 1)))
